@@ -179,9 +179,14 @@ def cmd_run(args) -> int:
 
 
 def _read_scores(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        values = [float(line) for line in fh if line.strip()]
-    return np.asarray(values)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            values = np.array([float(line) for line in fh if line.strip()])
+        if np.isfinite(values).all():
+            return values
+    except ValueError:  # a non-numeric line or a non-ASCII byte
+        pass
+    raise InvalidConfig(f"{path}: expected one finite number per nonblank line")
 
 
 def cmd_accelerate(args) -> int:
@@ -214,24 +219,8 @@ def cmd_accelerate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = _spec_from_args(
-        argparse.Namespace(
-            spec=args.spec,
-            problem=args.problem,
-            seed=args.seed,
-            epochs=args.epochs,
-            k=None,
-            lam=None,
-            lam_grid=None,
-            out=None,
-            flush_on_drop=None,
-        )
-    )
-    windows = [int(v) for v in _parse_floats(args.k_list)]
-    lams = list(_parse_floats(args.lam_list))
-    if not windows or not lams:
-        raise InvalidConfig("sweep needs nonempty --k-list and --lambda-list")
-    cells = sweep(spec, windows, lams, args.out)
+    spec = _spec_from_args(args)
+    cells = sweep(spec, _parse_floats(args.k_list), _parse_floats(args.lam_list), args.out)
     ok = [c for c in cells if c.status == "ok"]
     print(f"{len(ok)}/{len(cells)} cells succeeded; summary in {args.out}/summary.csv")
     for cell in cells:

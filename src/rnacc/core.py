@@ -163,6 +163,26 @@ def as_iterate_matrix(iterates) -> np.ndarray:
     return mat
 
 
+def _validated(iterates) -> np.ndarray:
+    """:func:`as_iterate_matrix`, plus the two iterates every stage needs."""
+    mat = as_iterate_matrix(iterates)
+    if mat.shape[0] < 2:
+        raise WindowTooSmall(
+            f"need at least 2 iterates to extrapolate, got {mat.shape[0]}"
+        )
+    return mat
+
+
+def _gram(window: np.ndarray) -> np.ndarray:
+    """Return ``R^T R`` for the window's residuals, formed as ``D @ D.T``."""
+    diffs = np.diff(window, axis=0)
+    return diffs @ diffs.T
+
+
+def _combine(window: np.ndarray, weights: np.ndarray, target: WeightTarget) -> np.ndarray:
+    return weights @ (window[1:] if target is WeightTarget.LATEST else window[:-1])
+
+
 def build_residuals(iterates) -> np.ndarray:
     """Return the d x (m-1) matrix whose column k is theta_{k+1} - theta_k.
 
@@ -175,12 +195,7 @@ def build_residuals(iterates) -> np.ndarray:
         DimensionMismatch: Iterates of inconsistent dimension.
         NumericalFailure: Non-finite entries.
     """
-    mat = as_iterate_matrix(iterates)
-    if mat.shape[0] < 2:
-        raise WindowTooSmall(
-            f"need at least 2 iterates to form a residual, got {mat.shape[0]}"
-        )
-    return np.diff(mat, axis=0).T
+    return np.diff(_validated(iterates), axis=0).T
 
 
 def _solve_gram(gram: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
@@ -287,8 +302,7 @@ def extrapolate(iterates, coefficients, target=WeightTarget.LATEST) -> np.ndarra
             f"{weights.size} coefficients cannot weight {mat.shape[0]} iterates "
             f"(need exactly m - 1)"
         )
-    window = mat[1:] if _as_weight_target(target) is WeightTarget.LATEST else mat[:-1]
-    return weights @ window
+    return _combine(mat, weights, _as_weight_target(target))
 
 
 def rna(iterates, config: RnaConfig | None = None) -> tuple[np.ndarray, Coefficients]:
@@ -296,25 +310,40 @@ def rna(iterates, config: RnaConfig | None = None) -> tuple[np.ndarray, Coeffici
 
     Uses at most the last ``config.window + 1`` iterates, silently
     shrinking the window when fewer are available (so the procedure is
-    usable from the second epoch onward). Composition of
-    :func:`build_residuals`, :func:`solve_regularized`,
-    :func:`normalize`, and :func:`extrapolate`; deterministic given its
-    inputs.
+    usable from the second epoch onward). Validates once, then does the
+    work of :func:`build_residuals`, :func:`solve_regularized`,
+    :func:`normalize`, and :func:`extrapolate`; deterministic.
 
     Returns:
         (theta_hat, coefficients).
     """
     cfg = config if config is not None else RnaConfig()
-    mat = as_iterate_matrix(iterates)
-    if mat.shape[0] < 2:
-        raise WindowTooSmall(
-            f"need at least 2 iterates to extrapolate, got {mat.shape[0]}"
-        )
-    window = mat[-(cfg.window + 1):]
-    residuals = np.diff(window, axis=0).T
-    z, lam_used = _solve_gram(residuals.T @ residuals, cfg.lam)
-    coeffs = normalize(z, lam_used=lam_used)
-    return extrapolate(window, coeffs, cfg.weight_target), coeffs
+    window = _validated(iterates)[-(cfg.window + 1):]
+    coeffs = normalize(*_solve_gram(_gram(window), cfg.lam))
+    return _combine(window, coeffs.weights, cfg.weight_target), coeffs
+
+
+def _select_ridge(window, config, rank, fallback_score):
+    """The ridge-selection policy of :func:`adaptive_rna`, for any ranking.
+
+    One Gram matrix serves every ridge; ``rank(coefficients)`` scores a
+    solved ridge and ``fallback_score`` the last iterate, which wins ties
+    and is returned as (last iterate, None, None).
+    """
+    gram = _gram(window)
+    best_lam, best_coeffs, best_score = None, None, fallback_score
+    for lam in config.lam_grid:
+        try:
+            coeffs = normalize(*_solve_gram(gram, lam))
+        except (DegenerateSum, SingularSystem):
+            continue
+        s = rank(coeffs)
+        if s < best_score:
+            best_lam, best_coeffs, best_score = lam, coeffs, s
+    if best_coeffs is None:
+        return window[-1].copy(), None, None
+    theta_hat = _combine(window, best_coeffs.weights, config.weight_target)
+    return theta_hat, best_lam, best_coeffs
 
 
 def adaptive_rna(
@@ -324,13 +353,14 @@ def adaptive_rna(
 ) -> tuple[np.ndarray, float | None, Coefficients | None]:
     """Grid-search the ridge and keep the best-scoring candidate.
 
-    Runs :func:`rna` once per entry of ``config.lam_grid``, scores each
-    extrapolated point with ``score`` (typically the objective or the
-    gradient norm), and compares against the fallback candidate: the
-    last iterate itself. The fallback wins ties, so the returned score
-    is never worse than ``score(last iterate)``. Grid cells that fail
-    with a degenerate or singular solve are skipped; if every cell
-    fails, the last iterate is returned with ``lam_star = None``.
+    Solves once per entry of ``config.lam_grid`` over one shared Gram
+    matrix, scores each extrapolated point with ``score`` (typically the
+    objective or the gradient norm), and compares against the fallback
+    candidate: the last iterate itself. The fallback wins ties, so the
+    returned score is never worse than ``score(last iterate)``. Grid
+    cells that fail with a degenerate or singular solve are skipped; if
+    every cell fails, the last iterate is returned with
+    ``lam_star = None``.
 
     Returns:
         (theta_hat, lam_star, coefficients); the latter two are ``None``
@@ -338,24 +368,10 @@ def adaptive_rna(
     """
     if config.lam_grid is None:
         raise InvalidConfig("adaptive_rna requires a config with lam_grid set")
-    mat = as_iterate_matrix(iterates)
-    if mat.shape[0] < 2:
-        raise WindowTooSmall(
-            f"need at least 2 iterates to extrapolate, got {mat.shape[0]}"
-        )
-    best_theta = mat[-1].copy()
-    best_lam: float | None = None
-    best_coeffs: Coefficients | None = None
-    best_score = float(score(best_theta))
-    for lam in config.lam_grid:
-        cell = RnaConfig(
-            window=config.window, lam=lam, weight_target=config.weight_target
-        )
-        try:
-            theta_hat, coeffs = rna(mat, cell)
-        except (DegenerateSum, SingularSystem):
-            continue
-        s = float(score(theta_hat))
-        if s < best_score:
-            best_theta, best_lam, best_coeffs, best_score = theta_hat, lam, coeffs, s
-    return best_theta, best_lam, best_coeffs
+    window = _validated(iterates)[-(config.window + 1):]
+    return _select_ridge(
+        window,
+        config,
+        lambda c: float(score(_combine(window, c.weights, config.weight_target))),
+        float(score(window[-1].copy())),
+    )

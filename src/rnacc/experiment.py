@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .checkpoint import MetricsRow, write_checkpoints, write_metrics
-from .core import Coefficients, RnaConfig, rna
+from .core import Coefficients, RnaConfig, _select_ridge, _validated, rna
 from .errors import InvalidConfig, RnaError
 from .optimizers import OptimizerConfig, run_with_rna
 from .problems import Problem, make_logistic, make_mlp, make_quadratic
@@ -258,8 +258,6 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None):
 
     Returns (vanilla records, acceleration records, problem).
     """
-    if int(spec.epochs) != spec.epochs or spec.epochs < 1:
-        raise InvalidConfig(f"epochs must be a positive integer, got {spec.epochs}")
     if problem is None:
         problem = build_problem(spec)
     vanilla, accelerated = run_with_rna(
@@ -291,35 +289,32 @@ def accelerate_checkpoints(
     linearization ``sum_k c_k * score[sigma(k)]`` (the only estimate of
     the candidate's objective available without evaluating the model),
     the last checkpoint is the fallback candidate at its own recorded
-    score, and ties go to the fallback. Returns
-    (theta_hat, lam_star, coefficients) with None markers for the
-    fallback, mirroring the adaptive in-memory path.
+    score, and ties go to the fallback, as in :func:`rnacc.adaptive_rna`.
+    Returns (theta_hat, lam_star, coefficients) with None markers for
+    the fallback. Bad settings and missing, miscounted or non-finite
+    scores raise InvalidConfig; bad iterates raise as in :func:`rnacc.rna`.
     """
-    mat = np.asarray(iterates, dtype=np.float64)
-    if lam_grid is None:
-        theta_hat, coeffs = rna(mat, RnaConfig(window=window, lam=lam))
+    cfg = RnaConfig(window=window, lam=lam, lam_grid=lam_grid)
+    if cfg.lam_grid is None:
+        theta_hat, coeffs = rna(iterates, cfg)
         return theta_hat, coeffs.lam_used, coeffs
     if scores is None:
         raise InvalidConfig("ranking a lambda grid requires per-checkpoint scores")
+    mat = _validated(iterates)
     scores = np.asarray(scores, dtype=np.float64).ravel()
     if scores.size != mat.shape[0]:
         raise InvalidConfig(
             f"{scores.size} scores for {mat.shape[0]} checkpoints; counts must match"
         )
-    used = min(window + 1, mat.shape[0])
-    tail_scores = scores[-used:]
-    best = (mat[-1].copy(), None, None)
-    best_score = float(tail_scores[-1])
-    for lam_k in lam_grid:
-        try:
-            theta_hat, coeffs = rna(mat, RnaConfig(window=window, lam=lam_k))
-        except RnaError:
-            continue
-        surrogate = float(coeffs.weights @ tail_scores[1:])
-        if surrogate < best_score:
-            best = (theta_hat, lam_k, coeffs)
-            best_score = surrogate
-    return best
+    if not np.isfinite(scores).all():
+        raise InvalidConfig("scores contain NaN or infinite values")
+    tail_scores = scores[-(cfg.window + 1):]
+    return _select_ridge(
+        mat[-(cfg.window + 1):],
+        cfg,
+        lambda c: float(c.weights @ tail_scores[1:]),
+        float(tail_scores[-1]),
+    )
 
 
 @dataclass(frozen=True)
@@ -337,14 +332,10 @@ class SweepCell:
     error: str = ""
 
 
-def _run_cell(spec, problem, window, lam, out_dir, f_star) -> SweepCell:
+def _run_cell(spec, problem, cfg, out_dir, f_star) -> SweepCell:
+    window, lam = cfg.window, cfg.lam
     metrics_path = os.path.join(out_dir, f"metrics_k{window}_lam{lam:g}.csv")
-    cell_spec = replace(
-        spec,
-        rna=RnaConfig(window=window, lam=lam, weight_target=spec.rna.weight_target),
-        metrics_out=metrics_path,
-        checkpoints_out=None,
-    )
+    cell_spec = replace(spec, rna=cfg, metrics_out=metrics_path, checkpoints_out=None)
     try:
         vanilla, accelerated, _ = run_experiment(cell_spec, problem=problem)
     except RnaError as exc:
@@ -376,16 +367,19 @@ def sweep(
     The worker count is capped by the ``RNACC_MAX_WORKERS`` environment
     variable.
     """
-    windows = [int(w) for w in windows]
-    lams = [float(l) for l in lams]
-    if not windows or not lams:
+    lams = list(lams)
+    cells = [
+        RnaConfig(window=w, lam=l, weight_target=spec.rna.weight_target)
+        for w in windows
+        for l in lams
+    ]
+    if not cells:
         raise InvalidConfig("sweep needs at least one window and one lambda")
     os.makedirs(out_dir, exist_ok=True)
     problem = build_problem(spec)
     f_star = None
     if problem.optimum is not None:
         f_star = float(problem.f(problem.optimum))
-    cells = [(w, l) for w in windows for l in lams]
     if max_workers is None:
         max_workers = min(4, os.cpu_count() or 1)
     env_cap = os.environ.get(WORKERS_ENV_VAR)
@@ -395,7 +389,7 @@ def sweep(
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         results = list(
             pool.map(
-                lambda wl: _run_cell(spec, problem, wl[0], wl[1], out_dir, f_star),
+                lambda cfg: _run_cell(spec, problem, cfg, out_dir, f_star),
                 cells,
             )
         )

@@ -216,6 +216,31 @@ def test_accelerate_grid_with_scores(tmp_path, capsys):
     assert problem.f(result) <= problem.f(traj[-1])
 
 
+@pytest.mark.parametrize("bad_line", ["not-a-number", "nan"])
+def test_accelerate_bad_scores_file_exit_2(tmp_path, capsys, bad_line):
+    path = tmp_path / "seq.rnac"
+    _, traj = _export_trajectory(path)
+    scores_path = tmp_path / "scores.txt"
+    lines = ["1.0"] * len(traj)
+    lines[4] = bad_line
+    scores_path.write_text("\n".join(lines) + "\n")
+    rc = main(
+        [
+            "accelerate",
+            str(path),
+            "--lambda-grid",
+            "1e-10,1e-8",
+            "--scores",
+            str(scores_path),
+            "--out",
+            str(tmp_path / "o.rnac"),
+        ]
+    )
+    assert rc == 2
+    assert str(scores_path) in capsys.readouterr().err
+    assert not (tmp_path / "o.rnac").exists()
+
+
 # ------------------------------------------------------------------- sweep
 
 
@@ -263,3 +288,14 @@ def test_sweep_cli_all_cells_failing_exit_3(tmp_path, capsys):
     )
     capsys.readouterr()
     assert rc == 3
+
+
+def test_sweep_cli_fractional_window_exit_2(tmp_path, capsys):
+    out_dir = tmp_path / "cells"
+    rc = main(
+        ["sweep", "--epochs", "4", "--k-list", "2.5", "--lambda-list", "1e-8",
+         "--out", str(out_dir)]
+    )
+    assert rc == 2
+    assert "window" in capsys.readouterr().err
+    assert not out_dir.exists()

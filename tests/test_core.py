@@ -342,21 +342,26 @@ def _quadratic_trajectory():
     return problem, gd_trajectory(problem, theta0, 1.0 / problem.smoothness, 20)
 
 
-def test_adaptive_selects_best_scoring_candidate():
+@pytest.mark.parametrize("target", list(WeightTarget), ids=lambda t: t.value)
+def test_adaptive_selects_best_scoring_candidate(target):
     problem, traj = _quadratic_trajectory()
     grid = (1e-14, 1e-8, 1e-2)
-    cfg = RnaConfig(window=20, lam=1e-8, lam_grid=grid)
+    cfg = RnaConfig(window=20, lam=1e-8, lam_grid=grid, weight_target=target)
     theta_hat, lam_star, coeffs = adaptive_rna(traj, cfg, problem.f)
 
-    # Exhaustive re-evaluation of all four candidates is the oracle.
-    candidates = {None: problem.f(traj[-1])}
+    # Exhaustive re-evaluation of all four candidates, one full rna per
+    # ridge, is the oracle. The fallback comes first so that it wins ties.
+    candidates = {None: (traj[-1], None)}
     for lam in grid:
-        th, _ = rna(traj, RnaConfig(window=20, lam=lam))
-        candidates[lam] = problem.f(th)
-    assert problem.f(theta_hat) == min(candidates.values())
-    assert lam_star == min(candidates, key=lambda k: (candidates[k], k is None))
-    assert problem.f(theta_hat) <= candidates[None]
+        candidates[lam] = rna(traj, RnaConfig(window=20, lam=lam, weight_target=target))
+    scores = {lam: problem.f(th) for lam, (th, _) in candidates.items()}
+    assert lam_star == min(scores, key=scores.get)
+    assert problem.f(theta_hat) == min(scores.values()) <= scores[None]
+    expected_theta, expected_coeffs = candidates[lam_star]
+    np.testing.assert_array_equal(theta_hat, expected_theta)
     assert coeffs is not None and unit_sum_gap(coeffs) <= 1e-12
+    np.testing.assert_array_equal(coeffs.weights, expected_coeffs.weights)
+    assert coeffs.lam_used == expected_coeffs.lam_used
 
 
 def test_adaptive_falls_back_when_last_iterate_scores_best():
@@ -389,7 +394,8 @@ def test_adaptive_every_grid_cell_failing_returns_last_iterate(monkeypatch):
     def always_degenerate(*args, **kwargs):
         raise DegenerateSum("forced")
 
-    monkeypatch.setattr(core, "rna", always_degenerate)
+    # The per-ridge K x K solve is the step every grid cell goes through.
+    monkeypatch.setattr(core, "_solve_gram", always_degenerate)
     seq = np.arange(12.0).reshape(4, 3)
     theta_hat, lam_star, coeffs = core.adaptive_rna(
         seq, RnaConfig(window=3, lam_grid=(1e-8, 1e-4)), lambda t: float(t.sum())

@@ -6,6 +6,7 @@ import pytest
 from rnacc import (
     ExperimentSpec,
     InvalidConfig,
+    NumericalFailure,
     OptimizerConfig,
     RnaConfig,
     accelerate_checkpoints,
@@ -15,6 +16,7 @@ from rnacc import (
     rna,
     run_experiment,
     sweep,
+    WindowTooSmall,
 )
 from rnacc.experiment import rows_from_traces
 
@@ -159,6 +161,29 @@ def test_accelerate_checkpoints_grid_needs_scores():
         accelerate_checkpoints(
             traj, window=5, lam=1e-8, lam_grid=(1e-8,), scores=np.ones(3)
         )
+    for bad in (np.nan, np.inf):
+        scores = np.ones(6)
+        scores[2] = bad
+        with pytest.raises(InvalidConfig, match="scores"):
+            accelerate_checkpoints(traj, window=5, lam=1e-8, lam_grid=(1e-8,), scores=scores)
+
+
+def test_accelerate_checkpoints_grid_validates_like_plain_path():
+    # Bad iterates raise as on the plain path instead of turning into a
+    # silent fallback to the last checkpoint; bad grids are rejected.
+    traj = np.random.default_rng(0).standard_normal((6, 3))
+    grid = (1e-8, 1e-4)
+    nan_traj = traj.copy()
+    nan_traj[3, 1] = np.nan
+    with pytest.raises(NumericalFailure):
+        accelerate_checkpoints(nan_traj, window=5, lam=1e-8, lam_grid=grid, scores=np.ones(6))
+    with pytest.raises(WindowTooSmall):
+        accelerate_checkpoints(traj[:1], window=5, lam=1e-8, lam_grid=grid, scores=[1.0])
+    for bad_grid in ((-1.0, 1e-8), (1e-8, float("nan"))):
+        with pytest.raises(InvalidConfig, match="lam_grid"):
+            accelerate_checkpoints(
+                traj, window=5, lam=1e-8, lam_grid=bad_grid, scores=np.ones(6)
+            )
 
 
 # ------------------------------------------------------------------- sweep
@@ -218,3 +243,5 @@ def test_sweep_validation(tmp_path):
     spec = default_spec("quadratic")
     with pytest.raises(InvalidConfig):
         sweep(spec, [], [1e-8], tmp_path)
+    with pytest.raises(InvalidConfig, match="window"):
+        sweep(spec, [4, 2.5], [1e-8], tmp_path)  # not truncated to k=2
