@@ -1,8 +1,8 @@
 """Per-epoch offline acceleration of gradient descent on logistic loss.
 
-The protocol used throughout this package: after every epoch, push the
-parameters into a sliding window (capacity K+1 = 11) and extrapolate the
-window. The optimizer never sees the extrapolated point. The suboptimality
+The protocol used throughout this package: at every epoch, extrapolate
+the last K+1 = 11 parameter snapshots. The optimizer never sees the
+extrapolated point. The suboptimality
 table below shows the accelerated sequence running well ahead of the
 vanilla one at identical gradient cost.
 """

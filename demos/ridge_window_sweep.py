@@ -2,8 +2,8 @@
 
 Too little regularization lets nearly collinear residuals blow up the
 coefficients; too much collapses the method into plain iterate averaging.
-The sweep runner executes every (window, ridge) cell independently (in
-parallel, capped by RNACC_MAX_WORKERS) and tabulates final suboptimality.
+The sweep runner trains once, replays that trajectory for every
+(window, ridge) cell and tabulates final suboptimality.
 """
 
 import tempfile

@@ -12,16 +12,15 @@ from collections import deque
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, OrderingViolation
+from .errors import DimensionMismatch, InvalidConfig, OrderingViolation, _require_int
 
 
 class SlidingBuffer:
     """Fixed-capacity window that evicts its oldest entry when full."""
 
     def __init__(self, capacity: int):
-        if int(capacity) != capacity or capacity < 1:
-            raise InvalidConfig(f"capacity must be a positive integer, got {capacity}")
-        self._entries: deque[tuple[int, np.ndarray]] = deque(maxlen=int(capacity))
+        capacity = _require_int("capacity", capacity)
+        self._entries: deque[tuple[int, np.ndarray]] = deque(maxlen=capacity)
 
     @property
     def capacity(self) -> int:

@@ -31,6 +31,7 @@ from .errors import (
     NumericalFailure,
     SingularSystem,
     WindowTooSmall,
+    _require_int,
 )
 from .linalg import refined_spd_solve
 
@@ -94,9 +95,7 @@ class RnaConfig:
     weight_target: WeightTarget = WeightTarget.LATEST
 
     def __post_init__(self):
-        if int(self.window) != self.window or self.window < 1:
-            raise InvalidConfig(f"window must be a positive integer, got {self.window}")
-        object.__setattr__(self, "window", int(self.window))
+        object.__setattr__(self, "window", _require_int("window", self.window))
         if not (self.lam >= 0.0) or not math.isfinite(self.lam):
             raise InvalidConfig(f"lam must be finite and >= 0, got {self.lam}")
         object.__setattr__(self, "lam", float(self.lam))

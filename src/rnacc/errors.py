@@ -50,3 +50,14 @@ class NumericalFailure(RnaError):
 
 class FormatError(RnaError):
     """A checkpoint file does not conform to the binary layout."""
+
+
+def _require_int(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int; InvalidConfig unless a whole number >= ``minimum``."""
+    try:
+        if int(value) == value and value >= minimum:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, not a number
+        pass
+    kind = "positive" if minimum == 1 else "nonnegative"
+    raise InvalidConfig(f"{name} must be a {kind} integer, got {value}")

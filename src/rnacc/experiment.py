@@ -9,15 +9,14 @@ CLI layer; this module only defines the format and the runners.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checkpoint import MetricsRow, write_checkpoints, write_metrics
 from .core import Coefficients, RnaConfig, _select_ridge, _validated, rna
 from .errors import InvalidConfig, RnaError
-from .optimizers import OptimizerConfig, run_with_rna
+from .optimizers import OptimizerConfig, _replay, _train, run_with_rna
 from .problems import Problem, make_logistic, make_mlp, make_quadratic
 
 __all__ = [
@@ -30,8 +29,6 @@ __all__ = [
     "sweep",
     "SweepCell",
 ]
-
-WORKERS_ENV_VAR = "RNACC_MAX_WORKERS"
 
 _PROBLEM_BUILDERS = {
     "quadratic": (make_quadratic, ("dim", "condition", "seed")),
@@ -332,18 +329,18 @@ class SweepCell:
     error: str = ""
 
 
-def _run_cell(spec, problem, cfg, out_dir, f_star) -> SweepCell:
-    window, lam = cfg.window, cfg.lam
-    metrics_path = os.path.join(out_dir, f"metrics_k{window}_lam{lam:g}.csv")
-    cell_spec = replace(spec, rna=cfg, metrics_out=metrics_path, checkpoints_out=None)
+def _run_cell(spec, problem, vanilla, error, cfg, metrics_path, f_star) -> SweepCell:
     try:
-        vanilla, accelerated, _ = run_experiment(cell_spec, problem=problem)
+        accelerated = _replay(problem, vanilla, cfg, spec.optimizer, spec.flush_on_drop)
     except RnaError as exc:
-        return SweepCell(window, lam, "failed", None, error=str(exc))
+        error = exc
+    if error is not None:
+        return SweepCell(cfg.window, cfg.lam, "failed", None, error=str(error))
+    write_metrics(metrics_path, rows_from_traces(vanilla, accelerated))
     final_v, final_a = vanilla[-1].objective, accelerated[-1].objective
     return SweepCell(
-        window=window,
-        lam=lam,
+        window=cfg.window,
+        lam=cfg.lam,
         status="ok",
         metrics_path=metrics_path,
         final_objective=final_v,
@@ -353,19 +350,12 @@ def _run_cell(spec, problem, cfg, out_dir, f_star) -> SweepCell:
     )
 
 
-def sweep(
-    spec: ExperimentSpec,
-    windows,
-    lams,
-    out_dir,
-    max_workers: int | None = None,
-) -> list[SweepCell]:
-    """Run every (window, lambda) cell, in parallel, one metrics file each.
+def sweep(spec: ExperimentSpec, windows, lams, out_dir) -> list[SweepCell]:
+    """Train once, then replay that trace for every (window, lambda) cell.
 
-    Cells are independent; a failing cell is recorded in the summary and
-    does not disturb the others. Writes ``summary.csv`` in ``out_dir``.
-    The worker count is capped by the ``RNACC_MAX_WORKERS`` environment
-    variable.
+    Each cell writes the ``metrics_k{K}_lam{lambda:g}.csv`` that :func:`run_experiment`
+    would; a failing cell is recorded in ``summary.csv`` and spares the others. Bad
+    cells, or two sharing a file name, raise InvalidConfig before ``out_dir`` is made.
     """
     lams = list(lams)
     cells = [
@@ -375,24 +365,18 @@ def sweep(
     ]
     if not cells:
         raise InvalidConfig("sweep needs at least one window and one lambda")
+    names = [f"metrics_k{cfg.window}_lam{cfg.lam:g}.csv" for cfg in cells]
+    clashes = [name for i, name in enumerate(names) if name in names[:i]]
+    if clashes:
+        raise InvalidConfig(f"two sweep cells would both write {clashes[0]}")
     os.makedirs(out_dir, exist_ok=True)
     problem = build_problem(spec)
-    f_star = None
-    if problem.optimum is not None:
-        f_star = float(problem.f(problem.optimum))
-    if max_workers is None:
-        max_workers = min(4, os.cpu_count() or 1)
-    env_cap = os.environ.get(WORKERS_ENV_VAR)
-    if env_cap:
-        max_workers = min(max_workers, max(1, int(env_cap)))
-    max_workers = max(1, min(max_workers, len(cells)))
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(
-            pool.map(
-                lambda cfg: _run_cell(spec, problem, cfg, out_dir, f_star),
-                cells,
-            )
-        )
+    f_star = None if problem.optimum is None else float(problem.f(problem.optimum))
+    vanilla, error = _train(problem, spec.optimizer, spec.epochs)
+    results = [
+        _run_cell(spec, problem, vanilla, error, cfg, os.path.join(out_dir, name), f_star)
+        for cfg, name in zip(cells, names)
+    ]
     _write_summary(os.path.join(out_dir, "summary.csv"), results)
     return results
 

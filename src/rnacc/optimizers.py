@@ -2,10 +2,10 @@
 
 Plain gradient descent and heavy-ball SGD with weight decay and a
 step-drop learning rate schedule. The driver :func:`run_with_rna`
-snapshots parameters once per epoch into a sliding buffer and runs the
-extrapolation offline alongside; the extrapolated point is never fed
-back, so the base trajectory is bit-identical with acceleration on or
-off.
+records the parameters once per epoch, then replays that trace and
+extrapolates each epoch's window offline; the extrapolated point is
+never fed back, so the base trajectory is bit-identical with
+acceleration on or off.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .buffer import SlidingBuffer
 from .core import RnaConfig, adaptive_rna, rna
-from .errors import DegenerateSum, InvalidConfig, NumericalFailure
+from .errors import DegenerateSum, InvalidConfig, NumericalFailure, RnaError, _require_int
 from .problems import Problem
 
 __all__ = [
@@ -65,12 +64,9 @@ class OptimizerConfig:
         if any(b[0] <= a[0] for a, b in zip(sched, sched[1:])):
             raise InvalidConfig("schedule epochs must be strictly increasing")
         object.__setattr__(self, "schedule", sched)
-        if self.batch_size is not None and (
-            int(self.batch_size) != self.batch_size or self.batch_size < 1
-        ):
-            raise InvalidConfig(f"batch_size must be a positive integer, got {self.batch_size}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise InvalidConfig(f"seed must be a nonnegative integer, got {self.seed}")
+        if self.batch_size is not None:
+            _require_int("batch_size", self.batch_size)
+        _require_int("seed", self.seed, minimum=0)
 
 
 def learning_rate(cfg: OptimizerConfig, epoch: int) -> float:
@@ -152,7 +148,7 @@ class EpochRecord:
 
 @dataclass(frozen=True)
 class AccelRecord:
-    """Per-epoch extrapolation result running alongside the optimizer.
+    """Per-epoch extrapolation result, recorded next to the vanilla trace.
 
     ``lam_used`` is None when the entry is a plain copy of the iterate
     (window not yet filled, solve failed, or adaptive fallback).
@@ -173,74 +169,88 @@ def run_with_rna(
     theta0=None,
     flush_on_drop: bool = False,
 ) -> tuple[list[EpochRecord], list[AccelRecord]]:
-    """Train for ``epochs`` passes, extrapolating offline after each one.
+    """Train for ``epochs`` passes, then extrapolate every epoch offline.
 
-    After every epoch the parameters are pushed into a sliding buffer of
-    capacity ``rna_cfg.window + 1``; once two snapshots exist, the
-    window is extrapolated (grid-adaptive when ``rna_cfg.lam_grid`` is
-    set, scored by the objective) and the result recorded next to the
-    vanilla trace. A degenerate solve falls back to the last iterate for
-    that epoch instead of failing the run; a singular system, which
-    signals a misconfigured ridge rather than unlucky data, still
-    raises. Pass ``rna_cfg=None`` to disable acceleration; the vanilla
-    trace is bit-identical either way.
+    The recorded trace is replayed: each epoch extrapolates its last
+    ``rna_cfg.window + 1`` snapshots, grid-adaptive when
+    ``rna_cfg.lam_grid`` is set and scored by the objective. A
+    degenerate solve falls back to the last iterate for that epoch; a
+    singular system, which signals a misconfigured ridge rather than
+    unlucky data, raises ahead of any later training error. Pass
+    ``rna_cfg=None`` to disable acceleration; the vanilla trace is
+    bit-identical either way.
 
-    ``flush_on_drop`` empties the window at every schedule drop, since a
-    drop changes the dynamics the window is extrapolating.
+    ``flush_on_drop`` restarts the window at every schedule drop, since
+    a drop changes the dynamics the window is extrapolating.
 
     Returns:
         (vanilla records, acceleration records); the latter is empty
         when acceleration is disabled.
     """
-    if int(epochs) != epochs or epochs < 1:
-        raise InvalidConfig(f"epochs must be a positive integer, got {epochs}")
-    theta = (
-        np.zeros(problem.dim)
-        if theta0 is None
-        else np.array(theta0, dtype=np.float64).ravel()
+    vanilla, error = _train(problem, opt_cfg, epochs, theta0)
+    accelerated = (
+        [] if rna_cfg is None else _replay(problem, vanilla, rna_cfg, opt_cfg, flush_on_drop)
     )
-    if theta.size != problem.dim:
-        raise InvalidConfig(f"theta0 has size {theta.size}, problem.dim is {problem.dim}")
-    velocity = np.zeros_like(theta)
-    window = SlidingBuffer(rna_cfg.window + 1) if rna_cfg is not None else None
-    drop_epochs = {e for e, _ in opt_cfg.schedule}
+    if error is not None:
+        raise error
+    return vanilla, accelerated
+
+
+def _train(problem, opt_cfg, epochs, theta0=None) -> tuple[list[EpochRecord], RnaError | None]:
+    """The records of the epochs that trained, and the error that stopped training."""
     vanilla: list[EpochRecord] = []
-    accelerated: list[AccelRecord] = []
-    for epoch in range(1, int(epochs) + 1):
-        theta, velocity = sgd_momentum_epoch(theta, velocity, problem, opt_cfg, epoch)
-        vanilla.append(
-            EpochRecord(
-                epoch=epoch,
-                theta=theta.copy(),
-                objective=float(problem.f(theta)),
-                grad_norm=float(np.linalg.norm(problem.grad(theta))),
-                eta=learning_rate(opt_cfg, epoch),
+    try:
+        epochs = _require_int("epochs", epochs)
+        theta = np.zeros(problem.dim) if theta0 is None else np.array(theta0, float).ravel()
+        if theta.size != problem.dim:
+            raise InvalidConfig(f"theta0 has size {theta.size}, problem.dim is {problem.dim}")
+        velocity = np.zeros_like(theta)
+        for epoch in range(1, epochs + 1):
+            theta, velocity = sgd_momentum_epoch(theta, velocity, problem, opt_cfg, epoch)
+            vanilla.append(
+                EpochRecord(
+                    epoch=epoch,
+                    theta=theta.copy(),
+                    objective=float(problem.f(theta)),
+                    grad_norm=float(np.linalg.norm(problem.grad(theta))),
+                    eta=learning_rate(opt_cfg, epoch),
+                )
             )
-        )
-        if window is None:
-            continue
-        if flush_on_drop and epoch in drop_epochs:
-            window.clear()
-        window.push(epoch, theta)
-        theta_hat, lam_used = theta, None
-        if len(window) >= 2:
+    except RnaError as exc:
+        return vanilla, exc
+    return vanilla, None
+
+
+def _replay(problem, vanilla, rna_cfg, opt_cfg, flush_on_drop) -> list[AccelRecord]:
+    """Extrapolate epoch index t of a recorded trace from ``vanilla[lo:t + 1]``.
+
+    ``lo = max(start, t - rna_cfg.window)``; ``start`` moves to each drop if ``flush_on_drop``.
+    """
+    drops = {e for e, _ in opt_cfg.schedule} if flush_on_drop else set()
+    accelerated: list[AccelRecord] = []
+    start = 0
+    for t, record in enumerate(vanilla):
+        if record.epoch in drops:
+            start = t
+        lo = max(start, t - rna_cfg.window)
+        theta_hat, lam_used = record.theta, None
+        if t > lo:
+            window = np.vstack([r.theta for r in vanilla[lo : t + 1]])
             try:
                 if rna_cfg.lam_grid is not None:
-                    theta_hat, lam_used, _ = adaptive_rna(
-                        window.as_matrix(), rna_cfg, problem.f
-                    )
+                    theta_hat, lam_used, _ = adaptive_rna(window, rna_cfg, problem.f)
                 else:
-                    theta_hat, coeffs = rna(window.as_matrix(), rna_cfg)
+                    theta_hat, coeffs = rna(window, rna_cfg)
                     lam_used = coeffs.lam_used
             except DegenerateSum:
-                theta_hat, lam_used = theta, None
+                theta_hat, lam_used = record.theta, None
         accelerated.append(
             AccelRecord(
-                epoch=epoch,
+                epoch=record.epoch,
                 theta=np.array(theta_hat, dtype=np.float64),
                 objective=float(problem.f(theta_hat)),
                 grad_norm=float(np.linalg.norm(problem.grad(theta_hat))),
                 lam_used=lam_used,
             )
         )
-    return vanilla, accelerated
+    return accelerated

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .errors import InvalidConfig, NumericalFailure
+from .errors import InvalidConfig, NumericalFailure, _require_int
 
 __all__ = [
     "Problem",
@@ -94,8 +94,7 @@ def make_quadratic(dim: int, condition: float, seed: int = 0) -> Problem:
     comes from a direct dense solve and the smoothness constant is the
     largest eigenvalue.
     """
-    if int(dim) != dim or dim < 1:
-        raise InvalidConfig(f"dim must be a positive integer, got {dim}")
+    _require_int("dim", dim)
     if not condition >= 1.0:
         raise InvalidConfig(f"condition must be >= 1, got {condition}")
     rng = np.random.default_rng(seed)
@@ -149,10 +148,8 @@ def make_logistic(n_samples: int, dim: int, l2: float, seed: int = 0) -> Problem
     form, so ``problem.optimum`` lazily runs long plain gradient descent
     down to gradient norm 1e-12 and caches the result.
     """
-    if int(n_samples) != n_samples or n_samples < 1:
-        raise InvalidConfig(f"n_samples must be a positive integer, got {n_samples}")
-    if int(dim) != dim or dim < 1:
-        raise InvalidConfig(f"dim must be a positive integer, got {dim}")
+    _require_int("n_samples", n_samples)
+    _require_int("dim", dim)
     if not l2 >= 0.0:
         raise InvalidConfig(f"l2 must be >= 0, got {l2}")
     rng = np.random.default_rng(seed)
@@ -218,8 +215,7 @@ def make_mlp(d_in: int, hidden: int, n_samples: int, seed: int = 0) -> Problem:
     attached: the landscape is nonconvex.
     """
     for label, value in (("d_in", d_in), ("hidden", hidden), ("n_samples", n_samples)):
-        if int(value) != value or value < 1:
-            raise InvalidConfig(f"{label} must be a positive integer, got {value}")
+        _require_int(label, value)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((int(n_samples), int(d_in)))
     teacher_w1 = rng.standard_normal((hidden, d_in)) / np.sqrt(d_in)

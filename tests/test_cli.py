@@ -291,11 +291,36 @@ def test_sweep_cli_all_cells_failing_exit_3(tmp_path, capsys):
 
 
 def test_sweep_cli_fractional_window_exit_2(tmp_path, capsys):
-    out_dir = tmp_path / "cells"
-    rc = main(
-        ["sweep", "--epochs", "4", "--k-list", "2.5", "--lambda-list", "1e-8",
-         "--out", str(out_dir)]
-    )
-    assert rc == 2
-    assert "window" in capsys.readouterr().err
-    assert not out_dir.exists()
+    # A fractional window, and two ridges whose metrics files would share
+    # the name metrics_k4_lam1e-08.csv, are both rejected before any output.
+    for k_list, lam_list, word in (
+        ("2.5", "1e-8", "window"),
+        ("4", "1e-8,1.0000001e-8", "metrics_k4_lam1e-08.csv"),
+    ):
+        out_dir = tmp_path / "cells"
+        rc = main(
+            ["sweep", "--epochs", "4", "--k-list", k_list, "--lambda-list", lam_list,
+             "--out", str(out_dir)]
+        )
+        assert rc == 2
+        assert word in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("--k-list", "nan"), ("--k-list", "inf")]
+    + [(key, "nan") for key in
+       ("epochs", "optimizer.batch_size", "optimizer.seed", "rna.window", "problem.dim")],
+)
+def test_non_integer_setting_exit_2(tmp_path, capsys, key, value):
+    if key == "--k-list":
+        argv = ["sweep", "--epochs", "4", "--k-list", value, "--lambda-list", "1e-8",
+                "--out", str(tmp_path / "cells")]
+    else:
+        spec_path = tmp_path / "exp.spec"
+        spec_path.write_text(default_spec("quadratic").to_text() + f"{key} = {value}\n")
+        argv = ["run", "--spec", str(spec_path), "--out", str(tmp_path / "m.csv")]
+    assert main(argv) == 2
+    assert "must be a" in capsys.readouterr().err
+    assert not (tmp_path / "cells").exists() and not (tmp_path / "m.csv").exists()

@@ -1,5 +1,8 @@
 """Spec files, the experiment runner, offline acceleration, sweeps."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from rnacc import (
     sweep,
     WindowTooSmall,
 )
+from rnacc import optimizers
 from rnacc.experiment import rows_from_traces
 
 from oracles import gd_trajectory
@@ -204,18 +208,25 @@ def test_sweep_grid_files_and_summary(tmp_path):
 
 def test_sweep_isolates_failing_cell(tmp_path):
     # lam=0 with a window wider than the dimension: that cell fails with
-    # a singular system, the others are untouched.
-    spec = default_spec("quadratic", seed=0)
-    spec.problem_params = {"dim": 3, "condition": 10.0, "seed": 0}
-    spec.optimizer = OptimizerConfig(eta=0.05, momentum=0.0, weight_decay=0.0)
-    spec.epochs = 10
-    cells = sweep(spec, [8], [0.0, 1e-8], tmp_path)
-    by_lam = {c.lam: c for c in cells}
-    assert by_lam[0.0].status == "failed"
-    assert "singular" in by_lam[0.0].error
-    assert by_lam[1e-8].status == "ok"
-    summary = (tmp_path / "summary.csv").read_text()
-    assert "failed" in summary
+    # a singular system, the others are untouched. At eta=5 training
+    # also diverges at epoch 8; the lam=0 cell still reports the
+    # singular solve it hit first, the other cell the divergence.
+    singular = "residual Gram matrix is numerically singular at lam=0; use lam > 0"
+    diverged = "parameters diverged at epoch 8 (norm > 1e+12)"
+    for eta, error_1e8 in ((0.05, ""), (5.0, diverged)):
+        spec = default_spec("quadratic", seed=0)
+        spec.problem_params = {"dim": 3, "condition": 10.0, "seed": 0}
+        spec.optimizer = OptimizerConfig(eta=eta, momentum=0.0, weight_decay=0.0)
+        spec.epochs = 10
+        out_dir = tmp_path / f"eta{eta}"
+        cells = sweep(spec, [8], [0.0, 1e-8], out_dir)
+        by_lam = {c.lam: c for c in cells}
+        assert by_lam[0.0].status == "failed"
+        assert by_lam[0.0].error == singular
+        assert by_lam[1e-8].status == ("failed" if error_1e8 else "ok")
+        assert by_lam[1e-8].error == error_1e8
+        summary = (out_dir / "summary.csv").read_text()
+        assert "failed" in summary
 
 
 def test_sweep_best_cell_at_least_as_good_as_default(tmp_path):
@@ -231,17 +242,49 @@ def test_sweep_best_cell_at_least_as_good_as_default(tmp_path):
     assert best <= default_sub + 1e-15
 
 
-def test_sweep_respects_worker_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("RNACC_MAX_WORKERS", "1")
-    spec = default_spec("quadratic", seed=0)
-    spec.epochs = 5
-    cells = sweep(spec, [4], [1e-8, 1e-6], tmp_path)
-    assert all(c.status == "ok" for c in cells)
+def test_sweep_trains_once_and_matches_standalone_runs(tmp_path, monkeypatch):
+    # One training for the whole grid, and every cell's metrics file is
+    # byte-identical to running that cell on its own, across a flushed
+    # schedule drop.
+    spec = ExperimentSpec(
+        problem="logistic",
+        problem_params={"n_samples": 60, "dim": 6, "l2": 0.001, "seed": 3},
+        optimizer=OptimizerConfig(
+            eta=1.0, momentum=0.9, weight_decay=1e-5, schedule=((6, 0.1),),
+            batch_size=16, seed=11,
+        ),
+        rna=RnaConfig(weight_target="oldest"),
+        epochs=14,
+        flush_on_drop=True,
+    )
+    epochs_trained = []
+    train_epoch = optimizers.sgd_momentum_epoch
+    monkeypatch.setattr(
+        optimizers,
+        "sgd_momentum_epoch",
+        lambda *args: epochs_trained.append(args[-1]) or train_epoch(*args),
+    )
+    cells = sweep(spec, [3, 8], [1e-10, 1e-4], tmp_path / "grid")
+    assert epochs_trained == list(range(1, spec.epochs + 1))
+    monkeypatch.undo()
+    for c in cells:
+        assert c.status == "ok"
+        alone = tmp_path / f"alone_k{c.window}_lam{c.lam:g}.csv"
+        cell_rna = RnaConfig(window=c.window, lam=c.lam, weight_target="oldest")
+        run_experiment(replace(spec, rna=cell_rna, metrics_out=str(alone)))
+        assert Path(c.metrics_path).read_bytes() == alone.read_bytes()
 
 
 def test_sweep_validation(tmp_path):
     spec = default_spec("quadratic")
+    out_dir = tmp_path / "cells"
     with pytest.raises(InvalidConfig):
-        sweep(spec, [], [1e-8], tmp_path)
-    with pytest.raises(InvalidConfig, match="window"):
-        sweep(spec, [4, 2.5], [1e-8], tmp_path)  # not truncated to k=2
+        sweep(spec, [], [1e-8], out_dir)
+    for bad in (2.5, float("nan"), float("inf")):  # 2.5 is not truncated to k=2
+        with pytest.raises(InvalidConfig, match="window must be a positive integer"):
+            sweep(spec, [4, bad], [1e-8], out_dir)
+    # Cells whose metrics files would share a name overwrite each other.
+    for windows, lams in (([4, 4], [1e-8]), ([4], [1e-8, 1.0000001e-8])):
+        with pytest.raises(InvalidConfig, match="metrics_k4_lam1e-08.csv"):
+            sweep(spec, windows, lams, out_dir)
+    assert not out_dir.exists()
