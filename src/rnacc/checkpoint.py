@@ -100,8 +100,9 @@ def read_checkpoint_dir(path) -> np.ndarray:
     """Concatenate every checkpoint file in a directory, in order.
 
     Files are taken in lexicographic name order unless a ``manifest.txt``
-    (one file name per line, comments with ``#``) pins the order. All
-    files must share one dim.
+    (one file name per line, comments with ``#``) pins the order; a name
+    that resolves outside the directory is a FormatError. All files must
+    share one dim.
     """
     root = Path(path)
     manifest = root / MANIFEST_NAME
@@ -112,6 +113,10 @@ def read_checkpoint_dir(path) -> np.ndarray:
             if line.strip() and not line.strip().startswith("#")
         ]
         files = [root / name for name in names]
+        inside = root.resolve()
+        outside = [n for n, f in zip(names, files) if inside not in f.resolve().parents]
+        if outside:
+            raise FormatError(f"{path}: manifest names files outside the directory {outside}")
         missing = [f.name for f in files if not f.is_file()]
         if missing:
             raise FormatError(f"{path}: manifest names missing files {missing}")

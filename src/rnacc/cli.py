@@ -14,7 +14,6 @@ from dataclasses import replace
 import numpy as np
 
 from .checkpoint import read_checkpoint_dir, read_checkpoints, write_checkpoints
-from .core import RnaConfig
 from .errors import (
     FormatError,
     InvalidConfig,
@@ -23,6 +22,8 @@ from .errors import (
 )
 from .experiment import (
     ExperimentSpec,
+    _numbers,
+    _override,
     accelerate_checkpoints,
     default_spec,
     run_experiment,
@@ -118,18 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise InvalidConfig(f"expected comma-separated numbers, got {text!r}") from None
-
-
 def _spec_from_args(args) -> ExperimentSpec:
     if args.spec:
         spec = ExperimentSpec.from_file(args.spec)
         if args.problem and args.problem != spec.problem:
-            fresh = default_spec(args.problem, seed=args.seed)
+            fresh = default_spec(args.problem)
             spec = replace(
                 spec,
                 problem=fresh.problem,
@@ -137,35 +131,19 @@ def _spec_from_args(args) -> ExperimentSpec:
                 optimizer=replace(fresh.optimizer, seed=spec.optimizer.seed),
             )
     else:
-        spec = default_spec(args.problem or "quadratic", seed=args.seed)
-    if args.seed is not None:
-        params = dict(spec.problem_params)
-        params["seed"] = args.seed
-        spec = replace(
-            spec,
-            problem_params=params,
-            optimizer=replace(spec.optimizer, seed=args.seed),
-        )
-    if args.epochs is not None:
-        spec = replace(spec, epochs=args.epochs)
-    rna_kwargs = {
-        "window": spec.rna.window,
-        "lam": spec.rna.lam,
-        "lam_grid": spec.rna.lam_grid,
-        "weight_target": spec.rna.weight_target,
+        spec = default_spec(args.problem or "quadratic")
+    lam_grid = getattr(args, "lam_grid", None)
+    flags = {
+        "problem.seed": args.seed,
+        "optimizer.seed": args.seed,
+        "epochs": args.epochs,
+        "rna.window": getattr(args, "k", None),
+        "rna.lambda": getattr(args, "lam", None),
+        "rna.lambda_grid": _numbers(lam_grid) if lam_grid else None,
+        "metrics_out": getattr(args, "out", None) or None,
+        "flush_on_drop": getattr(args, "flush_on_drop", None),
     }
-    if getattr(args, "k", None) is not None:
-        rna_kwargs["window"] = args.k
-    if getattr(args, "lam", None) is not None:
-        rna_kwargs["lam"] = args.lam
-    if getattr(args, "lam_grid", None):
-        rna_kwargs["lam_grid"] = _parse_floats(args.lam_grid)
-    spec = replace(spec, rna=RnaConfig(**rna_kwargs))
-    if getattr(args, "out", None):
-        spec = replace(spec, metrics_out=args.out)
-    if getattr(args, "flush_on_drop", None):
-        spec = replace(spec, flush_on_drop=True)
-    return spec
+    return _override(spec, {key: value for key, value in flags.items() if value is not None})
 
 
 def cmd_run(args) -> int:
@@ -202,7 +180,7 @@ def cmd_accelerate(args) -> int:
             f"{mat.shape[0]} available; using all of them",
             file=sys.stderr,
         )
-    grid = _parse_floats(args.lam_grid) if args.lam_grid else None
+    grid = _numbers(args.lam_grid) if args.lam_grid else None
     scores = _read_scores(args.scores) if args.scores else None
     theta_hat, lam_star, coeffs = accelerate_checkpoints(
         mat, window=args.k, lam=args.lam, lam_grid=grid, scores=scores
@@ -220,7 +198,7 @@ def cmd_accelerate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
-    cells = sweep(spec, _parse_floats(args.k_list), _parse_floats(args.lam_list), args.out)
+    cells = sweep(spec, _numbers(args.k_list), _numbers(args.lam_list), args.out)
     ok = [c for c in cells if c.status == "ok"]
     print(f"{len(ok)}/{len(cells)} cells succeeded; summary in {args.out}/summary.csv")
     for cell in cells:

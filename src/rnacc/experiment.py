@@ -2,20 +2,22 @@
 
 A spec is a flat ``key = value`` text file (dotted keys for the nested
 configs) that round-trips losslessly: floats are rendered with ``repr``,
-empty values mean None. Command line flags override file values at the
-CLI layer; this module only defines the format and the runners.
+empty values mean None. Each key is declared once, with its type, in
+``_KEYS``; a file is a set of overrides on :func:`default_spec` for its
+``problem``, and the CLI turns its flags into the same keys, so a value
+from a file and one from a flag take one path and are validated once.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .checkpoint import MetricsRow, write_checkpoints, write_metrics
-from .core import Coefficients, RnaConfig, _select_ridge, _validated, rna
-from .errors import InvalidConfig, RnaError
+from .core import Coefficients, RnaConfig, WeightTarget, _select_ridge, _validated, rna
+from .errors import InvalidConfig, RnaError, _require_int
 from .optimizers import OptimizerConfig, _replay, _train, run_with_rna
 from .problems import Problem, make_logistic, make_mlp, make_quadratic
 
@@ -30,29 +32,76 @@ __all__ = [
     "SweepCell",
 ]
 
-_PROBLEM_BUILDERS = {
-    "quadratic": (make_quadratic, ("dim", "condition", "seed")),
-    "logistic": (make_logistic, ("n_samples", "dim", "l2", "seed")),
-    "mlp": (make_mlp, ("d_in", "hidden", "n_samples", "seed")),
+# name -> (builder, default parameters named as the builder's arguments, default eta)
+_PROBLEMS = {
+    "quadratic": (make_quadratic, {"dim": 20, "condition": 100.0, "seed": 0}, 0.01),
+    "logistic": (make_logistic, {"n_samples": 500, "dim": 50, "l2": 0.001, "seed": 0}, 2.0),
+    "mlp": (make_mlp, {"d_in": 10, "hidden": 8, "n_samples": 200, "seed": 0}, 0.2),
 }
 
-_DEFAULT_PROBLEM_PARAMS = {
-    "quadratic": {"dim": 20, "condition": 100.0, "seed": 0},
-    "logistic": {"n_samples": 500, "dim": 50, "l2": 0.001, "seed": 0},
-    "mlp": {"d_in": 10, "hidden": 8, "n_samples": 200, "seed": 0},
-}
 
-_DEFAULT_ETA = {"quadratic": 0.01, "logistic": 2.0, "mlp": 0.2}
+def _number(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise InvalidConfig(f"expected a number, got {text!r}")
+
+
+def _numbers(text: str) -> tuple:
+    """Comma-separated numbers, as in spec files and the CLI's list flags."""
+    return tuple(_number(part.strip()) for part in text.split(",") if part.strip())
+
+
+def _schedule(text: str) -> tuple:
+    out = []
+    for part in text.split(",") if text else ():
+        epoch, _, mult = part.partition(":")
+        if not mult:
+            raise InvalidConfig(f"schedule entries look like 'epoch:mult', got {part!r}")
+        out.append((_number(epoch.strip()), _number(mult.strip())))
+    return tuple(out)
+
+
+def _flag(text: str) -> bool:
+    if text.lower() not in ("", "true", "false"):
+        raise InvalidConfig(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+def _optional(parse):
+    return lambda text: None if text == "" else parse(text)
+
+
+# Every spec key except ``problem`` and ``problem.*``, in file order:
+# key -> (ExperimentSpec field holding the config, or None; field; parser).
+_KEYS = {
+    "optimizer.eta": ("optimizer", "eta", _number),
+    "optimizer.momentum": ("optimizer", "momentum", _number),
+    "optimizer.weight_decay": ("optimizer", "weight_decay", _number),
+    "optimizer.schedule": ("optimizer", "schedule", _schedule),
+    "optimizer.batch_size": ("optimizer", "batch_size", _optional(_number)),
+    "optimizer.seed": ("optimizer", "seed", _number),
+    "rna.window": ("rna", "window", _number),
+    "rna.lambda": ("rna", "lam", _number),
+    "rna.lambda_grid": ("rna", "lam_grid", _optional(_numbers)),
+    "rna.weight_target": ("rna", "weight_target", str),
+    "epochs": (None, "epochs", _number),
+    "flush_on_drop": (None, "flush_on_drop", _flag),
+    "metrics_out": (None, "metrics_out", _optional(str)),
+    "checkpoints_out": (None, "checkpoints_out", _optional(str)),
+}
 
 
 @dataclass
 class ExperimentSpec:
     problem: str = "quadratic"
-    problem_params: dict = field(
-        default_factory=lambda: dict(_DEFAULT_PROBLEM_PARAMS["quadratic"])
-    )
+    problem_params: dict = field(default_factory=lambda: dict(_PROBLEMS["quadratic"][1]))
     optimizer: OptimizerConfig = field(
-        default_factory=lambda: OptimizerConfig(eta=0.01, momentum=0.0, weight_decay=0.0)
+        default_factory=lambda: OptimizerConfig(
+            eta=_PROBLEMS["quadratic"][2], momentum=0.0, weight_decay=0.0
+        )
     )
     rna: RnaConfig = field(default_factory=RnaConfig)
     epochs: int = 60
@@ -61,30 +110,17 @@ class ExperimentSpec:
     checkpoints_out: str | None = None
 
     def to_text(self) -> str:
-        o, r = self.optimizer, self.rna
         lines = [f"problem = {self.problem}"]
         for key in sorted(self.problem_params):
             lines.append(f"problem.{key} = {_render(self.problem_params[key])}")
-        lines += [
-            f"optimizer.eta = {_render(o.eta)}",
-            f"optimizer.momentum = {_render(o.momentum)}",
-            f"optimizer.weight_decay = {_render(o.weight_decay)}",
-            f"optimizer.schedule = {_render_schedule(o.schedule)}",
-            f"optimizer.batch_size = {_render(o.batch_size)}",
-            f"optimizer.seed = {_render(o.seed)}",
-            f"rna.window = {_render(r.window)}",
-            f"rna.lambda = {_render(r.lam)}",
-            f"rna.lambda_grid = {_render_list(r.lam_grid)}",
-            f"rna.weight_target = {r.weight_target.value}",
-            f"epochs = {_render(self.epochs)}",
-            f"flush_on_drop = {_render(self.flush_on_drop)}",
-            f"metrics_out = {_render(self.metrics_out)}",
-            f"checkpoints_out = {_render(self.checkpoints_out)}",
-        ]
+        for key, (section, name, _) in _KEYS.items():
+            owner = self if section is None else getattr(self, section)
+            lines.append(f"{key} = {_render(getattr(owner, name))}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentSpec":
+        """Parse a spec; its keys override :func:`default_spec` of its problem."""
         pairs = {}
         for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
@@ -94,53 +130,17 @@ class ExperimentSpec:
                 raise InvalidConfig(f"line {lineno}: expected 'key = value', got {line!r}")
             key, _, value = stripped.partition("=")
             pairs[key.strip()] = value.strip()
-        known = {
-            "problem", "optimizer.eta", "optimizer.momentum",
-            "optimizer.weight_decay", "optimizer.schedule",
-            "optimizer.batch_size", "optimizer.seed", "rna.window",
-            "rna.lambda", "rna.lambda_grid", "rna.weight_target", "epochs",
-            "flush_on_drop", "metrics_out", "checkpoints_out",
-        }
-        for key in pairs:
-            if key not in known and not key.startswith("problem."):
+        problem = pairs.pop("problem", "quadratic")
+        values = {}
+        for key, value in pairs.items():
+            if key not in _KEYS and not key.startswith("problem."):
                 raise InvalidConfig(f"unknown spec key {key!r}")
-        base = cls()
-        get = lambda key, fallback: pairs.get(key, fallback)
-        problem = get("problem", base.problem)
-        params = {
-            key[len("problem."):]: _parse_scalar(value)
-            for key, value in pairs.items()
-            if key.startswith("problem.")
-        }
-        if not params:
-            params = dict(_DEFAULT_PROBLEM_PARAMS.get(problem, {}))
-        optimizer = OptimizerConfig(
-            eta=_parse_scalar(get("optimizer.eta", _render(base.optimizer.eta))),
-            momentum=_parse_scalar(get("optimizer.momentum", _render(base.optimizer.momentum))),
-            weight_decay=_parse_scalar(
-                get("optimizer.weight_decay", _render(base.optimizer.weight_decay))
-            ),
-            schedule=_parse_schedule(get("optimizer.schedule", "")),
-            batch_size=_parse_scalar(get("optimizer.batch_size", "")),
-            seed=_parse_scalar(get("optimizer.seed", _render(base.optimizer.seed))),
-        )
-        grid = _parse_list(get("rna.lambda_grid", ""))
-        rna_cfg = RnaConfig(
-            window=_parse_scalar(get("rna.window", _render(base.rna.window))),
-            lam=_parse_scalar(get("rna.lambda", _render(base.rna.lam))),
-            lam_grid=tuple(grid) if grid else None,
-            weight_target=get("rna.weight_target", base.rna.weight_target.value),
-        )
-        return cls(
-            problem=problem,
-            problem_params=params,
-            optimizer=optimizer,
-            rna=rna_cfg,
-            epochs=_parse_scalar(get("epochs", _render(base.epochs))),
-            flush_on_drop=_parse_scalar(get("flush_on_drop", "false")),
-            metrics_out=_parse_scalar(get("metrics_out", _render(base.metrics_out))),
-            checkpoints_out=_parse_scalar(get("checkpoints_out", "")),
-        )
+            parse = _KEYS[key][2] if key in _KEYS else _number
+            try:
+                values[key] = parse(value)
+            except InvalidConfig as exc:
+                raise InvalidConfig(f"{key}: {exc}") from None
+        return _override(default_spec(problem), values)
 
     def to_file(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -152,6 +152,24 @@ class ExperimentSpec:
             return cls.from_text(fh.read())
 
 
+def _override(spec: ExperimentSpec, values: dict) -> ExperimentSpec:
+    """``spec`` with each spec key in ``values`` set; a rejected value names its key."""
+    for key, value in values.items():
+        try:
+            if key.startswith("problem."):
+                params = {**spec.problem_params, key[len("problem."):]: value}
+                spec = replace(spec, problem_params=params)
+                continue
+            section, name, _ = _KEYS[key]
+            if section is not None:
+                value = replace(getattr(spec, section), **{name: value})
+                name = section
+            spec = replace(spec, **{name: value})
+        except InvalidConfig as exc:
+            raise InvalidConfig(f"{key}: {exc}") from None
+    return spec
+
+
 def _render(value) -> str:
     if value is None:
         return ""
@@ -159,77 +177,37 @@ def _render(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, WeightTarget):
+        return value.value
+    if isinstance(value, tuple):  # a ridge grid, or a schedule of (epoch, multiplier) pairs
+        return ",".join(
+            ":".join(map(_render, v)) if isinstance(v, tuple) else _render(v) for v in value
+        )
     return str(value)
 
 
-def _render_list(values) -> str:
-    return "" if not values else ",".join(_render(v) for v in values)
-
-
-def _render_schedule(schedule) -> str:
-    return ",".join(f"{epoch}:{_render(mult)}" for epoch, mult in schedule)
-
-
-def _parse_scalar(text: str):
-    text = text.strip()
-    if text == "":
-        return None
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _parse_list(text: str) -> list:
-    text = text.strip()
-    return [] if not text else [_parse_scalar(part) for part in text.split(",")]
-
-
-def _parse_schedule(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    out = []
-    for part in text.split(","):
-        epoch, _, mult = part.partition(":")
-        if not mult:
-            raise InvalidConfig(f"schedule entries look like 'epoch:mult', got {part!r}")
-        out.append((int(epoch), float(mult)))
-    return tuple(out)
+def _problem(name: str):
+    if name not in _PROBLEMS:
+        raise InvalidConfig(f"unknown problem {name!r}; choose from {sorted(_PROBLEMS)}")
+    return _PROBLEMS[name]
 
 
 def default_spec(problem: str = "quadratic", seed: int | None = None) -> ExperimentSpec:
     """Ready-to-run spec for one of the built-in problems."""
-    if problem not in _PROBLEM_BUILDERS:
-        raise InvalidConfig(
-            f"unknown problem {problem!r}; choose from {sorted(_PROBLEM_BUILDERS)}"
-        )
-    params = dict(_DEFAULT_PROBLEM_PARAMS[problem])
+    _, params, eta = _problem(problem)
+    params = dict(params)
     if seed is not None:
         params["seed"] = int(seed)
     return ExperimentSpec(
         problem=problem,
         problem_params=params,
-        optimizer=OptimizerConfig(
-            eta=_DEFAULT_ETA[problem], momentum=0.0, weight_decay=0.0
-        ),
+        optimizer=OptimizerConfig(eta=eta, momentum=0.0, weight_decay=0.0),
     )
 
 
 def build_problem(spec: ExperimentSpec) -> Problem:
-    if spec.problem not in _PROBLEM_BUILDERS:
-        raise InvalidConfig(
-            f"unknown problem {spec.problem!r}; choose from {sorted(_PROBLEM_BUILDERS)}"
-        )
-    builder, names = _PROBLEM_BUILDERS[spec.problem]
-    unknown = set(spec.problem_params) - set(names)
+    builder, defaults, _ = _problem(spec.problem)
+    unknown = set(spec.problem_params) - set(defaults)
     if unknown:
         raise InvalidConfig(f"{spec.problem} does not take parameters {sorted(unknown)}")
     return builder(**spec.problem_params)
@@ -355,8 +333,10 @@ def sweep(spec: ExperimentSpec, windows, lams, out_dir) -> list[SweepCell]:
 
     Each cell writes the ``metrics_k{K}_lam{lambda:g}.csv`` that :func:`run_experiment`
     would; a failing cell is recorded in ``summary.csv`` and spares the others. Bad
-    cells, or two sharing a file name, raise InvalidConfig before ``out_dir`` is made.
+    epochs, problem parameters or cells, or two cells sharing a file name, raise
+    InvalidConfig before ``out_dir`` is made.
     """
+    _require_int("epochs", spec.epochs)
     lams = list(lams)
     cells = [
         RnaConfig(window=w, lam=l, weight_target=spec.rna.weight_target)
@@ -369,8 +349,8 @@ def sweep(spec: ExperimentSpec, windows, lams, out_dir) -> list[SweepCell]:
     clashes = [name for i, name in enumerate(names) if name in names[:i]]
     if clashes:
         raise InvalidConfig(f"two sweep cells would both write {clashes[0]}")
-    os.makedirs(out_dir, exist_ok=True)
     problem = build_problem(spec)
+    os.makedirs(out_dir, exist_ok=True)
     f_star = None if problem.optimum is None else float(problem.f(problem.optimum))
     vanilla, error = _train(problem, spec.optimizer, spec.epochs)
     results = [

@@ -58,9 +58,11 @@ class OptimizerConfig:
             raise InvalidConfig(f"momentum must lie in [0, 1), got {self.momentum}")
         if not (self.weight_decay >= 0.0):
             raise InvalidConfig(f"weight_decay must be >= 0, got {self.weight_decay}")
-        sched = tuple((int(e), float(m)) for e, m in self.schedule)
-        if any(m <= 0.0 for _, m in sched):
-            raise InvalidConfig("schedule multipliers must be positive")
+        sched = tuple(
+            (_require_int("schedule epoch", e, minimum=0), float(m)) for e, m in self.schedule
+        )
+        if not all(m > 0.0 and math.isfinite(m) for _, m in sched):
+            raise InvalidConfig("schedule multipliers must be finite and positive")
         if any(b[0] <= a[0] for a, b in zip(sched, sched[1:])):
             raise InvalidConfig("schedule epochs must be strictly increasing")
         object.__setattr__(self, "schedule", sched)

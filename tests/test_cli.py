@@ -1,10 +1,18 @@
 """Command line behavior: flags, exit codes, file outputs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rnacc
 from rnacc import (
+    ExperimentSpec,
     RnaConfig,
+    build_problem,
     default_spec,
     make_quadratic,
     read_checkpoints,
@@ -100,6 +108,53 @@ def test_run_spec_file_with_flag_overrides(tmp_path, capsys):
     assert len(override_out.read_text().splitlines()) == 9  # header + 8 epochs
 
 
+@pytest.mark.parametrize(
+    "problem, key, value",
+    [
+        ("quadratic", "optimizer.eta", "abc"),
+        ("quadratic", "optimizer.eta", "true"),
+        ("quadratic", "optimizer.momentum", "abc"),
+        ("quadratic", "rna.lambda", "abc"),
+        ("quadratic", "rna.lambda_grid", "1e-8,abc"),
+        ("quadratic", "flush_on_drop", "maybe"),
+        ("logistic", "problem.l2", "x"),
+        ("quadratic", "optimizer.schedule", "2:nan"),
+        ("quadratic", "optimizer.schedule", "2:inf"),
+    ],
+)
+def test_bad_spec_value_exit_2(tmp_path, capsys, problem, key, value):
+    spec_path = tmp_path / "exp.spec"
+    spec_path.write_text(default_spec(problem).to_text() + f"{key} = {value}\n")
+    metrics = tmp_path / "m.csv"
+    assert main(["run", "--spec", str(spec_path), "--out", str(metrics)]) == 2
+    assert key in capsys.readouterr().err
+    assert not metrics.exists()
+
+
+def test_spec_overrides_problem_defaults(tmp_path):
+    spec = ExperimentSpec.from_text("problem.dim = 5\n")
+    assert spec.problem_params == {"dim": 5, "condition": 100.0, "seed": 0}
+    theta = np.linspace(-1.0, 1.0, 5)
+    assert build_problem(spec).f(theta) == make_quadratic(5, 100.0, seed=0).f(theta)
+    assert ExperimentSpec.from_text("problem = logistic\n") == default_spec("logistic")
+    # A metrics_out that looks like a number is still a file name, not fd 1.
+    (tmp_path / "exp.spec").write_text("epochs = 3\nmetrics_out = 1\n")
+    src = Path(rnacc.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "rnacc.cli", "run", "--spec", "exp.spec"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 and lines[0] == "wrote 1 (3 epochs)"
+    assert lines[1].startswith("final objective")
+    assert len((tmp_path / "1").read_text().splitlines()) == 4  # header + 3 epochs
+
+
 def test_run_adaptive_grid_flag(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     rc = main(
@@ -137,6 +192,20 @@ def test_accelerate_directory_input(tmp_path, capsys):
     assert rc == 0
     expected, _ = rna(traj, RnaConfig(window=6, lam=1e-8))
     np.testing.assert_array_equal(read_checkpoints(out)[0], expected)
+
+
+@pytest.mark.parametrize("escape", ["parent", "absolute"])
+def test_accelerate_manifest_outside_directory_exit_4(tmp_path, capsys, escape):
+    _, traj = _export_trajectory(tmp_path / "x.rnac")
+    seq_dir = tmp_path / "parts"
+    seq_dir.mkdir()
+    write_checkpoints(seq_dir / "a.rnac", traj[:5], "f64")
+    name = "../x.rnac" if escape == "parent" else str(tmp_path / "x.rnac")
+    (seq_dir / "manifest.txt").write_text(f"a.rnac\n{name}\n")
+    out = tmp_path / "accel.rnac"
+    assert main(["accelerate", str(seq_dir), "--out", str(out)]) == 4
+    assert "outside the directory" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_accelerate_window_larger_than_sequence_warns_and_uses_all(tmp_path, capsys):
@@ -291,15 +360,17 @@ def test_sweep_cli_all_cells_failing_exit_3(tmp_path, capsys):
 
 
 def test_sweep_cli_fractional_window_exit_2(tmp_path, capsys):
-    # A fractional window, and two ridges whose metrics files would share
-    # the name metrics_k4_lam1e-08.csv, are both rejected before any output.
-    for k_list, lam_list, word in (
-        ("2.5", "1e-8", "window"),
-        ("4", "1e-8,1.0000001e-8", "metrics_k4_lam1e-08.csv"),
+    # A fractional window, two ridges whose metrics files would share the
+    # name metrics_k4_lam1e-08.csv, and zero epochs are all rejected before
+    # any output.
+    for epochs, k_list, lam_list, word in (
+        ("4", "2.5", "1e-8", "window"),
+        ("4", "4", "1e-8,1.0000001e-8", "metrics_k4_lam1e-08.csv"),
+        ("0", "4", "1e-8", "epochs"),
     ):
         out_dir = tmp_path / "cells"
         rc = main(
-            ["sweep", "--epochs", "4", "--k-list", k_list, "--lambda-list", lam_list,
+            ["sweep", "--epochs", epochs, "--k-list", k_list, "--lambda-list", lam_list,
              "--out", str(out_dir)]
         )
         assert rc == 2
@@ -311,7 +382,8 @@ def test_sweep_cli_fractional_window_exit_2(tmp_path, capsys):
     "key, value",
     [("--k-list", "nan"), ("--k-list", "inf")]
     + [(key, "nan") for key in
-       ("epochs", "optimizer.batch_size", "optimizer.seed", "rna.window", "problem.dim")],
+       ("epochs", "optimizer.batch_size", "optimizer.seed", "rna.window", "problem.dim")]
+    + [("optimizer.schedule", "nan:0.1")],
 )
 def test_non_integer_setting_exit_2(tmp_path, capsys, key, value):
     if key == "--k-list":

@@ -287,4 +287,8 @@ def test_sweep_validation(tmp_path):
     for windows, lams in (([4, 4], [1e-8]), ([4], [1e-8, 1.0000001e-8])):
         with pytest.raises(InvalidConfig, match="metrics_k4_lam1e-08.csv"):
             sweep(spec, windows, lams, out_dir)
+    with pytest.raises(InvalidConfig, match="epochs must be a positive integer"):
+        sweep(replace(spec, epochs=0), [4], [1e-8], out_dir)
+    with pytest.raises(InvalidConfig, match="does not take parameters"):
+        sweep(replace(spec, problem_params={"bogus": 1}), [4], [1e-8], out_dir)
     assert not out_dir.exists()
