@@ -97,7 +97,7 @@ _KEYS = {
 @dataclass
 class ExperimentSpec:
     problem: str = "quadratic"
-    problem_params: dict = field(default_factory=lambda: dict(_PROBLEMS["quadratic"][1]))
+    problem_params: dict = field(default_factory=dict)
     optimizer: OptimizerConfig = field(
         default_factory=lambda: OptimizerConfig(
             eta=_PROBLEMS["quadratic"][2], momentum=0.0, weight_decay=0.0
@@ -108,6 +108,10 @@ class ExperimentSpec:
     flush_on_drop: bool = False
     metrics_out: str | None = "metrics.csv"
     checkpoints_out: str | None = None
+
+    def __post_init__(self):
+        # Given parameters override the problem's defaults, as in a spec file.
+        self.problem_params = {**_problem(self.problem)[1], **self.problem_params}
 
     def to_text(self) -> str:
         lines = [f"problem = {self.problem}"]
@@ -194,14 +198,10 @@ def _problem(name: str):
 
 def default_spec(problem: str = "quadratic", seed: int | None = None) -> ExperimentSpec:
     """Ready-to-run spec for one of the built-in problems."""
-    _, params, eta = _problem(problem)
-    params = dict(params)
-    if seed is not None:
-        params["seed"] = int(seed)
     return ExperimentSpec(
         problem=problem,
-        problem_params=params,
-        optimizer=OptimizerConfig(eta=eta, momentum=0.0, weight_decay=0.0),
+        problem_params={} if seed is None else {"seed": int(seed)},
+        optimizer=OptimizerConfig(eta=_problem(problem)[2], momentum=0.0, weight_decay=0.0),
     )
 
 
@@ -334,7 +334,8 @@ def sweep(spec: ExperimentSpec, windows, lams, out_dir) -> list[SweepCell]:
     Each cell writes the ``metrics_k{K}_lam{lambda:g}.csv`` that :func:`run_experiment`
     would; a failing cell is recorded in ``summary.csv`` and spares the others. Bad
     epochs, problem parameters or cells, or two cells sharing a file name, raise
-    InvalidConfig before ``out_dir`` is made.
+    InvalidConfig, and a failed reference optimum NumericalFailure, before ``out_dir``
+    is made.
     """
     _require_int("epochs", spec.epochs)
     lams = list(lams)
@@ -350,8 +351,8 @@ def sweep(spec: ExperimentSpec, windows, lams, out_dir) -> list[SweepCell]:
     if clashes:
         raise InvalidConfig(f"two sweep cells would both write {clashes[0]}")
     problem = build_problem(spec)
-    os.makedirs(out_dir, exist_ok=True)
     f_star = None if problem.optimum is None else float(problem.f(problem.optimum))
+    os.makedirs(out_dir, exist_ok=True)
     vanilla, error = _train(problem, spec.optimizer, spec.epochs)
     results = [
         _run_cell(spec, problem, vanilla, error, cfg, os.path.join(out_dir, name), f_star)

@@ -53,14 +53,13 @@ def exact_residual(a: np.ndarray, z: np.ndarray, b: np.ndarray) -> np.ndarray:
     Every product a[i, j] * z[j] is split into an exact head/tail pair,
     and the row sums (including ``b[i]``) go through ``math.fsum``, which
     sums exactly. The only rounding is the final one per entry, so the
-    result is the float64 nearest to the true residual.
+    result is the float64 nearest to the true residual. The terms go to
+    ``fsum`` as Python floats (``tolist``), which it adds without
+    unpacking numpy scalars.
     """
     p, e = _two_prod(a, z[np.newaxis, :])
-    n = a.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = math.fsum([b[i], *(-p[i]), *(-e[i])])
-    return out
+    rows = zip(b.tolist(), (-p).tolist(), (-e).tolist())
+    return np.array([math.fsum([bi, *pi, *ei]) for bi, pi, ei in rows], dtype=np.float64)
 
 
 def refined_spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,14 +2,17 @@
 
 These deliberately avoid the production code paths: the ridge system is
 solved through a full eigendecomposition (escalating to mpmath when the
-float64 one cannot resolve the spectrum), and all other references are
-brute-force re-derivations.
+float64 one cannot resolve the spectrum), the logistic optimum comes from
+plain gradient descent, and all other references are brute-force
+re-derivations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from mpmath import mp
+
+from rnacc.errors import NumericalFailure
 
 # Below this eigenvalue ratio the float64 eigendecomposition can no
 # longer place the small eigenvalues accurately enough, so the solve is
@@ -64,3 +67,21 @@ def gd_trajectory(problem, theta0, eta: float, steps: int) -> np.ndarray:
         theta = theta - eta * problem.grad(theta)
         out.append(theta.copy())
     return np.vstack(out)
+
+
+def logistic_gd_reference(grad, dim, eta, tol=1e-12, max_iters=2_000_000):
+    """Plain gradient descent to tiny gradient norm; the reference oracle.
+
+    Deliberately the dullest possible solver so it stays independent of
+    anything this package accelerates.
+    """
+    theta = np.zeros(dim)
+    for _ in range(max_iters):
+        g = grad(theta)
+        if np.linalg.norm(g) <= tol:
+            return theta
+        theta = theta - eta * g
+    raise NumericalFailure(
+        f"reference solve did not reach gradient norm {tol:g} "
+        f"in {max_iters} iterations"
+    )

@@ -359,6 +359,24 @@ def test_sweep_cli_all_cells_failing_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+def test_sweep_cli_separable_logistic_exit_3(tmp_path, capsys):
+    # Separable data without l2 has no finite optimum to score the cells
+    # against: the reference solve fails before any output is made.
+    spec_path = tmp_path / "exp.spec"
+    spec_path.write_text(
+        "problem = logistic\nproblem.n_samples = 20\nproblem.dim = 4\n"
+        "problem.l2 = 0\nproblem.seed = 2\n"
+    )
+    out_dir = tmp_path / "cells"
+    rc = main(
+        ["sweep", "--spec", str(spec_path), "--k-list", "4", "--lambda-list", "1e-8",
+         "--out", str(out_dir)]
+    )
+    assert rc == 3
+    assert "singular" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_sweep_cli_fractional_window_exit_2(tmp_path, capsys):
     # A fractional window, two ridges whose metrics files would share the
     # name metrics_k4_lam1e-08.csv, and zero epochs are all rejected before

@@ -97,6 +97,15 @@ def test_default_spec_and_build_problem():
         )
 
 
+def test_spec_constructor_merges_problem_defaults():
+    spec = ExperimentSpec(problem_params={"dim": 5})
+    assert spec.problem_params == {"dim": 5, "condition": 100.0, "seed": 0}
+    assert build_problem(spec).dim == 5
+    assert build_problem(ExperimentSpec(problem="logistic")).dim == 50
+    with pytest.raises(InvalidConfig, match="unknown problem"):
+        ExperimentSpec(problem="svm")
+
+
 def test_run_experiment_writes_outputs(tmp_path):
     spec = default_spec("quadratic", seed=0)
     spec.epochs = 15

@@ -22,6 +22,7 @@ def test_exact_residual_matches_high_precision():
         z = rng.standard_normal(k) * 10.0 ** rng.integers(-8, 9)
         b = rng.standard_normal(k)
         r = exact_residual(a, z, b)
+        assert r.dtype == np.float64 and r.shape == (k,)
         with mp.workdps(60):
             for i in range(k):
                 true = mp.mpf(float(b[i])) - mp.fsum(

@@ -5,6 +5,7 @@ import pytest
 
 from rnacc import (
     InvalidConfig,
+    NumericalFailure,
     Problem,
     finite_difference_gradient,
     make_logistic,
@@ -12,6 +13,24 @@ from rnacc import (
     make_quadratic,
     split_mlp_params,
 )
+
+from oracles import logistic_gd_reference
+
+# (n_samples, dim, l2, seed) of the logistic instances the suite trains on,
+# the default spec's among them.
+_SUITE_LOGISTIC = [
+    (500, 50, 1e-3, 3), (80, 12, 1e-3, 1), (120, 10, 1e-3, 2), (50, 6, 1e-3, 1),
+    (20, 4, 1e-3, 2), (60, 8, 1e-3, 5), (80, 10, 1e-3, 3), (60, 8, 1e-3, 3),
+    (120, 12, 1e-3, 3), (40, 6, 1e-2, 8), (30, 4, 1e-2, 6), (50, 6, 1e-3, 3),
+    (60, 6, 1e-3, 3), (500, 50, 1e-3, 0), (500, 50, 1e-3, 1),
+]
+
+
+def _count_grad_calls(problem):
+    calls = []
+    grad = problem.grad
+    problem.grad = lambda theta: calls.append(1) or grad(theta)
+    return calls
 
 
 def _fd_relative_error(problem, rng, points=20, step=1e-6):
@@ -99,6 +118,36 @@ def test_logistic_reference_optimum_reproducible():
     assert np.linalg.norm(a.grad(a.optimum)) <= 1e-12
     assert abs(a.f(a.optimum) - b.f(b.optimum)) <= 1e-10
     np.testing.assert_array_equal(a.optimum, b.optimum)
+
+
+def test_logistic_newton_matches_gd_oracle():
+    # Plain gradient descent stops at gradient norm 1e-12, so it is within
+    # ||g|| / l2 <= 1e-9 of the optimum.
+    for params in _SUITE_LOGISTIC:
+        p = make_logistic(*params)
+        gd = logistic_gd_reference(p.grad, p.dim, eta=1.0 / p.smoothness)
+        assert np.linalg.norm(p.optimum - gd) <= 1e-9, params
+        f_gd = p.f(gd)
+        assert abs(p.f(p.optimum) - f_gd) <= 4 * np.spacing(f_gd), params
+
+
+@pytest.mark.parametrize("params", [(20, 4, 0.0, 2), (10, 20, 0.0, 0)])
+def test_logistic_reference_separable_raises(params):
+    # Separable without l2: the loss falls toward zero as theta runs off to
+    # infinity, so there is no optimum, only a singular Hessian.
+    p = make_logistic(*params)
+    calls = _count_grad_calls(p)
+    with pytest.raises(NumericalFailure, match="singular"):
+        p.optimum
+    # The lower bound checks that the count sees the solver's calls.
+    assert 1 <= len(calls) <= 100
+
+
+def test_logistic_newton_step_count():
+    p = make_logistic(1000, 100, 1e-3, seed=101)
+    calls = _count_grad_calls(p)
+    p.optimum
+    assert 1 <= len(calls) <= 20
 
 
 def test_logistic_batch_gradient_full_batch_equals_gradient():
