@@ -151,21 +151,17 @@ def _render(value) -> str:
     return format(float(value), ".17g")
 
 
-def write_metrics(path, rows) -> None:
-    """Write metric rows as comma-separated text with a header line."""
-    lines = [",".join(METRIC_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.epoch),
-                    _render(row.objective),
-                    _render(row.grad_norm),
-                    _render(row.objective_rna),
-                    _render(row.grad_norm_rna),
-                    _render(row.lambda_used),
-                )
-            )
-        )
+def _write_table(path, header, rows) -> None:
+    """Write rows of rendered fields as comma-separated text under ``header``."""
+    lines = [",".join(header), *(",".join(fields) for fields in rows)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_metrics(path, rows) -> None:
+    """Write metric rows as comma-separated text with a header line."""
+    _write_table(
+        path,
+        METRIC_COLUMNS,
+        ((str(r.epoch), *(_render(getattr(r, n)) for n in METRIC_COLUMNS[1:])) for r in rows),
+    )

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from .checkpoint import read_checkpoint_dir, read_checkpoints, write_checkpoints
+from .core import RnaConfig
 from .errors import (
     FormatError,
     InvalidConfig,
@@ -21,11 +22,11 @@ from .errors import (
     WindowTooSmall,
 )
 from .experiment import (
+    _PROBLEMS,
     ExperimentSpec,
     _numbers,
     _override,
     accelerate_checkpoints,
-    default_spec,
     run_experiment,
     sweep,
 )
@@ -33,6 +34,28 @@ from .experiment import (
 USAGE_EXIT = 2
 NUMERICAL_EXIT = 3
 FORMAT_EXIT = 4
+
+
+def _window_flags(**defaults) -> argparse.ArgumentParser:
+    """The extrapolation flags of run and accelerate, as a parent parser.
+
+    Parents share their actions with every child, and ``set_defaults`` writes into
+    the actions, so each command gets its own copy: accelerate's defaults must not
+    become run's, where an unset flag leaves the spec's value.
+    """
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--k", type=int, help=f"window size (default {RnaConfig.window})")
+    flags.add_argument(
+        "--lambda", dest="lam", type=float, help=f"ridge parameter (default {RnaConfig.lam:g})"
+    )
+    flags.add_argument(
+        "--lambda-grid",
+        dest="lam_grid",
+        help="comma-separated ascending ridge grid; enables adaptive selection "
+        "(accelerate also needs --scores)",
+    )
+    flags.set_defaults(**defaults)
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,27 +66,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser(
-        "run", help="train a built-in problem and record vanilla vs accelerated curves"
-    )
-    run_p.add_argument("--spec", help="experiment spec file (key = value lines)")
-    run_p.add_argument(
+    # Flags shared by the training commands, run and sweep.
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--spec", help="experiment spec file (key = value lines)")
+    training.add_argument(
         "--problem",
-        choices=("quadratic", "logistic", "mlp"),
+        choices=tuple(_PROBLEMS),
         help="built-in problem; overrides the spec file's selector",
     )
-    run_p.add_argument("--k", type=int, help="window size (default 10)")
-    run_p.add_argument(
-        "--lambda", dest="lam", type=float, help="ridge parameter (default 1e-8)"
+    training.add_argument("--epochs", type=int, help="number of training epochs")
+    training.add_argument("--seed", type=int, help="problem and shuffling seed")
+
+    run_p = sub.add_parser(
+        "run",
+        parents=[training, _window_flags()],
+        help="train a built-in problem and record vanilla vs accelerated curves",
     )
-    run_p.add_argument(
-        "--lambda-grid",
-        dest="lam_grid",
-        help="comma-separated ascending ridge grid; enables adaptive selection",
-    )
-    run_p.add_argument("--epochs", type=int, help="number of training epochs")
-    run_p.add_argument("--seed", type=int, help="problem and shuffling seed")
-    run_p.add_argument("--out", help="metrics file path (default metrics.csv)")
+    run_p.add_argument("--out", help=f"metrics file path (default {ExperimentSpec.metrics_out})")
     run_p.add_argument(
         "--flush-on-drop",
         action="store_const",
@@ -73,22 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=cmd_run)
 
     acc_p = sub.add_parser(
-        "accelerate", help="extrapolate an exported checkpoint sequence offline"
+        "accelerate",
+        parents=[_window_flags(k=RnaConfig.window, lam=RnaConfig.lam)],
+        help="extrapolate an exported checkpoint sequence offline",
     )
     acc_p.add_argument("checkpoints", help="checkpoint file, or directory of files")
-    acc_p.add_argument("--k", type=int, default=10, help="window size (default 10)")
-    acc_p.add_argument(
-        "--lambda",
-        dest="lam",
-        type=float,
-        default=1e-8,
-        help="ridge parameter (default 1e-8)",
-    )
-    acc_p.add_argument(
-        "--lambda-grid",
-        dest="lam_grid",
-        help="comma-separated ascending ridge grid; requires --scores",
-    )
     acc_p.add_argument(
         "--scores",
         help="text file with one objective value per checkpoint, used to rank "
@@ -98,40 +106,28 @@ def build_parser() -> argparse.ArgumentParser:
     acc_p.set_defaults(func=cmd_accelerate)
 
     sweep_p = sub.add_parser(
-        "sweep", help="grid of (window, lambda) cells, one metrics file each"
+        "sweep",
+        parents=[training],
+        help="grid of (window, lambda) cells, one metrics file each",
     )
-    sweep_p.add_argument("--spec", help="experiment spec file")
-    sweep_p.add_argument(
-        "--problem", choices=("quadratic", "logistic", "mlp"), help="built-in problem"
-    )
-    sweep_p.add_argument("--epochs", type=int, help="number of training epochs")
-    sweep_p.add_argument("--seed", type=int, help="problem and shuffling seed")
-    sweep_p.add_argument(
-        "--k-list", required=True, help="comma-separated window sizes"
-    )
+    sweep_p.add_argument("--k-list", required=True, help="comma-separated window sizes")
     sweep_p.add_argument(
         "--lambda-list", dest="lam_list", required=True, help="comma-separated ridges"
     )
     sweep_p.add_argument(
-        "--out", default="sweep_out", help="output directory (default sweep_out)"
+        "--out", dest="out_dir", default="sweep_out", help="output directory (default %(default)s)"
     )
     sweep_p.set_defaults(func=cmd_sweep)
     return parser
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    if args.spec:
-        spec = ExperimentSpec.from_file(args.spec)
-        if args.problem and args.problem != spec.problem:
-            fresh = default_spec(args.problem)
-            spec = replace(
-                spec,
-                problem=fresh.problem,
-                problem_params=fresh.problem_params,
-                optimizer=replace(fresh.optimizer, seed=spec.optimizer.seed),
-            )
-    else:
-        spec = default_spec(args.problem or "quadratic")
+    spec = ExperimentSpec.from_file(args.spec) if args.spec else ExperimentSpec()
+    if args.problem and args.problem != spec.problem:
+        # Another problem brings its own parameters and step; the file keeps the rest.
+        fresh = ExperimentSpec(problem=args.problem)
+        optimizer = replace(fresh.optimizer, seed=spec.optimizer.seed)
+        spec = replace(spec, problem=args.problem, problem_params={}, optimizer=optimizer)
     lam_grid = getattr(args, "lam_grid", None)
     flags = {
         "problem.seed": args.seed,
@@ -198,9 +194,9 @@ def cmd_accelerate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
-    cells = sweep(spec, _numbers(args.k_list), _numbers(args.lam_list), args.out)
+    cells = sweep(spec, _numbers(args.k_list), _numbers(args.lam_list), args.out_dir)
     ok = [c for c in cells if c.status == "ok"]
-    print(f"{len(ok)}/{len(cells)} cells succeeded; summary in {args.out}/summary.csv")
+    print(f"{len(ok)}/{len(cells)} cells succeeded; summary in {args.out_dir}/summary.csv")
     for cell in cells:
         tag = f"k={cell.window} lambda={cell.lam:g}"
         if cell.status == "ok":

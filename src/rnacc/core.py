@@ -138,11 +138,12 @@ def as_iterate_matrix(iterates) -> np.ndarray:
     """Validate and stack iterates into an (m, d) float64 matrix.
 
     Accepts a 2-D array (rows = iterates, oldest first) or a sequence of
-    1-D vectors. Raises DimensionMismatch for ragged input and
-    NumericalFailure for NaN or infinite entries.
+    1-D vectors; a float64 array comes back as is, not copied. Raises
+    DimensionMismatch for ragged input and NumericalFailure for NaN or
+    infinite entries.
     """
     if isinstance(iterates, np.ndarray) and iterates.ndim == 2:
-        mat = np.array(iterates, dtype=np.float64)
+        mat = np.asarray(iterates, dtype=np.float64)
     else:
         rows = [np.asarray(v, dtype=np.float64) for v in iterates]
         if not rows:

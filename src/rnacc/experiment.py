@@ -3,8 +3,9 @@
 A spec is a flat ``key = value`` text file (dotted keys for the nested
 configs) that round-trips losslessly: floats are rendered with ``repr``,
 empty values mean None. Each key is declared once, with its type, in
-``_KEYS``; a file is a set of overrides on :func:`default_spec` for its
-``problem``, and the CLI turns its flags into the same keys, so a value
+``_KEYS``; a file is a set of overrides on the defaults that the
+:class:`ExperimentSpec` constructor fills in for its ``problem`` (from
+``_PROBLEMS``), and the CLI turns its flags into the same keys, so a value
 from a file and one from a flag take one path and are validated once.
 """
 
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checkpoint import MetricsRow, write_checkpoints, write_metrics
+from .checkpoint import MetricsRow, _write_table, write_checkpoints, write_metrics
+from .checkpoint import _render as _render_g17
 from .core import Coefficients, RnaConfig, WeightTarget, _select_ridge, _validated, rna
 from .errors import InvalidConfig, RnaError, _require_int
 from .optimizers import OptimizerConfig, _replay, _train, run_with_rna
@@ -98,11 +100,7 @@ _KEYS = {
 class ExperimentSpec:
     problem: str = "quadratic"
     problem_params: dict = field(default_factory=dict)
-    optimizer: OptimizerConfig = field(
-        default_factory=lambda: OptimizerConfig(
-            eta=_PROBLEMS["quadratic"][2], momentum=0.0, weight_decay=0.0
-        )
-    )
+    optimizer: OptimizerConfig | None = None
     rna: RnaConfig = field(default_factory=RnaConfig)
     epochs: int = 60
     flush_on_drop: bool = False
@@ -110,8 +108,12 @@ class ExperimentSpec:
     checkpoints_out: str | None = None
 
     def __post_init__(self):
-        # Given parameters override the problem's defaults, as in a spec file.
-        self.problem_params = {**_problem(self.problem)[1], **self.problem_params}
+        # Given parameters override the problem's defaults, as in a spec file;
+        # without an optimizer, plain gradient steps at the problem's default eta.
+        _, params, eta = _problem(self.problem)
+        self.problem_params = {**params, **self.problem_params}
+        if self.optimizer is None:
+            self.optimizer = OptimizerConfig(eta=eta, momentum=0.0, weight_decay=0.0)
 
     def to_text(self) -> str:
         lines = [f"problem = {self.problem}"]
@@ -124,7 +126,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentSpec":
-        """Parse a spec; its keys override :func:`default_spec` of its problem."""
+        """Parse a spec; its keys override the defaults of its problem."""
         pairs = {}
         for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
@@ -144,7 +146,7 @@ class ExperimentSpec:
                 values[key] = parse(value)
             except InvalidConfig as exc:
                 raise InvalidConfig(f"{key}: {exc}") from None
-        return _override(default_spec(problem), values)
+        return _override(cls(problem=problem), values)
 
     def to_file(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -198,11 +200,7 @@ def _problem(name: str):
 
 def default_spec(problem: str = "quadratic", seed: int | None = None) -> ExperimentSpec:
     """Ready-to-run spec for one of the built-in problems."""
-    return ExperimentSpec(
-        problem=problem,
-        problem_params={} if seed is None else {"seed": int(seed)},
-        optimizer=OptimizerConfig(eta=_problem(problem)[2], momentum=0.0, weight_decay=0.0),
-    )
+    return ExperimentSpec(problem, {} if seed is None else {"seed": int(seed)})
 
 
 def build_problem(spec: ExperimentSpec) -> Problem:
@@ -362,25 +360,22 @@ def sweep(spec: ExperimentSpec, windows, lams, out_dir) -> list[SweepCell]:
     return results
 
 
+# The four float columns are the SweepCell fields of the same names.
+_SUMMARY_COLUMNS = (
+    "k", "lambda", "status",
+    "final_objective", "final_objective_rna", "final_suboptimality", "final_suboptimality_rna",
+    "error",
+)
+
+
 def _write_summary(path, cells: list[SweepCell]) -> None:
-    header = (
-        "k,lambda,status,final_objective,final_objective_rna,"
-        "final_suboptimality,final_suboptimality_rna,error"
+    _write_table(
+        path,
+        _SUMMARY_COLUMNS,
+        (
+            [str(c.window), _render(c.lam), c.status]
+            + [_render_g17(getattr(c, name)) for name in _SUMMARY_COLUMNS[3:7]]
+            + [c.error.replace(",", ";")]
+            for c in cells
+        ),
     )
-    lines = [header]
-    for c in cells:
-        fields = [
-            str(c.window),
-            _render(c.lam),
-            c.status,
-            "" if c.final_objective is None else format(c.final_objective, ".17g"),
-            "" if c.final_objective_rna is None else format(c.final_objective_rna, ".17g"),
-            "" if c.final_suboptimality is None else format(c.final_suboptimality, ".17g"),
-            ""
-            if c.final_suboptimality_rna is None
-            else format(c.final_suboptimality_rna, ".17g"),
-            c.error.replace(",", ";"),
-        ]
-        lines.append(",".join(fields))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")

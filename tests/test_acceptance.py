@@ -380,21 +380,27 @@ def test_c08_nonconvex_adaptive_guard():
 # --------------------------------------------------------------------- C09
 
 
-def _median_rna_seconds(dim: int, reps: int = 5) -> float:
-    seq = np.random.default_rng(909).standard_normal((11, dim))
+def _best_rna_seconds(dims, reps: int = 9) -> list[float]:
+    """Fastest of ``reps`` timed ``rna`` calls per dimension.
+
+    The dimensions take turns within each repeat, so a burst of host load
+    hits both sides alike, and the minimum discards the calls it slowed.
+    """
     cfg = RnaConfig(window=10, lam=1e-8)
-    rna(seq, cfg)  # warm up
-    times = []
+    seqs = [np.random.default_rng(909).standard_normal((11, dim)) for dim in dims]
+    best = [float("inf")] * len(seqs)
+    for seq in seqs:
+        rna(seq, cfg)  # warm up
     for _ in range(reps):
-        t0 = time.perf_counter()
-        rna(seq, cfg)
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+        for i, seq in enumerate(seqs):
+            t0 = time.perf_counter()
+            rna(seq, cfg)
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
 
 
 def test_c09_cost_scales_linearly_in_dimension():
-    t_small = _median_rna_seconds(100_000)
-    t_big = _median_rna_seconds(200_000)
+    t_small, t_big = _best_rna_seconds((100_000, 200_000))
     factor = t_big / t_small
     ok = factor <= 3.0
     _report(

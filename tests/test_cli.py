@@ -1,8 +1,10 @@
 """Command line behavior: flags, exit codes, file outputs."""
 
+import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from rnacc import (
     rna,
     write_checkpoints,
 )
-from rnacc.cli import build_parser, main
+from rnacc.cli import _spec_from_args, build_parser, main
 
 from oracles import gd_trajectory
 
@@ -153,6 +155,27 @@ def test_spec_overrides_problem_defaults(tmp_path):
     assert len(lines) == 3 and lines[0] == "wrote 1 (3 epochs)"
     assert lines[1].startswith("final objective")
     assert len((tmp_path / "1").read_text().splitlines()) == 4  # header + 3 epochs
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "file_problem, flag_problem", list(itertools.permutations(("quadratic", "logistic", "mlp"), 2))
+)
+def test_problem_flag_over_spec_of_another_problem(tmp_path, command, file_problem, flag_problem):
+    # The flag resets the problem parameters and the optimizer to the new problem's
+    # defaults; the file's optimizer seed, rna settings, epochs and outputs stay.
+    spec = default_spec(file_problem, seed=4)
+    spec.optimizer = replace(spec.optimizer, eta=0.125, momentum=0.5, seed=9)
+    spec.rna = RnaConfig(window=3, lam=1e-6, lam_grid=(1e-9, 1e-3), weight_target="oldest")
+    spec.epochs, spec.flush_on_drop, spec.checkpoints_out = 7, True, "last.rnac"
+    spec.to_file(tmp_path / "exp.spec")
+    argv = [command, "--spec", str(tmp_path / "exp.spec"), "--problem", flag_problem]
+    if command == "sweep":
+        argv += ["--k-list", "2", "--lambda-list", "1e-8"]
+    got = _spec_from_args(build_parser().parse_args(argv))
+    fresh = ExperimentSpec(problem=flag_problem)
+    assert got == replace(spec, problem=flag_problem, problem_params=fresh.problem_params,
+                          optimizer=replace(fresh.optimizer, seed=9))
 
 
 def test_run_adaptive_grid_flag(tmp_path, capsys):

@@ -16,6 +16,7 @@ from rnacc import (
     SingularSystem,
     WeightTarget,
     WindowTooSmall,
+    accelerate_checkpoints,
     adaptive_rna,
     build_residuals,
     extrapolate,
@@ -67,6 +68,12 @@ def test_residuals_rejects_short_ragged_and_nonfinite():
         build_residuals([np.ones(3), np.ones(4)])
     with pytest.raises(NumericalFailure):
         build_residuals([np.ones(3), np.array([1.0, np.nan, 0.0])])
+    with pytest.raises(WindowTooSmall):
+        build_residuals([])
+    with pytest.raises(WindowTooSmall):
+        build_residuals(np.empty((0, 3)))
+    with pytest.raises(DimensionMismatch):
+        build_residuals(np.empty((3, 0)))
 
 
 # -------------------------------------------------------------------- solve
@@ -111,6 +118,23 @@ def test_solve_input_validation():
         solve_regularized(np.array([[np.inf, 1.0]]), 1e-8)
     with pytest.raises(InvalidConfig):
         solve_regularized(np.ones((3, 2)), -1e-3)
+    with pytest.raises(DimensionMismatch):
+        solve_regularized(np.ones(3), 1e-8)
+
+
+def test_solve_reports_a_ridge_bump_that_fails(monkeypatch):
+    import rnacc.core as core
+
+    tried = []
+
+    def not_positive_definite(a, b):
+        tried.append(a[0, 0])
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(core, "refined_spd_solve", not_positive_definite)
+    with pytest.raises(SingularSystem, match="even at lam=1e-08"):
+        solve_regularized(np.eye(2), 1e-8)
+    assert len(tried) == 2 and tried[1] > tried[0]  # the bumped ridge was tried too
 
 
 def test_solver_residual_bound_in_operating_regime():
@@ -158,6 +182,8 @@ def test_normalize_sum_is_exact_after_correction():
 def test_normalize_rejects_nonfinite():
     with pytest.raises(NumericalFailure):
         normalize([np.nan, 1.0])
+    with pytest.raises(DimensionMismatch):
+        normalize([])
 
 
 # -------------------------------------------------------------- extrapolate
@@ -402,6 +428,37 @@ def test_adaptive_every_grid_cell_failing_returns_last_iterate(monkeypatch):
     )
     np.testing.assert_array_equal(theta_hat, seq[-1])
     assert lam_star is None and coeffs is None
+
+
+def test_results_never_alias_the_input():
+    # A float64 matrix is validated in place, not copied, so every result
+    # must be a new array and the caller's iterates must stay as they were.
+    problem = make_quadratic(4, 10.0, seed=1)
+    seq = np.array(gd_trajectory(problem, np.ones(4), 1.0 / problem.smoothness, 5))
+    before = seq.copy()
+    grid = RnaConfig(window=4, lam_grid=(1e-8, 1e-4))
+    scores = [problem.f(t) for t in seq]
+    results = [
+        rna(seq, RnaConfig(window=4)),
+        rna(seq[-2:], RnaConfig(window=4)),
+        adaptive_rna(seq, grid, problem.f),
+        adaptive_rna(seq, grid, lambda t: 0.0),  # the fallback wins the tie
+        accelerate_checkpoints(seq, 4, 1e-8),
+        accelerate_checkpoints(seq, 4, 1e-8, grid.lam_grid, scores),
+        accelerate_checkpoints(seq, 4, 1e-8, grid.lam_grid, np.zeros(6)),  # fallback
+        (build_residuals(seq), extrapolate(seq, np.full(5, 0.2))),
+    ]
+    assert [r[1] is None for r in results[2:4] + results[5:7]] == [False, True, False, True]
+    arrays = []
+    for result in results:
+        for item in result:
+            if isinstance(item, Coefficients):
+                arrays += [item.weights, item.raw_solution]
+            elif isinstance(item, np.ndarray):
+                arrays.append(item)
+    assert len(arrays) == 19
+    assert not any(np.shares_memory(a, seq) for a in arrays)
+    np.testing.assert_array_equal(seq, before)
 
 
 # ------------------------------------------------------------------ config

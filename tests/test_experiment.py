@@ -106,6 +106,15 @@ def test_spec_constructor_merges_problem_defaults():
         ExperimentSpec(problem="svm")
 
 
+@pytest.mark.parametrize("problem", ["quadratic", "logistic", "mlp"])
+def test_spec_constructor_takes_the_problem_default_step(problem):
+    spec = ExperimentSpec(problem=problem)
+    assert spec == default_spec(problem) == ExperimentSpec.from_text(f"problem = {problem}\n")
+    assert (spec.optimizer.momentum, spec.optimizer.weight_decay) == (0.0, 0.0)
+    given = OptimizerConfig(eta=0.5)
+    assert ExperimentSpec(problem=problem, optimizer=given).optimizer is given
+
+
 def test_run_experiment_writes_outputs(tmp_path):
     spec = default_spec("quadratic", seed=0)
     spec.epochs = 15

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rnacc import (
+    DegenerateSum,
     InvalidConfig,
     NumericalFailure,
     OptimizerConfig,
@@ -16,9 +17,12 @@ from rnacc import (
     make_logistic,
     make_mlp,
     make_quadratic,
+    rna,
     run_with_rna,
     sgd_momentum_epoch,
+    write_metrics,
 )
+from rnacc.experiment import rows_from_traces
 
 
 def _scalar_bowl():
@@ -230,6 +234,27 @@ def test_run_with_rna_singular_config_raises():
     cfg = OptimizerConfig(eta=0.05, momentum=0.0, weight_decay=0.0)
     with pytest.raises(SingularSystem):
         run_with_rna(p, cfg, RnaConfig(window=8, lam=0.0), epochs=12)
+
+
+def test_run_with_rna_degenerate_sum_keeps_the_iterate(tmp_path, monkeypatch):
+    import rnacc.optimizers as optimizers
+
+    def degenerate_at_epoch_4(window, cfg):
+        if len(window) == 4:  # epoch 4 extrapolates from epochs 1..4
+            raise DegenerateSum("forced")
+        return rna(window, cfg)
+
+    monkeypatch.setattr(optimizers, "rna", degenerate_at_epoch_4)
+    p = make_quadratic(5, 10.0, seed=3)
+    cfg = OptimizerConfig(eta=0.05, momentum=0.0, weight_decay=0.0)
+    vanilla, accel = run_with_rna(p, cfg, RnaConfig(window=10, lam=1e-8), epochs=6)
+    v, a = vanilla[3], accel[3]
+    np.testing.assert_array_equal(a.theta, v.theta)
+    assert a.epoch == 4 and a.objective == v.objective and a.lam_used is None
+    assert accel[2].lam_used == accel[4].lam_used == 1e-8  # its neighbours extrapolate
+    write_metrics(tmp_path / "m.csv", rows_from_traces(vanilla, accel))
+    row = (tmp_path / "m.csv").read_text().splitlines()[4].split(",")
+    assert row[0] == "4" and row[3] == row[1] and row[5] == ""
 
 
 def test_run_with_rna_flush_on_drop_restarts_window():
