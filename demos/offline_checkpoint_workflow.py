@@ -3,8 +3,9 @@
 Nothing in the offline path needs the model, the data, or the training
 code: a flat parameter vector per epoch is enough. This script plays the
 external trainer (writing the binary checkpoint files), then accelerates
-the sequence through the same entry point the ``rnacc accelerate``
-command uses, and verifies the file layer added no drift.
+the sequence through the same entry points the ``rnacc accelerate``
+command uses (``read_checkpoints`` takes the directory as it would a single
+file), and verifies the file layer added no drift.
 """
 
 import tempfile
@@ -16,7 +17,6 @@ from rnacc import (
     RnaConfig,
     gd_step,
     make_quadratic,
-    read_checkpoint_dir,
     read_checkpoints,
     rna,
     write_checkpoints,
@@ -42,7 +42,7 @@ write_checkpoints(phase_dir / "phase_b.rnac", trajectory[10:])
 print(f"external trainer wrote 2 phase files under {phase_dir}")
 
 # --- offline acceleration, file-driven ---------------------------------
-sequence = read_checkpoint_dir(phase_dir)  # lexicographic, or manifest.txt
+sequence = read_checkpoints(phase_dir)  # a file or a directory: lexicographic, or manifest.txt
 print(f"loaded {sequence.shape[0]} checkpoints of dimension {sequence.shape[1]}")
 
 theta_hat, lam_used, coeffs = accelerate_checkpoints(sequence, window=10, lam=1e-8)

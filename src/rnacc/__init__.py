@@ -8,13 +8,7 @@ optimizer, so it can run after the fact on exported checkpoints.
 """
 
 from .buffer import SlidingBuffer
-from .checkpoint import (
-    MetricsRow,
-    read_checkpoint_dir,
-    read_checkpoints,
-    write_checkpoints,
-    write_metrics,
-)
+from .checkpoint import MetricsRow, read_checkpoints, write_checkpoints, write_metrics
 from .core import (
     Coefficients,
     RnaConfig,
@@ -100,7 +94,6 @@ __all__ = [
     "make_mlp",
     "make_quadratic",
     "normalize",
-    "read_checkpoint_dir",
     "read_checkpoints",
     "rna",
     "run_experiment",

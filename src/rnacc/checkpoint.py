@@ -14,7 +14,8 @@ The payload length must match the header exactly; trailing bytes are an
 error. f64 files round-trip bit-exactly. f32 is offered because deep
 learning checkpoints usually are f32; the math still runs in f64 after
 loading. Iterate-major order lets a reader stream the last K+1 iterates
-without touching the rest of the file.
+without touching the rest of the file. ``read_checkpoints`` checks every
+header of a file or a directory against its file's size before it reads any payload.
 
 Metric tables are plain comma-separated text with a header row; scalars
 are rendered with 17 significant digits so that parsing the file back
@@ -23,6 +24,7 @@ recovers every float64 exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,47 +65,13 @@ def write_checkpoints(path, iterates, precision: str = "f64") -> None:
         fh.write(np.ascontiguousarray(mat, dtype=_DTYPES[width]).tobytes())
 
 
-def read_checkpoints(path) -> np.ndarray:
-    """Read a checkpoint file back as a (count, dim) float64 matrix.
-
-    Raises FormatError on a bad magic/version/width, on a payload whose
-    length disagrees with the header, and NumericalFailure on non-finite
-    payload values.
+def _checkpoint_files(path) -> list:
+    """``[path]`` for a file, else a directory's files by name or in the order its
+    ``manifest.txt`` (one name per line, ``#`` comments) pins; a manifest name that
+    resolves outside the directory is a FormatError.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: file shorter than the fixed header")
-    magic, version, width, dim, count = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if width not in _DTYPES:
-        raise FormatError(f"{path}: unsupported scalar width {width}")
-    if dim == 0 or count == 0:
-        raise FormatError(f"{path}: empty dim or count in header")
-    expected = _HEADER.size + width * dim * count
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: payload holds {len(raw) - _HEADER.size} bytes, "
-            f"header promises {expected - _HEADER.size}"
-        )
-    flat = np.frombuffer(raw, dtype=_DTYPES[width], offset=_HEADER.size)
-    mat = flat.astype(np.float64).reshape(count, dim)
-    if not np.isfinite(mat).all():
-        raise NumericalFailure(f"{path}: payload contains NaN or infinite values")
-    return mat
-
-
-def read_checkpoint_dir(path) -> np.ndarray:
-    """Concatenate every checkpoint file in a directory, in order.
-
-    Files are taken in lexicographic name order unless a ``manifest.txt``
-    (one file name per line, comments with ``#``) pins the order; a name
-    that resolves outside the directory is a FormatError. All files must
-    share one dim.
-    """
+    if not os.path.isdir(path):
+        return [path]
     root = Path(path)
     manifest = root / MANIFEST_NAME
     if manifest.is_file():
@@ -126,11 +94,57 @@ def read_checkpoint_dir(path) -> np.ndarray:
         )
     if not files:
         raise FormatError(f"{path}: no checkpoint files found")
-    parts = [read_checkpoints(f) for f in files]
-    dims = {p.shape[1] for p in parts}
+    return files
+
+
+def _read_header(path) -> tuple[np.dtype, int, int]:
+    """Check one file's header against the file's size; return (dtype, dim, count)."""
+    with open(path, "rb", buffering=0) as fh:  # unbuffered: read the 24 bytes, no more
+        head = fh.read(_HEADER.size)
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if len(head) < _HEADER.size:
+        raise FormatError(f"{path}: file shorter than the fixed header")
+    magic, version, width, dim, count = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}")
+    if version != VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    if width not in _DTYPES:
+        raise FormatError(f"{path}: unsupported scalar width {width}")
+    if dim == 0 or count == 0:
+        raise FormatError(f"{path}: empty dim or count in header")
+    promised = width * dim * count
+    if payload != promised:
+        raise FormatError(f"{path}: payload holds {payload} bytes, header promises {promised}")
+    return _DTYPES[width], dim, count
+
+
+def read_checkpoints(path) -> np.ndarray:
+    """Read a checkpoint file, or a directory of them, as one (count, dim) float64 matrix.
+
+    Before any payload is read, a bad header or manifest, a file size that disagrees
+    with its header or files that disagree on dim raise FormatError. Each payload then
+    lands in its rows of the result; a non-finite value raises NumericalFailure.
+    """
+    files = _checkpoint_files(path)
+    headers = [_read_header(f) for f in files]
+    dims = {dim for _, dim, _ in headers}
     if len(dims) != 1:
         raise FormatError(f"{path}: files disagree on dimension: {sorted(dims)}")
-    return np.vstack(parts)
+    counts = [count for *_, count in headers]
+    mat = np.empty((sum(counts), dims.pop()))
+    for f, (dtype, *_), rows in zip(files, headers, np.split(mat, np.cumsum(counts)[:-1])):
+        buf = rows if dtype == mat.dtype else np.empty(rows.shape, dtype)  # f64 in place
+        with open(f, "rb") as fh:
+            fh.seek(_HEADER.size)
+            got = fh.readinto(buf)
+        if got != buf.nbytes:  # the file changed since its header was checked
+            raise FormatError(f"{f}: payload holds {got} bytes, header promises {buf.nbytes}")
+        if buf is not rows:
+            rows[...] = buf
+        if not np.isfinite(rows).all():
+            raise NumericalFailure(f"{f}: payload contains NaN or infinite values")
+    return mat
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,12 @@ Exit codes are stable: 0 success, 2 usage or configuration error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .checkpoint import read_checkpoint_dir, read_checkpoints, write_checkpoints
+from .checkpoint import read_checkpoints, write_checkpoints
 from .core import RnaConfig
 from .errors import (
     FormatError,
@@ -164,11 +163,10 @@ def _read_scores(path) -> np.ndarray:
 
 
 def cmd_accelerate(args) -> int:
-    path = args.checkpoints
-    mat = read_checkpoint_dir(path) if os.path.isdir(path) else read_checkpoints(path)
+    mat = read_checkpoints(args.checkpoints)
     if mat.shape[0] < 2:
         raise WindowTooSmall(
-            f"{path}: {mat.shape[0]} checkpoint(s); need at least 2 to extrapolate"
+            f"{args.checkpoints}: {mat.shape[0]} checkpoint(s); need at least 2 to extrapolate"
         )
     if args.k + 1 > mat.shape[0]:
         print(

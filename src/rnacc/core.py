@@ -176,7 +176,8 @@ def _validated(iterates) -> np.ndarray:
 def _gram(window: np.ndarray) -> np.ndarray:
     """Return ``R^T R`` for the window's residuals, formed as ``D @ D.T``."""
     diffs = np.diff(window, axis=0)
-    return diffs @ diffs.T
+    with np.errstate(over="ignore"):  # _solve_gram reports a Gram matrix that overflowed
+        return diffs @ diffs.T
 
 
 def _combine(window: np.ndarray, weights: np.ndarray, target: WeightTarget) -> np.ndarray:
@@ -204,8 +205,11 @@ def _solve_gram(gram: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
     Returns (z, effective lam). The bump adds ``10 * eps * trace(gram)``,
     enough to absorb the rounding incurred while forming the Gram matrix;
     it is attempted only for lam > 0, since lam == 0 with a singular
-    Gram is a caller error by contract.
+    Gram is a caller error by contract. A Gram matrix that overflowed
+    raises NumericalFailure.
     """
+    if not np.isfinite(gram).all():
+        raise NumericalFailure("residual Gram matrix is not finite: the residuals overflow")
     k = gram.shape[0]
     ones = np.ones(k)
     eye = np.eye(k)
@@ -243,7 +247,8 @@ def solve_regularized(residuals: np.ndarray, lam: float) -> np.ndarray:
 
     Raises:
         SingularSystem: Rank-deficient system that the bump cannot fix.
-        NumericalFailure: Non-finite entries in ``residuals``.
+        NumericalFailure: Non-finite entries in ``residuals``, or a Gram
+            matrix that overflows.
         InvalidConfig: Negative or non-finite ``lam``.
     """
     r = np.asarray(residuals, dtype=np.float64)
@@ -253,7 +258,9 @@ def solve_regularized(residuals: np.ndarray, lam: float) -> np.ndarray:
         raise NumericalFailure("residual matrix contains NaN or infinite entries")
     if not (lam >= 0.0) or not math.isfinite(lam):
         raise InvalidConfig(f"lam must be finite and >= 0, got {lam}")
-    z, _ = _solve_gram(r.T @ r, float(lam))
+    with np.errstate(over="ignore"):  # reported by _solve_gram
+        gram = r.T @ r
+    z, _ = _solve_gram(gram, float(lam))
     return z
 
 

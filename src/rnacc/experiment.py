@@ -208,7 +208,10 @@ def build_problem(spec: ExperimentSpec) -> Problem:
     unknown = set(spec.problem_params) - set(defaults)
     if unknown:
         raise InvalidConfig(f"{spec.problem} does not take parameters {sorted(unknown)}")
-    return builder(**spec.problem_params)
+    try:
+        return builder(**spec.problem_params)
+    except InvalidConfig as exc:  # a builder's message starts with the parameter's name
+        raise InvalidConfig(f"problem.{exc}") from None
 
 
 def rows_from_traces(vanilla, accelerated) -> list[MetricsRow]:

@@ -56,8 +56,8 @@ class OptimizerConfig:
             raise InvalidConfig(f"eta must be positive and finite, got {self.eta}")
         if not (0.0 <= self.momentum < 1.0):
             raise InvalidConfig(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not (self.weight_decay >= 0.0):
-            raise InvalidConfig(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not (self.weight_decay >= 0.0 and math.isfinite(self.weight_decay)):
+            raise InvalidConfig(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         sched = tuple(
             (_require_int("schedule epoch", e, minimum=0), float(m)) for e, m in self.schedule
         )
@@ -67,8 +67,8 @@ class OptimizerConfig:
             raise InvalidConfig("schedule epochs must be strictly increasing")
         object.__setattr__(self, "schedule", sched)
         if self.batch_size is not None:
-            _require_int("batch_size", self.batch_size)
-        _require_int("seed", self.seed, minimum=0)
+            object.__setattr__(self, "batch_size", _require_int("batch_size", self.batch_size))
+        object.__setattr__(self, "seed", _require_int("seed", self.seed, minimum=0))
 
 
 def learning_rate(cfg: OptimizerConfig, epoch: int) -> float:

@@ -13,6 +13,7 @@ deterministic in their seed.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -97,11 +98,11 @@ def make_quadratic(dim: int, condition: float, seed: int = 0) -> Problem:
     comes from a direct dense solve and the smoothness constant is the
     largest eigenvalue.
     """
-    _require_int("dim", dim)
-    if not condition >= 1.0:
-        raise InvalidConfig(f"condition must be >= 1, got {condition}")
+    dim, seed = _require_int("dim", dim), _require_int("seed", seed, minimum=0)
+    if not (condition >= 1.0 and math.isfinite(condition)):
+        raise InvalidConfig(f"condition must be finite and >= 1, got {condition}")
     rng = np.random.default_rng(seed)
-    eigs = np.logspace(0.0, np.log10(condition), int(dim))
+    eigs = np.logspace(0.0, np.log10(condition), dim)
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     mat = basis @ (eigs[:, None] * basis.T)
     mat = 0.5 * (mat + mat.T)
@@ -203,12 +204,12 @@ def make_logistic(n_samples: int, dim: int, l2: float, seed: int = 0) -> Problem
     the smoothness constant) and ``problem.optimum`` raises
     NumericalFailure.
     """
-    _require_int("n_samples", n_samples)
-    _require_int("dim", dim)
-    if not l2 >= 0.0:
-        raise InvalidConfig(f"l2 must be >= 0, got {l2}")
+    n_samples, dim = _require_int("n_samples", n_samples), _require_int("dim", dim)
+    seed = _require_int("seed", seed, minimum=0)
+    if not (l2 >= 0.0 and math.isfinite(l2)):
+        raise InvalidConfig(f"l2 must be finite and >= 0, got {l2}")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((int(n_samples), int(dim)))
+    x = rng.standard_normal((n_samples, dim))
     planted = rng.standard_normal(dim)
     labels = np.where(x @ planted + 0.1 * rng.standard_normal(n_samples) >= 0, 1.0, -1.0)
     n = float(n_samples)
@@ -221,16 +222,15 @@ def make_logistic(n_samples: int, dim: int, l2: float, seed: int = 0) -> Problem
             theta @ theta
         )
 
+    def _grad_on(theta, xb, yb):
+        margins = yb * (xb @ theta)
+        return -(xb.T @ (yb * expit(-margins))) / len(yb) + l2 * theta
+
     def grad(theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, float)
-        margins = labels * (x @ theta)
-        return -(x.T @ (labels * expit(-margins))) / n + l2 * theta
+        return _grad_on(np.asarray(theta, float), x, labels)
 
     def batch_grad(theta: np.ndarray, indices) -> np.ndarray:
-        theta = np.asarray(theta, float)
-        xb, yb = x[indices], labels[indices]
-        margins = yb * (xb @ theta)
-        return -(xb.T @ (yb * expit(-margins))) / len(indices) + l2 * theta
+        return _grad_on(np.asarray(theta, float), x[indices], labels[indices])
 
     problem = Problem(
         name=f"logistic(n={n_samples}, d={dim}, l2={l2:g}, seed={seed})",
@@ -239,7 +239,7 @@ def make_logistic(n_samples: int, dim: int, l2: float, seed: int = 0) -> Problem
         grad=grad,
         optimum=lambda: _logistic_reference(problem, l2),
         smoothness=smoothness,
-        n_samples=int(n_samples),
+        n_samples=n_samples,
         batch_grad=batch_grad,
         extras={"features": x, "labels": labels, "planted": planted},
     )
@@ -270,10 +270,10 @@ def make_mlp(d_in: int, hidden: int, n_samples: int, seed: int = 0) -> Problem:
     smooth, so finite-difference checks are clean. No optimum is
     attached: the landscape is nonconvex.
     """
-    for label, value in (("d_in", d_in), ("hidden", hidden), ("n_samples", n_samples)):
-        _require_int(label, value)
+    d_in, hidden = _require_int("d_in", d_in), _require_int("hidden", hidden)
+    n_samples, seed = _require_int("n_samples", n_samples), _require_int("seed", seed, minimum=0)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((int(n_samples), int(d_in)))
+    x = rng.standard_normal((n_samples, d_in))
     teacher_w1 = rng.standard_normal((hidden, d_in)) / np.sqrt(d_in)
     teacher_w2 = rng.standard_normal(hidden) / np.sqrt(hidden)
     y = np.tanh(x @ teacher_w1.T) @ teacher_w2 + 0.05 * rng.standard_normal(n_samples)
@@ -290,9 +290,8 @@ def make_mlp(d_in: int, hidden: int, n_samples: int, seed: int = 0) -> Problem:
         return 0.5 * float(np.mean((pred - y) ** 2))
 
     def _grad_on(theta, inputs, targets):
-        w1, b1, w2, b2 = split_mlp_params(theta, d_in, hidden)
-        act = np.tanh(inputs @ w1.T + b1)
-        pred = act @ w2 + b2
+        act, pred = _forward(theta, inputs)
+        w2 = split_mlp_params(theta, d_in, hidden)[2]
         dpred = (pred - targets) / len(targets)
         db2 = dpred.sum()
         dw2 = act.T @ dpred
@@ -312,9 +311,9 @@ def make_mlp(d_in: int, hidden: int, n_samples: int, seed: int = 0) -> Problem:
         dim=dim,
         f=f,
         grad=grad,
-        n_samples=int(n_samples),
+        n_samples=n_samples,
         batch_grad=batch_grad,
-        extras={"inputs": x, "targets": y, "d_in": int(d_in), "hidden": int(hidden)},
+        extras={"inputs": x, "targets": y, "d_in": d_in, "hidden": hidden},
     )
 
 

@@ -1,6 +1,7 @@
 """Binary checkpoint format and the metrics table."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from rnacc import (
     MetricsRow,
     NumericalFailure,
     RnaConfig,
-    read_checkpoint_dir,
     read_checkpoints,
     rna,
     write_checkpoints,
     write_metrics,
 )
-from rnacc.checkpoint import _HEADER, MAGIC, VERSION
+from rnacc import checkpoint
+from rnacc.checkpoint import _DTYPES, _HEADER, MAGIC, VERSION
+from rnacc.cli import main
 
 
 def test_f64_round_trip_is_bit_exact(tmp_path):
@@ -111,7 +113,7 @@ def test_directory_loader_lexicographic(tmp_path):
     parts = [rng.standard_normal((2, 4)) for _ in range(3)]
     for name, part in zip(("b.rnac", "a.rnac", "c.rnac"), parts):
         write_checkpoints(tmp_path / name, part)
-    merged = read_checkpoint_dir(tmp_path)
+    merged = read_checkpoints(tmp_path)
     np.testing.assert_array_equal(merged, np.vstack([parts[1], parts[0], parts[2]]))
 
 
@@ -121,20 +123,96 @@ def test_directory_loader_manifest_override(tmp_path):
     write_checkpoints(tmp_path / "a.rnac", parts[0])
     write_checkpoints(tmp_path / "b.rnac", parts[1])
     (tmp_path / "manifest.txt").write_text("# newest first\nb.rnac\na.rnac\n")
-    merged = read_checkpoint_dir(tmp_path)
+    merged = read_checkpoints(tmp_path)
     np.testing.assert_array_equal(merged, np.vstack([parts[1], parts[0]]))
 
 
 def test_directory_loader_errors(tmp_path):
     with pytest.raises(FormatError, match="no checkpoint files"):
-        read_checkpoint_dir(tmp_path)
+        read_checkpoints(tmp_path)
     write_checkpoints(tmp_path / "a.rnac", np.ones((1, 2)))
     write_checkpoints(tmp_path / "b.rnac", np.ones((1, 3)))
     with pytest.raises(FormatError, match="disagree"):
-        read_checkpoint_dir(tmp_path)
+        read_checkpoints(tmp_path)
     (tmp_path / "manifest.txt").write_text("missing.rnac\n")
     with pytest.raises(FormatError, match="missing"):
-        read_checkpoint_dir(tmp_path)
+        read_checkpoints(tmp_path)
+
+
+def _mostly(valid, fault):
+    """Draws from ``valid`` three times in four, else from ``fault``."""
+    return st.integers(0, 3).flatmap(lambda i: fault if i == 0 else valid)
+
+
+# A faulty dim or count can claim up to 2**60 scalars together, far past any file here.
+_SIZE = _mostly(st.integers(1, 8), st.integers(0, 2**30))
+
+
+@given(
+    magic=_mostly(st.just(MAGIC), st.binary(min_size=4, max_size=4)),
+    version=_mostly(st.just(VERSION), st.integers(0, 2**16 - 1)),
+    width=_mostly(st.sampled_from([8, 4]), st.integers(0, 2**16 - 1)),
+    dim=_SIZE,
+    count=_SIZE,
+    slack=_mostly(st.just(0), st.integers(-3, 3)),
+)
+def test_any_header_reads_or_raises_format_error(
+    tmp_path_factory, magic, version, width, dim, count, slack
+):
+    small = dim * count <= 128  # the payload then carries dim * count scalars
+    values = np.arange(1, 1 + (dim * count if small else 2), dtype=np.float64)
+    payload = values.astype(_DTYPES.get(width, "<f8")).tobytes()
+    data = _HEADER.pack(magic, version, width, dim, count) + payload
+    data = data[: len(data) + slack] if slack < 0 else data + b"\x00" * slack
+    path = tmp_path_factory.mktemp("fuzz") / "seq.rnac"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        mat = read_checkpoints(path)
+    except FormatError:
+        mat = None
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # The reader allocates what the file holds, never what a header claims.
+    assert peak < 64 * 1024
+    valid = (magic, version) == (MAGIC, VERSION) and width in _DTYPES and dim and count
+    if valid and slack == 0 and small:
+        np.testing.assert_array_equal(mat, values.reshape(count, dim))
+    else:
+        assert mat is None
+
+
+def test_every_header_is_checked_before_any_payload(tmp_path, capsys):
+    # The first file's NaN payload would be a NumericalFailure (exit 3); the
+    # last file's bad magic is found first, because no payload is read
+    # before every header has passed.
+    nan = np.array([1.0, np.nan]).tobytes()
+    (tmp_path / "a.rnac").write_bytes(_HEADER.pack(MAGIC, VERSION, 8, 2, 1) + nan)
+    (tmp_path / "b.rnac").write_bytes(_HEADER.pack(b"XXXX", VERSION, 8, 2, 1) + bytes(16))
+    with pytest.raises(FormatError, match="b.rnac: bad magic"):
+        read_checkpoints(tmp_path)
+    assert main(["accelerate", str(tmp_path), "--out", str(tmp_path / "o.rnac")]) == 4
+    assert "bad magic" in capsys.readouterr().err
+
+
+def test_payload_cut_after_its_header_was_checked(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "seq.rnac"
+    check = checkpoint._read_header
+
+    def check_then_cut(f):
+        header = check(f)
+        with open(f, "r+b") as fh:
+            fh.truncate(_HEADER.size + 8)
+        return header
+
+    monkeypatch.setattr(checkpoint, "_read_header", check_then_cut)
+    write_checkpoints(path, np.ones((3, 2)))
+    with pytest.raises(FormatError, match="payload holds 8 bytes, header promises 48"):
+        read_checkpoints(path)
+    write_checkpoints(path, np.ones((3, 2)))
+    assert main(["accelerate", str(path), "--out", str(tmp_path / "o.rnac")]) == 4
+    assert "payload holds 8 bytes" in capsys.readouterr().err
 
 
 def test_file_and_memory_extrapolation_agree_bitwise(tmp_path):

@@ -122,6 +122,9 @@ def test_run_spec_file_with_flag_overrides(tmp_path, capsys):
         ("logistic", "problem.l2", "x"),
         ("quadratic", "optimizer.schedule", "2:nan"),
         ("quadratic", "optimizer.schedule", "2:inf"),
+        ("quadratic", "optimizer.weight_decay", "inf"),
+        ("logistic", "problem.l2", "inf"),
+        ("quadratic", "problem.condition", "inf"),
     ],
 )
 def test_bad_spec_value_exit_2(tmp_path, capsys, problem, key, value):
@@ -257,6 +260,17 @@ def test_accelerate_bad_file_exit_4(tmp_path, capsys):
     rc = main(["accelerate", str(path), "--out", str(tmp_path / "o.rnac")])
     assert rc == 4
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_accelerate_overflowing_gram_exit_3(tmp_path, capsys):
+    path = tmp_path / "far.rnac"
+    write_checkpoints(path, np.array([[0.0], [1e200], [0.0]]), "f64")
+    rc = main(["accelerate", str(path), "--out", str(tmp_path / "o.rnac")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.endswith("error: residual Gram matrix is not finite: the residuals overflow\n")
+    assert not (tmp_path / "o.rnac").exists()
 
 
 def test_accelerate_missing_file_exit_4(tmp_path, capsys):
@@ -424,7 +438,8 @@ def test_sweep_cli_fractional_window_exit_2(tmp_path, capsys):
     [("--k-list", "nan"), ("--k-list", "inf")]
     + [(key, "nan") for key in
        ("epochs", "optimizer.batch_size", "optimizer.seed", "rna.window", "problem.dim")]
-    + [("optimizer.schedule", "nan:0.1")],
+    + [("optimizer.schedule", "nan:0.1")]
+    + [("problem.seed", value) for value in ("1.5", "nan", "-1")],
 )
 def test_non_integer_setting_exit_2(tmp_path, capsys, key, value):
     if key == "--k-list":
@@ -437,3 +452,30 @@ def test_non_integer_setting_exit_2(tmp_path, capsys, key, value):
     assert main(argv) == 2
     assert "must be a" in capsys.readouterr().err
     assert not (tmp_path / "cells").exists() and not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "problem, extra, key, whole, integer",
+    [
+        ("logistic", "", "optimizer.batch_size", "100.0", "100"),
+        ("logistic", "optimizer.batch_size = 100\n", "optimizer.seed", "2.0", "2"),
+        ("quadratic", "", "problem.dim", "5.0", "5"),
+        ("mlp", "", "problem.hidden", "4.0", "4"),
+        ("logistic", "", "problem.n_samples", "100.0", "100"),
+    ],
+    ids=["optimizer.batch_size", "optimizer.seed", "problem.dim", "problem.hidden",
+         "problem.n_samples"],
+)
+def test_whole_float_setting_runs_like_the_integer(tmp_path, capsys, problem, extra, key,
+                                                   whole, integer):
+    outputs = []
+    for value in (whole, integer):
+        spec_path = tmp_path / f"{value}.spec"
+        spec_path.write_text(
+            default_spec(problem).to_text() + f"epochs = 4\n{extra}{key} = {value}\n"
+        )
+        out = tmp_path / f"{value}.csv"
+        assert main(["run", "--spec", str(spec_path), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]

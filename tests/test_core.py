@@ -186,6 +186,28 @@ def test_normalize_rejects_nonfinite():
         normalize([])
 
 
+# Finite iterates whose differences square past the float64 range.
+_OVERFLOWING = np.array([[0.0], [1e200], [0.0]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: rna(_OVERFLOWING),
+        lambda: adaptive_rna(_OVERFLOWING, RnaConfig(lam_grid=(1e-8, 1e-6)), lambda t: 0.0),
+        lambda: accelerate_checkpoints(
+            _OVERFLOWING, 10, 1e-8, lam_grid=(1e-8, 1e-6), scores=[3.0, 2.0, 1.0]
+        ),
+        lambda: solve_regularized(np.array([[1e200]]), 1e-8),
+    ],
+    ids=["rna", "adaptive_rna", "accelerate_checkpoints", "solve_regularized"],
+)
+def test_overflowing_gram_is_a_numerical_failure(entry):
+    with pytest.raises(NumericalFailure, match="Gram matrix is not finite"):
+        entry()
+
+
 # -------------------------------------------------------------- extrapolate
 
 
