@@ -9,7 +9,6 @@ vanilla one at identical gradient cost.
 
 from rnacc import OptimizerConfig, RnaConfig, make_logistic, run_with_rna
 from rnacc.checkpoint import write_metrics
-from rnacc.experiment import rows_from_traces
 
 problem = make_logistic(n_samples=500, dim=50, l2=1e-3, seed=3)
 print(f"problem: {problem.name}")
@@ -32,5 +31,5 @@ for epoch in (1, 5, 10, 25, 50, 100, 200, 300):
 wins = sum(a.objective <= v.objective for v, a in zip(vanilla, accel))
 print(f"\naccelerated point at least as good in {wins}/{len(vanilla)} epochs")
 
-write_metrics("logistic_curves.csv", rows_from_traces(vanilla, accel))
+write_metrics("logistic_curves.csv", vanilla, accel)
 print("full curves written to logistic_curves.csv")

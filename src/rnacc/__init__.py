@@ -8,7 +8,7 @@ optimizer, so it can run after the fact on exported checkpoints.
 """
 
 from .buffer import SlidingBuffer
-from .checkpoint import MetricsRow, read_checkpoints, write_checkpoints, write_metrics
+from .checkpoint import read_checkpoints, write_checkpoints, write_metrics
 from .core import (
     Coefficients,
     RnaConfig,
@@ -69,7 +69,6 @@ __all__ = [
     "ExperimentSpec",
     "FormatError",
     "InvalidConfig",
-    "MetricsRow",
     "NumericalFailure",
     "OptimizerConfig",
     "OrderingViolation",

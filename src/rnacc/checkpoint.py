@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -147,18 +146,6 @@ def read_checkpoints(path) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    """One epoch of the convergence table: vanilla and accelerated."""
-
-    epoch: int
-    objective: float
-    grad_norm: float
-    objective_rna: float
-    grad_norm_rna: float
-    lambda_used: float | None
-
-
 def _render(value) -> str:
     if value is None:
         return ""
@@ -172,10 +159,19 @@ def _write_table(path, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_metrics(path, rows) -> None:
-    """Write metric rows as comma-separated text with a header line."""
+def write_metrics(path, vanilla, accelerated) -> None:
+    """Write one row per epoch of two equally long traces, vanilla and accelerated.
+
+    ``vanilla`` holds :class:`~rnacc.optimizers.EpochRecord` entries and
+    ``accelerated`` :class:`~rnacc.optimizers.AccelRecord` entries; traces of
+    different lengths raise ValueError before the file is opened.
+    """
     _write_table(
         path,
         METRIC_COLUMNS,
-        ((str(r.epoch), *(_render(getattr(r, n)) for n in METRIC_COLUMNS[1:])) for r in rows),
+        (
+            [str(v.epoch)]
+            + [_render(x) for x in (v.objective, v.grad_norm, a.objective, a.grad_norm, a.lam_used)]
+            for v, a in zip(vanilla, accelerated, strict=True)
+        ),
     )

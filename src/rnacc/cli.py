@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -163,6 +164,10 @@ def _read_scores(path) -> np.ndarray:
 
 
 def cmd_accelerate(args) -> int:
+    # An output on the input file, or in its directory, would clobber or join the input.
+    source, out = Path(args.checkpoints).resolve(), Path(args.out).resolve()
+    if out == source or source in out.parents:
+        raise InvalidConfig(f"--out {args.out} is, or lies inside, the input {args.checkpoints}")
     mat = read_checkpoints(args.checkpoints)
     if mat.shape[0] < 2:
         raise WindowTooSmall(

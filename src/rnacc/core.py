@@ -199,27 +199,34 @@ def build_residuals(iterates) -> np.ndarray:
     return np.diff(_validated(iterates), axis=0).T
 
 
+def _shifted_solve(gram: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (gram + lam*I) z = 1; a shifted matrix that overflowed raises NumericalFailure."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf ridge times I's zeros is NaN
+        shifted = gram + lam * np.eye(gram.shape[0])
+    if not np.isfinite(shifted).all():
+        raise NumericalFailure(f"residual Gram matrix is not finite with the ridge {lam:g} added")
+    return refined_spd_solve(shifted, np.ones(gram.shape[0]))
+
+
 def _solve_gram(gram: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
     """Solve (gram + lam*I) z = 1, bumping lam once on factorization failure.
 
     Returns (z, effective lam). The bump adds ``10 * eps * trace(gram)``,
     enough to absorb the rounding incurred while forming the Gram matrix;
     it is attempted only for lam > 0, since lam == 0 with a singular
-    Gram is a caller error by contract. A Gram matrix that overflowed
-    raises NumericalFailure.
+    Gram is a caller error by contract. A Gram matrix that overflowed,
+    or overflows once the ridge is added, raises NumericalFailure.
     """
     if not np.isfinite(gram).all():
         raise NumericalFailure("residual Gram matrix is not finite: the residuals overflow")
-    k = gram.shape[0]
-    ones = np.ones(k)
-    eye = np.eye(k)
     try:
-        return refined_spd_solve(gram + lam * eye, ones), lam
+        return _shifted_solve(gram, lam), lam
     except np.linalg.LinAlgError:
         if lam > 0.0:
-            bumped = lam + 10.0 * np.finfo(np.float64).eps * float(np.trace(gram))
+            with np.errstate(over="ignore"):  # an infinite bump is reported by _shifted_solve
+                bumped = lam + 10.0 * np.finfo(np.float64).eps * float(np.trace(gram))
             try:
-                return refined_spd_solve(gram + bumped * eye, ones), bumped
+                return _shifted_solve(gram, bumped), bumped
             except np.linalg.LinAlgError:
                 pass
         raise SingularSystem(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checkpoint import MetricsRow, _write_table, write_checkpoints, write_metrics
+from .checkpoint import _write_table, write_checkpoints, write_metrics
 from .checkpoint import _render as _render_g17
 from .core import Coefficients, RnaConfig, WeightTarget, _select_ridge, _validated, rna
 from .errors import InvalidConfig, RnaError, _require_int
@@ -27,7 +27,6 @@ __all__ = [
     "ExperimentSpec",
     "default_spec",
     "build_problem",
-    "rows_from_traces",
     "run_experiment",
     "accelerate_checkpoints",
     "sweep",
@@ -214,21 +213,6 @@ def build_problem(spec: ExperimentSpec) -> Problem:
         raise InvalidConfig(f"problem.{exc}") from None
 
 
-def rows_from_traces(vanilla, accelerated) -> list[MetricsRow]:
-    assert len(vanilla) == len(accelerated)
-    return [
-        MetricsRow(
-            epoch=v.epoch,
-            objective=v.objective,
-            grad_norm=v.grad_norm,
-            objective_rna=a.objective,
-            grad_norm_rna=a.grad_norm,
-            lambda_used=a.lam_used,
-        )
-        for v, a in zip(vanilla, accelerated)
-    ]
-
-
 def run_experiment(spec: ExperimentSpec, problem: Problem | None = None):
     """Execute a spec: train, extrapolate per epoch, write the outputs.
 
@@ -244,7 +228,7 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None):
         flush_on_drop=spec.flush_on_drop,
     )
     if spec.metrics_out:
-        write_metrics(spec.metrics_out, rows_from_traces(vanilla, accelerated))
+        write_metrics(spec.metrics_out, vanilla, accelerated)
     if spec.checkpoints_out:
         write_checkpoints(spec.checkpoints_out, [accelerated[-1].theta], "f64")
     return vanilla, accelerated, problem
@@ -315,7 +299,7 @@ def _run_cell(spec, problem, vanilla, error, cfg, metrics_path, f_star) -> Sweep
         error = exc
     if error is not None:
         return SweepCell(cfg.window, cfg.lam, "failed", None, error=str(error))
-    write_metrics(metrics_path, rows_from_traces(vanilla, accelerated))
+    write_metrics(metrics_path, vanilla, accelerated)
     final_v, final_a = vanilla[-1].objective, accelerated[-1].objective
     return SweepCell(
         window=cfg.window,

@@ -68,12 +68,14 @@ def refined_spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Cholesky factorization followed by iterative refinement with
     exactly rounded residuals. Raises ``np.linalg.LinAlgError`` if the
     factorization fails (matrix not numerically positive definite).
+    The caller guarantees that ``a`` and ``b`` are finite: neither is
+    checked here.
     """
-    factor = cho_factor(a, lower=True)
-    z = cho_solve(factor, b)
+    factor = cho_factor(a, lower=True, check_finite=False)
+    z = cho_solve(factor, b, check_finite=False)
     for _ in range(_MAX_REFINE_STEPS):
         r = exact_residual(a, z, b)
-        step = cho_solve(factor, r)
+        step = cho_solve(factor, r, check_finite=False)
         z = z + step
         if np.linalg.norm(step) <= _REFINE_RTOL * np.linalg.norm(z):
             break

@@ -9,8 +9,9 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rnacc import (
+    AccelRecord,
+    EpochRecord,
     FormatError,
-    MetricsRow,
     NumericalFailure,
     RnaConfig,
     read_checkpoints,
@@ -188,11 +189,13 @@ def test_every_header_is_checked_before_any_payload(tmp_path, capsys):
     # last file's bad magic is found first, because no payload is read
     # before every header has passed.
     nan = np.array([1.0, np.nan]).tobytes()
-    (tmp_path / "a.rnac").write_bytes(_HEADER.pack(MAGIC, VERSION, 8, 2, 1) + nan)
-    (tmp_path / "b.rnac").write_bytes(_HEADER.pack(b"XXXX", VERSION, 8, 2, 1) + bytes(16))
+    seq_dir = tmp_path / "parts"
+    seq_dir.mkdir()
+    (seq_dir / "a.rnac").write_bytes(_HEADER.pack(MAGIC, VERSION, 8, 2, 1) + nan)
+    (seq_dir / "b.rnac").write_bytes(_HEADER.pack(b"XXXX", VERSION, 8, 2, 1) + bytes(16))
     with pytest.raises(FormatError, match="b.rnac: bad magic"):
-        read_checkpoints(tmp_path)
-    assert main(["accelerate", str(tmp_path), "--out", str(tmp_path / "o.rnac")]) == 4
+        read_checkpoints(seq_dir)
+    assert main(["accelerate", str(seq_dir), "--out", str(tmp_path / "o.rnac")]) == 4
     assert "bad magic" in capsys.readouterr().err
 
 
@@ -229,17 +232,23 @@ def test_file_and_memory_extrapolation_agree_bitwise(tmp_path):
 # ------------------------------------------------------------------ metrics
 
 
-def _rows():
-    return [
-        MetricsRow(1, 0.5, 1.25, 0.5, 1.25, None),
-        MetricsRow(2, 0.1 + 0.2, 1e-300, -0.25, 3.0, 1e-8),
-        MetricsRow(3, np.pi, np.e, 1.0 / 3.0, 2.0 / 3.0, 1.0000000000000002),
+def _traces():
+    """(vanilla, accelerated) records whose table rows are
+    (epoch, objective, grad_norm, objective_rna, grad_norm_rna, lambda_used)."""
+    rows = [
+        (1, 0.5, 1.25, 0.5, 1.25, None),
+        (2, 0.1 + 0.2, 1e-300, -0.25, 3.0, 1e-8),
+        (3, np.pi, np.e, 1.0 / 3.0, 2.0 / 3.0, 1.0000000000000002),
     ]
+    theta = np.zeros(1)
+    vanilla = [EpochRecord(e, theta, f, g, 0.1) for e, f, g, *_ in rows]
+    accelerated = [AccelRecord(e, theta, f, g, lam) for e, _, _, f, g, lam in rows]
+    return vanilla, accelerated
 
 
 def test_metrics_line_count(tmp_path):
     path = tmp_path / "m.csv"
-    write_metrics(path, _rows())
+    write_metrics(path, *_traces())
     lines = path.read_text().splitlines()
     assert len(lines) == 4
     assert lines[0] == "epoch,objective,grad_norm,objective_rna,grad_norm_rna,lambda_used"
@@ -247,27 +256,35 @@ def test_metrics_line_count(tmp_path):
 
 def test_metrics_empty_rows_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    write_metrics(path, [])
+    write_metrics(path, [], [])
     assert path.read_text().splitlines() == [
         "epoch,objective,grad_norm,objective_rna,grad_norm_rna,lambda_used"
     ]
 
 
+def test_metrics_unequal_traces_write_nothing(tmp_path):
+    vanilla, accelerated = _traces()
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError):
+        write_metrics(path, vanilla, accelerated[:-1])
+    assert not path.exists()
+
+
 def test_metrics_round_trip_exact(tmp_path):
     # 17 significant digits reproduce every float64 exactly.
     path = tmp_path / "rt.csv"
-    rows = _rows()
-    write_metrics(path, rows)
+    vanilla, accelerated = _traces()
+    write_metrics(path, vanilla, accelerated)
     with open(path, newline="") as fh:
         parsed = list(csv.DictReader(fh))
-    assert len(parsed) == len(rows)
-    for row, rec in zip(rows, parsed):
-        assert int(rec["epoch"]) == row.epoch
-        assert float(rec["objective"]) == row.objective
-        assert float(rec["grad_norm"]) == row.grad_norm
-        assert float(rec["objective_rna"]) == row.objective_rna
-        assert float(rec["grad_norm_rna"]) == row.grad_norm_rna
-        if row.lambda_used is None:
+    assert len(parsed) == len(vanilla)
+    for v, a, rec in zip(vanilla, accelerated, parsed):
+        assert int(rec["epoch"]) == v.epoch
+        assert float(rec["objective"]) == v.objective
+        assert float(rec["grad_norm"]) == v.grad_norm
+        assert float(rec["objective_rna"]) == a.objective
+        assert float(rec["grad_norm_rna"]) == a.grad_norm
+        if a.lam_used is None:
             assert rec["lambda_used"] == ""
         else:
-            assert float(rec["lambda_used"]) == row.lambda_used
+            assert float(rec["lambda_used"]) == a.lam_used

@@ -273,6 +273,35 @@ def test_accelerate_overflowing_gram_exit_3(tmp_path, capsys):
     assert not (tmp_path / "o.rnac").exists()
 
 
+def test_accelerate_overflowing_ridge_bump_exit_3(tmp_path, capsys):
+    path = tmp_path / "far.rnac"
+    write_checkpoints(path, np.array([[0.0], [1e154], [2e154]]), "f64")
+    rc = main(["accelerate", str(path), "--k", "2", "--out", str(tmp_path / "o.rnac")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "error: residual Gram matrix is not finite with the ridge inf added\n"
+    assert not (tmp_path / "o.rnac").exists()
+
+
+@pytest.mark.parametrize("target", ["input_file", "inside_input_dir", "below_input_dir"])
+def test_accelerate_out_colliding_with_input_exit_2(tmp_path, capsys, target):
+    _, traj = _export_trajectory(tmp_path / "seq.rnac")
+    seq_dir = tmp_path / "parts"
+    seq_dir.mkdir()
+    write_checkpoints(seq_dir / "00.rnac", traj, "f64")
+    source, out = {
+        "input_file": (tmp_path / "seq.rnac", tmp_path / "." / "seq.rnac"),
+        "inside_input_dir": (seq_dir, seq_dir / "accel.rnac"),
+        "below_input_dir": (seq_dir, seq_dir / "sub" / "accel.rnac"),
+    }[target]
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    rc = main(["accelerate", str(source), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 def test_accelerate_missing_file_exit_4(tmp_path, capsys):
     rc = main(["accelerate", str(tmp_path / "nope.rnac"), "--out", str(tmp_path / "o")])
     assert rc == 4

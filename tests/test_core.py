@@ -188,6 +188,8 @@ def test_normalize_rejects_nonfinite():
 
 # Finite iterates whose differences square past the float64 range.
 _OVERFLOWING = np.array([[0.0], [1e200], [0.0]])
+# A finite, singular Gram matrix whose ridge bump, 10 * eps * trace, overflows.
+_BUMP_OVERFLOWS = np.array([[0.0], [1e154], [2e154]])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -200,8 +202,21 @@ _OVERFLOWING = np.array([[0.0], [1e200], [0.0]])
             _OVERFLOWING, 10, 1e-8, lam_grid=(1e-8, 1e-6), scores=[3.0, 2.0, 1.0]
         ),
         lambda: solve_regularized(np.array([[1e200]]), 1e-8),
+        lambda: rna(_BUMP_OVERFLOWS),
+        lambda: rna(np.array([[0.0], [1e154], [0.0]]), RnaConfig(lam=1.7e308)),
+        lambda: adaptive_rna(_BUMP_OVERFLOWS, RnaConfig(lam_grid=(1e-8,)), lambda t: 0.0),
+        lambda: solve_regularized(np.array([[1e154, 1e154]]), 1e-8),
     ],
-    ids=["rna", "adaptive_rna", "accelerate_checkpoints", "solve_regularized"],
+    ids=[
+        "rna",
+        "adaptive_rna",
+        "accelerate_checkpoints",
+        "solve_regularized",
+        "rna_bumped_ridge",
+        "rna_huge_ridge",
+        "adaptive_rna_bumped_ridge",
+        "solve_regularized_bumped_ridge",
+    ],
 )
 def test_overflowing_gram_is_a_numerical_failure(entry):
     with pytest.raises(NumericalFailure, match="Gram matrix is not finite"):

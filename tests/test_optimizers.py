@@ -22,7 +22,6 @@ from rnacc import (
     sgd_momentum_epoch,
     write_metrics,
 )
-from rnacc.experiment import rows_from_traces
 
 
 def _scalar_bowl():
@@ -252,7 +251,7 @@ def test_run_with_rna_degenerate_sum_keeps_the_iterate(tmp_path, monkeypatch):
     np.testing.assert_array_equal(a.theta, v.theta)
     assert a.epoch == 4 and a.objective == v.objective and a.lam_used is None
     assert accel[2].lam_used == accel[4].lam_used == 1e-8  # its neighbours extrapolate
-    write_metrics(tmp_path / "m.csv", rows_from_traces(vanilla, accel))
+    write_metrics(tmp_path / "m.csv", vanilla, accel)
     row = (tmp_path / "m.csv").read_text().splitlines()[4].split(",")
     assert row[0] == "4" and row[3] == row[1] and row[5] == ""
 
