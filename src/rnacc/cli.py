@@ -144,6 +144,13 @@ def _spec_from_args(args) -> ExperimentSpec:
 
 def cmd_run(args) -> int:
     spec = _spec_from_args(args)
+    # An output on the spec file would overwrite the run's own description.
+    if args.spec:
+        source = Path(args.spec).resolve()
+        for key in ("metrics_out", "checkpoints_out"):
+            out = getattr(spec, key)
+            if out and Path(out).resolve() == source:
+                raise InvalidConfig(f"{key} {out} is the spec file {args.spec}")
     vanilla, accelerated, _ = run_experiment(spec)
     last_v, last_a = vanilla[-1], accelerated[-1]
     print(f"wrote {spec.metrics_out} ({len(vanilla)} epochs)")

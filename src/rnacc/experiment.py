@@ -216,8 +216,13 @@ def build_problem(spec: ExperimentSpec) -> Problem:
 def run_experiment(spec: ExperimentSpec, problem: Problem | None = None):
     """Execute a spec: train, extrapolate per epoch, write the outputs.
 
-    Returns (vanilla records, acceleration records, problem).
+    Returns (vanilla records, acceleration records, problem). Two outputs
+    on one path raise InvalidConfig before training: the checkpoint would
+    overwrite the metrics.
     """
+    metrics, ckpt = spec.metrics_out, spec.checkpoints_out
+    if metrics and ckpt and os.path.realpath(metrics) == os.path.realpath(ckpt):
+        raise InvalidConfig(f"metrics_out and checkpoints_out are both {metrics}")
     if problem is None:
         problem = build_problem(spec)
     vanilla, accelerated = run_with_rna(

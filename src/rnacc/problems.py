@@ -17,7 +17,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InvalidConfig, NumericalFailure, _require_int
 
@@ -153,6 +152,8 @@ def _logistic_reference(problem: Problem, l2: float, tol=1e-12, max_steps=100):
     Hessian, a failed line search or ``max_steps`` steps without
     convergence raise NumericalFailure.
     """
+    from scipy.special import expit
+
     x, labels = problem.extras["features"], problem.extras["labels"]
     n, dim = x.shape
     theta = np.zeros(dim)
@@ -204,6 +205,9 @@ def make_logistic(n_samples: int, dim: int, l2: float, seed: int = 0) -> Problem
     the smoothness constant) and ``problem.optimum`` raises
     NumericalFailure.
     """
+    # Imported here, not at the top: only this problem needs scipy.
+    from scipy.special import expit
+
     n_samples, dim = _require_int("n_samples", n_samples), _require_int("dim", dim)
     seed = _require_int("seed", seed, minimum=0)
     if not (l2 >= 0.0 and math.isfinite(l2)):

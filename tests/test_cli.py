@@ -111,6 +111,31 @@ def test_run_spec_file_with_flag_overrides(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "lines, flags, key",
+    [
+        ("", ["--out", "exp.spec"], "metrics_out"),
+        ("checkpoints_out = exp.spec\n", [], "checkpoints_out"),
+        ("metrics_out = same\ncheckpoints_out = same\n", [], "checkpoints_out"),
+    ],
+    ids=["out-on-spec", "checkpoints-on-spec", "metrics-on-checkpoints"],
+)
+def test_run_output_on_spec_or_other_output_exit_2(tmp_path, capsys, monkeypatch, lines, flags,
+                                                  key):
+    # Relative outputs against an absolute --spec: both resolve to one path.
+    monkeypatch.chdir(tmp_path)
+    spec_path = tmp_path / "exp.spec"
+    spec_path.write_text(default_spec("quadratic").to_text() + "epochs = 5\n" + lines)
+    before = spec_path.read_bytes()
+    assert main(["run", "--spec", str(spec_path)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and key in line
+    assert spec_path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.spec"]
+
+
+@pytest.mark.parametrize(
     "problem, key, value",
     [
         ("quadratic", "optimizer.eta", "abc"),
@@ -508,3 +533,52 @@ def test_whole_float_setting_runs_like_the_integer(tmp_path, capsys, problem, ex
         outputs.append(out.read_bytes())
     capsys.readouterr()
     assert outputs[0] == outputs[1]
+
+
+# ------------------------------------------------------------- import path
+
+# Blocks scipy (any import of it raises ImportError), then runs the commands
+# that need no logistic problem and prints every scipy module they loaded.
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import rnacc
+from rnacc.cli import main
+
+p = rnacc.make_quadratic(4, 10.0, seed=1)
+traj = [np.ones(4)]
+for _ in range(5):
+    traj.append(rnacc.gd_step(traj[-1], p, 1.0 / p.smoothness))
+rnacc.write_checkpoints("traj.rnac", traj, "f64")
+for i, theta in enumerate(traj):
+    rnacc.write_checkpoints(f"traj/{i}.rnac", [theta], "f32")
+with open("scores.txt", "w") as fh:
+    fh.writelines(f"{p.f(theta)!r}\\n" for theta in traj)
+for argv in (
+    ["accelerate", "traj.rnac", "--k", "4", "--out", "from_file.rnac"],
+    ["accelerate", "traj", "--k", "4", "--lambda-grid", "1e-10,1e-8,1e-6",
+     "--scores", "scores.txt", "--out", "from_dir.rnac"],
+    ["run", "--problem", "quadratic", "--epochs", "3", "--out", "q.csv"],
+    ["run", "--problem", "mlp", "--epochs", "3", "--out", "m.csv"],
+):
+    assert main(argv) == 0, argv
+print([m for m, mod in sys.modules.items() if mod is not None and m.split(".")[0] == "scipy"])
+"""
+
+
+def test_accelerate_and_run_load_no_scipy(tmp_path):
+    (tmp_path / "traj").mkdir()
+    src = Path(rnacc.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    for name in ("from_file.rnac", "from_dir.rnac", "q.csv", "m.csv"):
+        assert (tmp_path / name).is_file()

@@ -131,6 +131,19 @@ def test_run_experiment_writes_outputs(tmp_path):
     assert epochs == [str(e) for e in range(1, 16)]
 
 
+def test_run_experiment_rejects_one_path_for_both_outputs(tmp_path, monkeypatch):
+    def train(*args, **kwargs):
+        raise AssertionError("trained despite colliding outputs")
+
+    monkeypatch.setattr("rnacc.experiment.run_with_rna", train)
+    monkeypatch.chdir(tmp_path)
+    spec = default_spec("quadratic")
+    spec.metrics_out, spec.checkpoints_out = "same", str(tmp_path / "same")
+    with pytest.raises(InvalidConfig, match="checkpoints_out"):
+        run_experiment(spec)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_experiment_epoch_validation():
     spec = default_spec("quadratic")
     spec.epochs = 0

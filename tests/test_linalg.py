@@ -1,12 +1,19 @@
 """The refined solver against brute-force references."""
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from mpmath import mp
 
+from rnacc import core, default_spec
+from rnacc.errors import SingularSystem
+from rnacc.experiment import build_problem
 from rnacc.linalg import exact_residual, refined_spd_solve
+from rnacc.optimizers import _train
 
-from oracles import mp_eig_solve
+from oracles import mp_eig_solve, scipy_refined_spd_solve
 
 
 def _random_spd(rng, k, ridge):
@@ -60,3 +67,96 @@ def test_refined_solve_rejects_indefinite():
     a = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(np.linalg.LinAlgError):
         refined_spd_solve(a, np.ones(2))
+
+
+# ------------------------------------------------ bits against the scipy solve
+
+
+def _trajectory(spec) -> list:
+    vanilla, error = _train(build_problem(spec), spec.optimizer, spec.epochs)
+    assert error is None
+    return [record.theta for record in vanilla]
+
+
+def _grams(thetas, k):
+    """The Gram matrix of every window that ``run_with_rna`` extrapolates."""
+    return [core._gram(np.vstack(thetas[max(0, t - k) : t + 1])) for t in range(1, len(thetas))]
+
+
+def _bits(solve, a):
+    try:
+        return solve(a, np.ones(a.shape[0])).tobytes()
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _assert_same_bits(grams, lams):
+    for gram in grams:
+        for lam in lams:
+            a = gram + lam * np.eye(gram.shape[0])
+            assert _bits(refined_spd_solve, a) == _bits(scipy_refined_spd_solve, a)
+
+
+@pytest.mark.parametrize("problem", ["quadratic", "logistic", "mlp"])
+def test_refined_solve_matches_scipy_bits_on_default_runs(problem):
+    for seed in range(3):
+        grams = _grams(_trajectory(default_spec(problem, seed=seed)), 10)
+        _assert_same_bits(grams, (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2))
+
+
+def test_refined_solve_matches_scipy_bits_on_minibatch_logistic():
+    spec = default_spec("logistic", seed=3)
+    spec = replace(
+        spec,
+        problem_params={"n_samples": 1000, "dim": 100, "l2": 1e-3, "seed": 3},
+        optimizer=replace(spec.optimizer, batch_size=100, seed=3),
+        epochs=25,
+    )
+    thetas = _trajectory(spec)
+    for k in (5, 10, 20):
+        _assert_same_bits(_grams(thetas, k), (1e-10, 1e-8, 1e-6, 1e-4))
+
+
+def _solve_grams(solve, systems):
+    """``core._solve_gram`` on each (gram, lam), with ``solve`` as its refined solve."""
+    with mock.patch.object(core, "refined_spd_solve", solve):
+        return [core._solve_gram(gram, lam) for gram, lam in systems]
+
+
+# Repeated checkpoints in a window of 11: each one twice, two alternating, and a
+# run that stalls after its sixth iterate.
+_DUPLICATED_ROWS = (
+    [i // 2 for i in range(10, 22)],
+    [9, 10] * 5 + [9],
+    [0, 1, 2, 3, 4, 5] + [10] * 5,
+)
+
+
+def test_refined_solve_near_scipy_on_duplicated_rows():
+    # Repeated rows make the Gram matrix singular. At the usual ridges both
+    # solves factor and agree to rounding. At 1e-18 * trace, below the Gram's own
+    # rounding, the bump to 10 * eps * trace mostly takes over on both sides:
+    # cond(A) is then about 4.5e14, refinement stops short of full accuracy, and
+    # the two z agree to about 6e-9. Where that tiny ridge factors, on both sides
+    # or on one, cond(A) is near 1e18, which no float64 solve resolves, so only
+    # the bumped systems are compared.
+    usual, tiny = [], []
+    for problem in ("quadratic", "logistic", "mlp"):
+        thetas = _trajectory(default_spec(problem))
+        for t in range(10, len(thetas)):
+            window = np.vstack(thetas[t - 10 : t + 1])
+            for rows in _DUPLICATED_ROWS:
+                gram = core._gram(window[rows])
+                usual += [(gram, lam) for lam in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)]
+                tiny.append((gram, 1e-18 * float(np.trace(gram))))
+    for systems, rtol in ((usual, 1e-15), (tiny, 1e-7)):
+        news = _solve_grams(refined_spd_solve, systems)
+        olds = _solve_grams(scipy_refined_spd_solve, systems)
+        compared = 0
+        for (_, lam), (z_new, lam_new), (z_old, lam_old) in zip(systems, news, olds):
+            if systems is tiny and lam in (lam_new, lam_old):
+                continue
+            assert lam_new == lam_old and (lam_new == lam) == (systems is usual)
+            assert np.linalg.norm(z_new - z_old) <= rtol * np.linalg.norm(z_old)
+            compared += 1
+        assert compared > 0.5 * len(systems)
