@@ -15,7 +15,12 @@ error. f64 files round-trip bit-exactly. f32 is offered because deep
 learning checkpoints usually are f32; the math still runs in f64 after
 loading. Iterate-major order lets a reader stream the last K+1 iterates
 without touching the rest of the file. ``read_checkpoints`` checks every
-header of a file or a directory against its file's size before it reads any payload.
+header of a file or a directory against its file's size before it reads any payload,
+and it checks the format only: the core checks the values.
+
+Every file here is written to ``.<name>.<pid>.tmp`` beside its target and then
+renamed over it, so a reader sees either the old file or the whole new one;
+a directory listing skips names that start with ``.``.
 
 Metric tables are plain comma-separated text with a header row; scalars
 are rendered with 17 significant digits so that parsing the file back
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -52,22 +58,47 @@ METRIC_COLUMNS = (
 )
 
 
+@contextmanager
+def _replacing(path, mode: str, **kwargs):
+    """Open ``.<name>.<pid>.tmp`` beside ``path`` for writing; on success it replaces
+    ``path``, on any failure it is removed. Mode ``x`` keeps the umask's file mode."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_checkpoints(path, iterates, precision: str = "f64") -> None:
-    """Write an iterate sequence as one binary checkpoint file."""
+    """Write an iterate sequence as one binary checkpoint file.
+
+    Values that f32 cannot hold raise NumericalFailure before anything is written.
+    """
     if precision not in _WIDTHS:
         raise FormatError(f"precision must be 'f64' or 'f32', got {precision!r}")
     mat = as_iterate_matrix(iterates)
-    width = _WIDTHS[precision]
-    header = _HEADER.pack(MAGIC, VERSION, width, mat.shape[1], mat.shape[0])
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(mat, dtype=_DTYPES[width]).tobytes())
+    dtype = _DTYPES[_WIDTHS[precision]]
+    try:
+        with np.errstate(over="raise"):
+            payload = np.ascontiguousarray(mat, dtype=dtype)
+    except FloatingPointError:  # only f32 can overflow
+        top = np.finfo(dtype).max
+        raise NumericalFailure(f"{path}: iterates exceed f32's range of +-{top:.8g}") from None
+    with _replacing(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, VERSION, dtype.itemsize, mat.shape[1], mat.shape[0]))
+        fh.write(payload.tobytes())
 
 
 def _checkpoint_files(path) -> list:
-    """``[path]`` for a file, else a directory's files by name or in the order its
-    ``manifest.txt`` (one name per line, ``#`` comments) pins; a manifest name that
-    resolves outside the directory is a FormatError.
+    """``[path]`` for a file, else a directory's files by name, skipping dot-files such
+    as a writer's temporary file, or in the order its ``manifest.txt`` (one name per
+    line, ``#`` comments) pins; a manifest name that resolves outside the directory is
+    a FormatError.
     """
     if not os.path.isdir(path):
         return [path]
@@ -89,7 +120,9 @@ def _checkpoint_files(path) -> list:
             raise FormatError(f"{path}: manifest names missing files {missing}")
     else:
         files = sorted(
-            p for p in root.iterdir() if p.is_file() and p.name != MANIFEST_NAME
+            p
+            for p in root.iterdir()
+            if p.is_file() and p.name != MANIFEST_NAME and not p.name.startswith(".")
         )
     if not files:
         raise FormatError(f"{path}: no checkpoint files found")
@@ -123,7 +156,8 @@ def read_checkpoints(path) -> np.ndarray:
 
     Before any payload is read, a bad header or manifest, a file size that disagrees
     with its header or files that disagree on dim raise FormatError. Each payload then
-    lands in its rows of the result; a non-finite value raises NumericalFailure.
+    lands in its rows of the result as stored: NaN and infinities are left for the
+    core's one value check, :func:`rnacc.as_iterate_matrix`.
     """
     files = _checkpoint_files(path)
     headers = [_read_header(f) for f in files]
@@ -141,8 +175,6 @@ def read_checkpoints(path) -> np.ndarray:
             raise FormatError(f"{f}: payload holds {got} bytes, header promises {buf.nbytes}")
         if buf is not rows:
             rows[...] = buf
-        if not np.isfinite(rows).all():
-            raise NumericalFailure(f"{f}: payload contains NaN or infinite values")
     return mat
 
 
@@ -155,7 +187,7 @@ def _render(value) -> str:
 def _write_table(path, header, rows) -> None:
     """Write rows of rendered fields as comma-separated text under ``header``."""
     lines = [",".join(header), *(",".join(fields) for fields in rows)]
-    with open(path, "w", encoding="ascii") as fh:
+    with _replacing(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -7,6 +7,7 @@ Exit codes are stable: 0 success, 2 usage or configuration error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,9 +24,11 @@ from .errors import (
 )
 from .experiment import (
     _PROBLEMS,
+    _SUMMARY_NAME,
     ExperimentSpec,
     _numbers,
     _override,
+    _sweep_cells,
     accelerate_checkpoints,
     run_experiment,
     sweep,
@@ -142,15 +145,21 @@ def _spec_from_args(args) -> ExperimentSpec:
     return _override(spec, {key: value for key, value in flags.items() if value is not None})
 
 
+def _refuse_spec_outputs(spec_file, outputs) -> None:
+    """An output on the spec file would overwrite the command's own description:
+    raise InvalidConfig for the first (label, path) in ``outputs`` that resolves to it."""
+    if not spec_file:
+        return
+    source = Path(spec_file).resolve()
+    for label, out in outputs:
+        if out and Path(out).resolve() == source:
+            raise InvalidConfig(f"{label} {out} is the spec file {spec_file}")
+
+
 def cmd_run(args) -> int:
     spec = _spec_from_args(args)
-    # An output on the spec file would overwrite the run's own description.
-    if args.spec:
-        source = Path(args.spec).resolve()
-        for key in ("metrics_out", "checkpoints_out"):
-            out = getattr(spec, key)
-            if out and Path(out).resolve() == source:
-                raise InvalidConfig(f"{key} {out} is the spec file {args.spec}")
+    keys = ("metrics_out", "checkpoints_out")
+    _refuse_spec_outputs(args.spec, [(key, getattr(spec, key)) for key in keys])
     vanilla, accelerated, _ = run_experiment(spec)
     last_v, last_a = vanilla[-1], accelerated[-1]
     print(f"wrote {spec.metrics_out} ({len(vanilla)} epochs)")
@@ -176,21 +185,17 @@ def cmd_accelerate(args) -> int:
     if out == source or source in out.parents:
         raise InvalidConfig(f"--out {args.out} is, or lies inside, the input {args.checkpoints}")
     mat = read_checkpoints(args.checkpoints)
-    if mat.shape[0] < 2:
-        raise WindowTooSmall(
-            f"{args.checkpoints}: {mat.shape[0]} checkpoint(s); need at least 2 to extrapolate"
-        )
+    grid = _numbers(args.lam_grid) if args.lam_grid else None
+    scores = _read_scores(args.scores) if args.scores else None
+    theta_hat, lam_star, coeffs = accelerate_checkpoints(
+        mat, window=args.k, lam=args.lam, lam_grid=grid, scores=scores
+    )
     if args.k + 1 > mat.shape[0]:
         print(
             f"warning: window {args.k} wants {args.k + 1} checkpoints, only "
             f"{mat.shape[0]} available; using all of them",
             file=sys.stderr,
         )
-    grid = _numbers(args.lam_grid) if args.lam_grid else None
-    scores = _read_scores(args.scores) if args.scores else None
-    theta_hat, lam_star, coeffs = accelerate_checkpoints(
-        mat, window=args.k, lam=args.lam, lam_grid=grid, scores=scores
-    )
     write_checkpoints(args.out, [theta_hat], "f64")
     if coeffs is None:
         print("candidates ranked worse than the last checkpoint; returned it unchanged")
@@ -204,9 +209,14 @@ def cmd_accelerate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
-    cells = sweep(spec, _numbers(args.k_list), _numbers(args.lam_list), args.out_dir)
+    windows, lams = _numbers(args.k_list), _numbers(args.lam_list)
+    names = [name for _, name in _sweep_cells(spec, windows, lams)] + [_SUMMARY_NAME]
+    _refuse_spec_outputs(
+        args.spec, [("sweep output", os.path.join(args.out_dir, name)) for name in names]
+    )
+    cells = sweep(spec, windows, lams, args.out_dir)
     ok = [c for c in cells if c.status == "ok"]
-    print(f"{len(ok)}/{len(cells)} cells succeeded; summary in {args.out_dir}/summary.csv")
+    print(f"{len(ok)}/{len(cells)} cells succeeded; summary in {args.out_dir}/{_SUMMARY_NAME}")
     for cell in cells:
         tag = f"k={cell.window} lambda={cell.lam:g}"
         if cell.status == "ok":

@@ -139,8 +139,9 @@ def as_iterate_matrix(iterates) -> np.ndarray:
 
     Accepts a 2-D array (rows = iterates, oldest first) or a sequence of
     1-D vectors; a float64 array comes back as is, not copied. Raises
-    DimensionMismatch for ragged input and NumericalFailure for NaN or
-    infinite entries.
+    DimensionMismatch for ragged input and NumericalFailure naming the
+    first iterate (0-based, oldest first) with NaN or infinite entries:
+    the one value check of every path, checkpoint files included.
     """
     if isinstance(iterates, np.ndarray) and iterates.ndim == 2:
         mat = np.asarray(iterates, dtype=np.float64)
@@ -159,7 +160,8 @@ def as_iterate_matrix(iterates) -> np.ndarray:
     if mat.shape[1] == 0:
         raise DimensionMismatch("iterates must be nonempty vectors")
     if not np.isfinite(mat).all():
-        raise NumericalFailure("iterates contain NaN or infinite entries")
+        bad = np.isfinite(mat).all(axis=1).argmin()
+        raise NumericalFailure(f"iterate {bad} of {len(mat)} contains NaN or infinite entries")
     return mat
 
 

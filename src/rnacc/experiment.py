@@ -318,16 +318,15 @@ def _run_cell(spec, problem, vanilla, error, cfg, metrics_path, f_star) -> Sweep
     )
 
 
-def sweep(spec: ExperimentSpec, windows, lams, out_dir) -> list[SweepCell]:
-    """Train once, then replay that trace for every (window, lambda) cell.
+_SUMMARY_NAME = "summary.csv"
 
-    Each cell writes the ``metrics_k{K}_lam{lambda:g}.csv`` that :func:`run_experiment`
-    would; a failing cell is recorded in ``summary.csv`` and spares the others. Bad
-    epochs, problem parameters or cells, or two cells sharing a file name, raise
-    InvalidConfig, and a failed reference optimum NumericalFailure, before ``out_dir``
-    is made.
+
+def _sweep_cells(spec: ExperimentSpec, windows, lams) -> list[tuple[RnaConfig, str]]:
+    """Each (window, lambda) cell's config and metrics file name, in sweep order.
+
+    With ``_SUMMARY_NAME`` these are every file a sweep writes into its directory.
+    No cells, a bad cell or two cells sharing a file name raise InvalidConfig.
     """
-    _require_int("epochs", spec.epochs)
     lams = list(lams)
     cells = [
         RnaConfig(window=w, lam=l, weight_target=spec.rna.weight_target)
@@ -340,15 +339,29 @@ def sweep(spec: ExperimentSpec, windows, lams, out_dir) -> list[SweepCell]:
     clashes = [name for i, name in enumerate(names) if name in names[:i]]
     if clashes:
         raise InvalidConfig(f"two sweep cells would both write {clashes[0]}")
+    return list(zip(cells, names))
+
+
+def sweep(spec: ExperimentSpec, windows, lams, out_dir) -> list[SweepCell]:
+    """Train once, then replay that trace for every (window, lambda) cell.
+
+    Each cell writes the ``metrics_k{K}_lam{lambda:g}.csv`` that :func:`run_experiment`
+    would; a failing cell is recorded in ``summary.csv`` and spares the others. Bad
+    epochs, problem parameters or cells, or two cells sharing a file name, raise
+    InvalidConfig, and a failed reference optimum NumericalFailure, before ``out_dir``
+    is made.
+    """
+    _require_int("epochs", spec.epochs)
+    cells = _sweep_cells(spec, windows, lams)
     problem = build_problem(spec)
     f_star = None if problem.optimum is None else float(problem.f(problem.optimum))
     os.makedirs(out_dir, exist_ok=True)
     vanilla, error = _train(problem, spec.optimizer, spec.epochs)
     results = [
         _run_cell(spec, problem, vanilla, error, cfg, os.path.join(out_dir, name), f_star)
-        for cfg, name in zip(cells, names)
+        for cfg, name in cells
     ]
-    _write_summary(os.path.join(out_dir, "summary.csv"), results)
+    _write_summary(os.path.join(out_dir, _SUMMARY_NAME), results)
     return results
 
 

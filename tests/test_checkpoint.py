@@ -77,14 +77,78 @@ def test_trailing_bytes_rejected(tmp_path):
         read_checkpoints(path)
 
 
-def test_nan_payload_rejected(tmp_path):
+def test_nan_payload_rejected(tmp_path, capsys):
+    # The reader checks the format only; the core's one value check rejects the NaN.
     path = tmp_path / "nan.rnac"
     payload = np.array([1.0, np.nan]).tobytes()
     path.write_bytes(_HEADER.pack(MAGIC, VERSION, 8, 2, 1) + payload)
-    with pytest.raises(NumericalFailure):
-        read_checkpoints(path)
+    back = read_checkpoints(path)
+    assert back.shape == (1, 2) and back[0, 0] == 1.0 and np.isnan(back[0, 1])
+    assert main(["accelerate", str(path), "--out", str(tmp_path / "o.rnac")]) == 3
+    assert "NaN" in capsys.readouterr().err
     with pytest.raises(NumericalFailure):
         write_checkpoints(tmp_path / "out.rnac", np.array([[np.inf, 0.0]]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_f32_overflow_raises_before_writing(tmp_path):
+    path = tmp_path / "big.rnac"
+    with pytest.raises(NumericalFailure, match="f32's range"):
+        write_checkpoints(path, [[1e39, 1.0], [2.0, 3.0]], "f32")
+    assert list(tmp_path.iterdir()) == []
+    # The largest f32 itself is stored as is.
+    top = float(np.finfo(np.float32).max)
+    write_checkpoints(path, [[top, -top]], "f32")
+    np.testing.assert_array_equal(read_checkpoints(path), [[top, -top]])
+
+
+def _fail(*args, **kwargs):
+    raise OSError("injected failure")
+
+
+@pytest.mark.parametrize("step", ["payload", "replace"])
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch, step):
+    path = tmp_path / "seq.rnac"
+    write_checkpoints(path, np.ones((2, 3)))
+    before = path.read_bytes()
+    if step == "payload":  # the payload's conversion fails
+        monkeypatch.setattr(checkpoint.np, "ascontiguousarray", _fail)
+    else:  # the rename fails after the whole temporary file was written
+        monkeypatch.setattr(checkpoint.os, "replace", _fail)
+    with pytest.raises(OSError, match="injected"):
+        write_checkpoints(path, np.zeros((3, 3)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["seq.rnac"]
+
+
+def test_failed_table_write_keeps_previous_metrics(tmp_path, monkeypatch):
+    path = tmp_path / "m.csv"
+    write_metrics(path, *_traces())
+    before = path.read_bytes()
+    monkeypatch.setattr(checkpoint.os, "replace", _fail)
+    with pytest.raises(OSError, match="injected"):
+        write_metrics(path, [], [])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+
+def test_write_that_raises_midway_leaves_no_file(tmp_path):
+    path = tmp_path / "part.rnac"
+    with pytest.raises(RuntimeError):
+        with checkpoint._replacing(path, "wb") as fh:
+            fh.write(b"RNAC")
+            raise RuntimeError("midway")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_directory_listing_skips_dot_files(tmp_path):
+    # A writer's temporary file is never read as a checkpoint; a manifest may name one.
+    write_checkpoints(tmp_path / "a.rnac", np.ones((1, 2)))
+    (tmp_path / ".a.rnac.123.tmp").write_bytes(b"RNAC")
+    write_checkpoints(tmp_path / ".hidden.rnac", np.zeros((1, 2)))
+    np.testing.assert_array_equal(read_checkpoints(tmp_path), np.ones((1, 2)))
+    (tmp_path / "manifest.txt").write_text("a.rnac\n.hidden.rnac\n")
+    np.testing.assert_array_equal(read_checkpoints(tmp_path), [[1.0, 1.0], [0.0, 0.0]])
 
 
 def test_header_too_short(tmp_path):

@@ -21,6 +21,7 @@ from rnacc import (
     rna,
     write_checkpoints,
 )
+from rnacc.checkpoint import _HEADER
 from rnacc.cli import _spec_from_args, build_parser, main
 
 from oracles import gd_trajectory
@@ -279,6 +280,52 @@ def test_accelerate_single_iterate_exit_2(tmp_path, capsys):
     assert "at least 2" in capsys.readouterr().err
 
 
+def test_accelerate_single_iterate_prints_one_error_line(tmp_path, capsys):
+    path = tmp_path / "one.rnac"
+    write_checkpoints(path, np.ones((1, 3)), "f64")
+    assert main(["accelerate", str(path), "--k", "4", "--out", str(tmp_path / "o.rnac")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "warning" not in line
+    assert not (tmp_path / "o.rnac").exists()
+
+
+@pytest.mark.parametrize("layout", ["f64-file", "f32-dir"])
+@pytest.mark.parametrize("bad", [0, 3, 6])
+def test_accelerate_nan_error_matches_in_memory_path(tmp_path, capsys, layout, bad):
+    # C11 for failures: a NaN in the first, a middle or the last iterate gives
+    # the same exit and message from a file as from the in-memory matrix.
+    _, traj = _export_trajectory(tmp_path / "seq.rnac", steps=6)
+    mat = np.array(traj)
+    mat[bad, 1] = np.nan
+    with pytest.raises(rnacc.NumericalFailure) as in_memory:
+        rnacc.accelerate_checkpoints(mat, window=4, lam=1e-8)
+    # The writer refuses NaN, so clean files are written and the NaN is patched in.
+    if layout == "f64-file":
+        source = patched = tmp_path / "seq.rnac"
+        offset, scalar = (bad * 4 + 1) * 8, np.float64(np.nan)
+    else:
+        source = tmp_path / "parts"
+        source.mkdir()
+        for i, theta in enumerate(traj):
+            write_checkpoints(source / f"{i}.rnac", [theta], "f32")
+        patched, offset, scalar = source / f"{bad}.rnac", 4, np.float32(np.nan)
+    raw = bytearray(patched.read_bytes())
+    start = _HEADER.size + offset
+    raw[start:start + scalar.nbytes] = scalar.tobytes()
+    patched.write_bytes(bytes(raw))
+    from_disk = read_checkpoints(source)
+    assert np.isnan(from_disk[bad, 1]) and np.isfinite(np.delete(from_disk, bad, axis=0)).all()
+    out = tmp_path / "o.rnac"
+    assert main(["accelerate", str(source), "--k", "4", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {in_memory.value}\n"
+    assert f"iterate {bad} of 7 " in captured.err
+    assert not out.exists()
+
+
 def test_accelerate_bad_file_exit_4(tmp_path, capsys):
     path = tmp_path / "junk.rnac"
     path.write_bytes(b"XXXX" + b"\x00" * 64)
@@ -427,6 +474,42 @@ def test_sweep_cli_happy_path(tmp_path, capsys):
     assert (out_dir / "summary.csv").is_file()
 
 
+@pytest.mark.parametrize(
+    "spec_name", ["summary.csv", "metrics_k5_lam1e-08.csv"], ids=["summary", "cell"]
+)
+def test_sweep_output_on_spec_exit_2(tmp_path, capsys, monkeypatch, spec_name):
+    # A relative --out against an absolute --spec: both resolve to one path.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sw").mkdir()
+    spec_path = tmp_path / "sw" / spec_name
+    spec_path.write_text(default_spec("quadratic").to_text() + "epochs = 5\n")
+    before = spec_path.read_bytes()
+    argv = ["sweep", "--spec", str(spec_path), "--k-list", "5", "--lambda-list", "1e-8"]
+    assert main(argv + ["--out", "sw"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and spec_name in line and "spec file" in line
+    assert spec_path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sw"]
+    assert [p.name for p in (tmp_path / "sw").iterdir()] == [spec_name]
+
+
+def test_sweep_spec_inside_out_dir_runs(tmp_path, capsys):
+    out_dir = tmp_path / "sw"
+    out_dir.mkdir()
+    spec_path = out_dir / "spec.txt"
+    spec_path.write_text(default_spec("quadratic").to_text() + "epochs = 5\n")
+    before = spec_path.read_bytes()
+    argv = ["sweep", "--spec", str(spec_path), "--k-list", "5", "--lambda-list", "1e-8"]
+    assert main(argv + ["--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert spec_path.read_bytes() == before
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "metrics_k5_lam1e-08.csv", "spec.txt", "summary.csv"
+    ]
+
+
 def test_sweep_cli_all_cells_failing_exit_3(tmp_path, capsys):
     spec = default_spec("quadratic", seed=0)
     spec.problem_params = {"dim": 3, "condition": 10.0, "seed": 0}
@@ -561,6 +644,10 @@ for argv in (
      "--scores", "scores.txt", "--out", "from_dir.rnac"],
     ["run", "--problem", "quadratic", "--epochs", "3", "--out", "q.csv"],
     ["run", "--problem", "mlp", "--epochs", "3", "--out", "m.csv"],
+    ["sweep", "--problem", "quadratic", "--epochs", "3", "--k-list", "2",
+     "--lambda-list", "1e-8", "--out", "sweep_q"],
+    ["sweep", "--problem", "mlp", "--epochs", "3", "--k-list", "2",
+     "--lambda-list", "1e-8", "--out", "sweep_m"],
 ):
     assert main(argv) == 0, argv
 print([m for m, mod in sys.modules.items() if mod is not None and m.split(".")[0] == "scipy"])
@@ -580,5 +667,6 @@ def test_accelerate_and_run_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
-    for name in ("from_file.rnac", "from_dir.rnac", "q.csv", "m.csv"):
+    for name in ("from_file.rnac", "from_dir.rnac", "q.csv", "m.csv", "sweep_q/summary.csv",
+                 "sweep_m/summary.csv"):
         assert (tmp_path / name).is_file()
