@@ -3,7 +3,8 @@
     python .github/write_trajectory.py DIR
 
 DIR/traj.rnac holds the trajectory as one f64 file, and DIR/traj/ holds
-it as six one-iterate f32 files, 0.rnac to 5.rnac.
+it as six one-iterate f32 files, 0.rnac to 5.rnac. DIR/scores.txt holds
+the objective of each iterate, one per line, for ``--scores``.
 """
 
 import os
@@ -22,3 +23,5 @@ rnacc.write_checkpoints(os.path.join(out, "traj.rnac"), traj, "f64")
 os.makedirs(os.path.join(out, "traj"))
 for i, theta in enumerate(traj):
     rnacc.write_checkpoints(os.path.join(out, "traj", f"{i}.rnac"), [theta], "f32")
+with open(os.path.join(out, "scores.txt"), "w", encoding="ascii") as fh:
+    fh.write("".join(f"{p.f(theta)!r}\n" for theta in traj))

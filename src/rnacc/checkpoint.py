@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import as_iterate_matrix
-from .errors import FormatError, NumericalFailure
+from .errors import FormatError, InvalidConfig, NumericalFailure
 
 MAGIC = b"RNAC"
 VERSION = 1
@@ -74,6 +74,22 @@ def _replacing(path, mode: str, **kwargs):
         raise
 
 
+def _refuse_overwrite(outputs, inputs=()) -> None:
+    """Raise InvalidConfig, naming both, for the first output that resolves to an input
+    or an earlier output, or lies inside one; each holds ``(label, path)`` pairs, and
+    empty paths, which are not written, are skipped."""
+    seen = [(label, path, Path(path).resolve()) for label, path in inputs if path]
+    for label, path in outputs:
+        if not path:
+            continue
+        mine = Path(path).resolve()
+        for other, other_path, theirs in seen:
+            if mine == theirs or theirs in mine.parents:
+                how = "is" if mine == theirs else "lies inside"
+                raise InvalidConfig(f"{label} {path} {how} {other} {other_path}")
+        seen.append((label, path, mine))
+
+
 def write_checkpoints(path, iterates, precision: str = "f64") -> None:
     """Write an iterate sequence as one binary checkpoint file.
 
@@ -105,9 +121,14 @@ def _checkpoint_files(path) -> list:
     root = Path(path)
     manifest = root / MANIFEST_NAME
     if manifest.is_file():
+        try:
+            text = manifest.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            msg = f"{manifest}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            raise FormatError(msg) from None
         names = [
             line.strip()
-            for line in manifest.read_text().splitlines()
+            for line in text.splitlines()
             if line.strip() and not line.strip().startswith("#")
         ]
         files = [root / name for name in names]

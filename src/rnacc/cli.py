@@ -7,14 +7,12 @@ Exit codes are stable: 0 success, 2 usage or configuration error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import read_checkpoints, write_checkpoints
+from .checkpoint import _refuse_overwrite, read_checkpoints, write_checkpoints
 from .core import RnaConfig
 from .errors import (
     FormatError,
@@ -28,7 +26,6 @@ from .experiment import (
     ExperimentSpec,
     _numbers,
     _override,
-    _sweep_cells,
     accelerate_checkpoints,
     run_experiment,
     sweep,
@@ -145,22 +142,9 @@ def _spec_from_args(args) -> ExperimentSpec:
     return _override(spec, {key: value for key, value in flags.items() if value is not None})
 
 
-def _refuse_spec_outputs(spec_file, outputs) -> None:
-    """An output on the spec file would overwrite the command's own description:
-    raise InvalidConfig for the first (label, path) in ``outputs`` that resolves to it."""
-    if not spec_file:
-        return
-    source = Path(spec_file).resolve()
-    for label, out in outputs:
-        if out and Path(out).resolve() == source:
-            raise InvalidConfig(f"{label} {out} is the spec file {spec_file}")
-
-
 def cmd_run(args) -> int:
     spec = _spec_from_args(args)
-    keys = ("metrics_out", "checkpoints_out")
-    _refuse_spec_outputs(args.spec, [(key, getattr(spec, key)) for key in keys])
-    vanilla, accelerated, _ = run_experiment(spec)
+    vanilla, accelerated, _ = run_experiment(spec, inputs=[("the spec file", args.spec)])
     last_v, last_a = vanilla[-1], accelerated[-1]
     print(f"wrote {spec.metrics_out} ({len(vanilla)} epochs)")
     print(f"final objective        : {last_v.objective:.10e}")
@@ -180,10 +164,9 @@ def _read_scores(path) -> np.ndarray:
 
 
 def cmd_accelerate(args) -> int:
-    # An output on the input file, or in its directory, would clobber or join the input.
-    source, out = Path(args.checkpoints).resolve(), Path(args.out).resolve()
-    if out == source or source in out.parents:
-        raise InvalidConfig(f"--out {args.out} is, or lies inside, the input {args.checkpoints}")
+    # An output inside the input directory would be read back as its newest iterate.
+    inputs = [("the input", args.checkpoints), ("--scores", args.scores)]
+    _refuse_overwrite([("--out", args.out)], inputs)
     mat = read_checkpoints(args.checkpoints)
     grid = _numbers(args.lam_grid) if args.lam_grid else None
     scores = _read_scores(args.scores) if args.scores else None
@@ -210,11 +193,7 @@ def cmd_accelerate(args) -> int:
 def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
     windows, lams = _numbers(args.k_list), _numbers(args.lam_list)
-    names = [name for _, name in _sweep_cells(spec, windows, lams)] + [_SUMMARY_NAME]
-    _refuse_spec_outputs(
-        args.spec, [("sweep output", os.path.join(args.out_dir, name)) for name in names]
-    )
-    cells = sweep(spec, windows, lams, args.out_dir)
+    cells = sweep(spec, windows, lams, args.out_dir, inputs=[("the spec file", args.spec)])
     ok = [c for c in cells if c.status == "ok"]
     print(f"{len(ok)}/{len(cells)} cells succeeded; summary in {args.out_dir}/{_SUMMARY_NAME}")
     for cell in cells:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checkpoint import _write_table, write_checkpoints, write_metrics
-from .checkpoint import _render as _render_g17
+from .checkpoint import _refuse_overwrite, _replacing, _write_table, write_checkpoints
+from .checkpoint import _render as _render_g17, write_metrics
 from .core import Coefficients, RnaConfig, WeightTarget, _select_ridge, _validated, rna
 from .errors import InvalidConfig, RnaError, _require_int
 from .optimizers import OptimizerConfig, _replay, _train, run_with_rna
@@ -148,13 +148,19 @@ class ExperimentSpec:
         return _override(cls(problem=problem), values)
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
+        with _replacing(path, "w", encoding="ascii") as fh:
             fh.write(self.to_text())
 
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls.from_text(fh.read())
+        """Read a spec file, which is ASCII text; any other byte raises InvalidConfig."""
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            msg = f"{path}: not ASCII text ({exc.reason} at byte {exc.start})"
+            raise InvalidConfig(msg) from None
+        return cls.from_text(text)
 
 
 def _override(spec: ExperimentSpec, values: dict) -> ExperimentSpec:
@@ -213,16 +219,16 @@ def build_problem(spec: ExperimentSpec) -> Problem:
         raise InvalidConfig(f"problem.{exc}") from None
 
 
-def run_experiment(spec: ExperimentSpec, problem: Problem | None = None):
+def run_experiment(spec: ExperimentSpec, problem: Problem | None = None, inputs=()):
     """Execute a spec: train, extrapolate per epoch, write the outputs.
 
-    Returns (vanilla records, acceleration records, problem). Two outputs
-    on one path raise InvalidConfig before training: the checkpoint would
-    overwrite the metrics.
+    Returns (vanilla records, acceleration records, problem). ``inputs`` holds
+    ``(label, path)`` pairs of files the run must not overwrite, such as its spec
+    file. An output on one of them, or two outputs on one path, raise InvalidConfig
+    before training.
     """
-    metrics, ckpt = spec.metrics_out, spec.checkpoints_out
-    if metrics and ckpt and os.path.realpath(metrics) == os.path.realpath(ckpt):
-        raise InvalidConfig(f"metrics_out and checkpoints_out are both {metrics}")
+    outputs = [("metrics_out", spec.metrics_out), ("checkpoints_out", spec.checkpoints_out)]
+    _refuse_overwrite(outputs, inputs)
     if problem is None:
         problem = build_problem(spec)
     vanilla, accelerated = run_with_rna(
@@ -256,11 +262,14 @@ def accelerate_checkpoints(
     the last checkpoint is the fallback candidate at its own recorded
     score, and ties go to the fallback, as in :func:`rnacc.adaptive_rna`.
     Returns (theta_hat, lam_star, coefficients) with None markers for
-    the fallback. Bad settings and missing, miscounted or non-finite
-    scores raise InvalidConfig; bad iterates raise as in :func:`rnacc.rna`.
+    the fallback. Bad settings, scores without a grid and missing, miscounted
+    or non-finite scores raise InvalidConfig; bad iterates raise as in
+    :func:`rnacc.rna`.
     """
     cfg = RnaConfig(window=window, lam=lam, lam_grid=lam_grid)
     if cfg.lam_grid is None:
+        if scores is not None:
+            raise InvalidConfig("scores rank a lambda grid; without a grid they go unused")
         theta_hat, coeffs = rna(iterates, cfg)
         return theta_hat, coeffs.lam_used, coeffs
     if scores is None:
@@ -321,11 +330,10 @@ def _run_cell(spec, problem, vanilla, error, cfg, metrics_path, f_star) -> Sweep
 _SUMMARY_NAME = "summary.csv"
 
 
-def _sweep_cells(spec: ExperimentSpec, windows, lams) -> list[tuple[RnaConfig, str]]:
-    """Each (window, lambda) cell's config and metrics file name, in sweep order.
+def _sweep_cells(spec: ExperimentSpec, windows, lams, out_dir) -> list[tuple[RnaConfig, str]]:
+    """Each (window, lambda) cell's config and metrics file path, in sweep order.
 
-    With ``_SUMMARY_NAME`` these are every file a sweep writes into its directory.
-    No cells, a bad cell or two cells sharing a file name raise InvalidConfig.
+    No cells or a bad cell raise InvalidConfig.
     """
     lams = list(lams)
     cells = [
@@ -335,33 +343,30 @@ def _sweep_cells(spec: ExperimentSpec, windows, lams) -> list[tuple[RnaConfig, s
     ]
     if not cells:
         raise InvalidConfig("sweep needs at least one window and one lambda")
-    names = [f"metrics_k{cfg.window}_lam{cfg.lam:g}.csv" for cfg in cells]
-    clashes = [name for i, name in enumerate(names) if name in names[:i]]
-    if clashes:
-        raise InvalidConfig(f"two sweep cells would both write {clashes[0]}")
-    return list(zip(cells, names))
+    return [(c, os.path.join(out_dir, f"metrics_k{c.window}_lam{c.lam:g}.csv")) for c in cells]
 
 
-def sweep(spec: ExperimentSpec, windows, lams, out_dir) -> list[SweepCell]:
+def sweep(spec: ExperimentSpec, windows, lams, out_dir, inputs=()) -> list[SweepCell]:
     """Train once, then replay that trace for every (window, lambda) cell.
 
     Each cell writes the ``metrics_k{K}_lam{lambda:g}.csv`` that :func:`run_experiment`
-    would; a failing cell is recorded in ``summary.csv`` and spares the others. Bad
-    epochs, problem parameters or cells, or two cells sharing a file name, raise
-    InvalidConfig, and a failed reference optimum NumericalFailure, before ``out_dir``
-    is made.
+    would; a failing cell is recorded in ``summary.csv`` and spares the others.
+    ``inputs`` holds ``(label, path)`` pairs of files the sweep must not overwrite,
+    such as its spec file. Bad epochs, problem parameters or cells, two cells sharing
+    a file name, or an output on one of ``inputs`` raise InvalidConfig, and a failed
+    reference optimum NumericalFailure, before ``out_dir`` is made.
     """
     _require_int("epochs", spec.epochs)
-    cells = _sweep_cells(spec, windows, lams)
+    cells = _sweep_cells(spec, windows, lams, out_dir)
+    summary = os.path.join(out_dir, _SUMMARY_NAME)
+    outputs = [(f"cell k={cfg.window} lambda={cfg.lam!r}", path) for cfg, path in cells]
+    _refuse_overwrite(outputs + [("the summary", summary)], inputs)
     problem = build_problem(spec)
     f_star = None if problem.optimum is None else float(problem.f(problem.optimum))
     os.makedirs(out_dir, exist_ok=True)
     vanilla, error = _train(problem, spec.optimizer, spec.epochs)
-    results = [
-        _run_cell(spec, problem, vanilla, error, cfg, os.path.join(out_dir, name), f_star)
-        for cfg, name in cells
-    ]
-    _write_summary(os.path.join(out_dir, _SUMMARY_NAME), results)
+    results = [_run_cell(spec, problem, vanilla, error, cfg, path, f_star) for cfg, path in cells]
+    _write_summary(summary, results)
     return results
 
 

@@ -136,6 +136,20 @@ def test_run_output_on_spec_or_other_output_exit_2(tmp_path, capsys, monkeypatch
     assert [p.name for p in tmp_path.iterdir()] == ["exp.spec"]
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_undecodable_spec_file_exit_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    spec_path = tmp_path / "exp.spec"
+    spec_path.write_bytes("# café\nepochs = 3\n".encode("utf-8"))
+    argv = {"run": [], "sweep": ["--k-list", "2", "--lambda-list", "1e-8"]}[command]
+    assert main([command, "--spec", str(spec_path)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and str(spec_path) in line
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.spec"]
+
+
 @pytest.mark.parametrize(
     "problem, key, value",
     [
@@ -326,6 +340,23 @@ def test_accelerate_nan_error_matches_in_memory_path(tmp_path, capsys, layout, b
     assert not out.exists()
 
 
+def test_accelerate_undecodable_manifest_exit_4(tmp_path, capsys):
+    # A 0xff byte in a comment line: the manifest is read as UTF-8 whatever the locale.
+    _, traj = _export_trajectory(tmp_path / "seq.rnac")
+    seq_dir = tmp_path / "parts"
+    seq_dir.mkdir()
+    write_checkpoints(seq_dir / "00.rnac", traj, "f64")
+    manifest = seq_dir / "manifest.txt"
+    manifest.write_bytes(b"# \xff\n00.rnac\n")
+    rc = main(["accelerate", str(seq_dir), "--out", str(tmp_path / "o.rnac")])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and str(manifest) in line
+    assert not (tmp_path / "o.rnac").exists()
+
+
 def test_accelerate_bad_file_exit_4(tmp_path, capsys):
     path = tmp_path / "junk.rnac"
     path.write_bytes(b"XXXX" + b"\x00" * 64)
@@ -355,19 +386,26 @@ def test_accelerate_overflowing_ridge_bump_exit_3(tmp_path, capsys):
     assert not (tmp_path / "o.rnac").exists()
 
 
-@pytest.mark.parametrize("target", ["input_file", "inside_input_dir", "below_input_dir"])
+@pytest.mark.parametrize(
+    "target", ["input_file", "inside_input_dir", "below_input_dir", "on_scores"]
+)
 def test_accelerate_out_colliding_with_input_exit_2(tmp_path, capsys, target):
     _, traj = _export_trajectory(tmp_path / "seq.rnac")
     seq_dir = tmp_path / "parts"
     seq_dir.mkdir()
     write_checkpoints(seq_dir / "00.rnac", traj, "f64")
+    scores = tmp_path / "scores.txt"
+    scores.write_text("1.0\n" * len(traj))
     source, out = {
         "input_file": (tmp_path / "seq.rnac", tmp_path / "." / "seq.rnac"),
         "inside_input_dir": (seq_dir, seq_dir / "accel.rnac"),
         "below_input_dir": (seq_dir, seq_dir / "sub" / "accel.rnac"),
+        "on_scores": (tmp_path / "seq.rnac", scores),
     }[target]
+    ranked = ["--lambda-grid", "1e-8,1e-6", "--scores", str(scores)]
+    ranked = ranked if target == "on_scores" else []
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-    rc = main(["accelerate", str(source), "--out", str(out)])
+    rc = main(["accelerate", str(source), "--out", str(out)] + ranked)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: --out ") and err.count("\n") == 1
@@ -395,6 +433,21 @@ def test_accelerate_grid_requires_scores(tmp_path, capsys):
     )
     assert rc == 2
     assert "scores" in capsys.readouterr().err
+
+
+def test_accelerate_scores_without_grid_exit_2(tmp_path, capsys):
+    # Scores only rank a grid: without one they would go unused, miscounted or not.
+    path = tmp_path / "seq.rnac"
+    _export_trajectory(path)
+    scores_path = tmp_path / "scores.txt"
+    scores_path.write_text("1.0\n2.0\n")
+    rc = main(["accelerate", str(path), "--scores", str(scores_path), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "grid" in line
+    assert not (tmp_path / "o").exists()
 
 
 def test_accelerate_grid_with_scores(tmp_path, capsys):

@@ -62,6 +62,17 @@ def test_spec_file_round_trip_lossless(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+def test_spec_to_file_failure_keeps_previous_file(tmp_path):
+    # Spec files are ASCII; a path that is not fails to encode midway through the write.
+    path = tmp_path / "exp.spec"
+    default_spec("quadratic").to_file(path)
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        replace(default_spec("quadratic"), metrics_out="métrics.csv").to_file(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.spec"]
+
+
 def test_spec_defaults_round_trip():
     spec = ExperimentSpec()
     assert ExperimentSpec.from_text(spec.to_text()) == spec
@@ -144,6 +155,27 @@ def test_run_experiment_rejects_one_path_for_both_outputs(tmp_path, monkeypatch)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("target", ["metrics_on_spec", "checkpoint_inside_input_dir"])
+def test_run_experiment_refuses_an_output_on_an_input(tmp_path, monkeypatch, target):
+    def train(*args, **kwargs):
+        raise AssertionError("trained despite an output on an input")
+
+    monkeypatch.setattr("rnacc.experiment.run_with_rna", train)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data").mkdir()
+    (tmp_path / "exp.spec").write_text("epochs = 5\n")
+    inputs = [("the spec file", str(tmp_path / "exp.spec")), ("the data", "data")]
+    key, path, word = {
+        "metrics_on_spec": ("metrics_out", "exp.spec", "is the spec file"),
+        "checkpoint_inside_input_dir": ("checkpoints_out", "data/o.rnac", "lies inside the data"),
+    }[target]
+    spec = replace(default_spec("quadratic"), **{"metrics_out": "m.csv", key: path})
+    with pytest.raises(InvalidConfig, match=f"^{key} {path} {word}"):
+        run_experiment(spec, inputs=inputs)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "exp.spec"]
+    assert (tmp_path / "exp.spec").read_text() == "epochs = 5\n"
+
+
 def test_run_experiment_epoch_validation():
     spec = default_spec("quadratic")
     spec.epochs = 0
@@ -200,6 +232,14 @@ def test_accelerate_checkpoints_grid_needs_scores():
         scores[2] = bad
         with pytest.raises(InvalidConfig, match="scores"):
             accelerate_checkpoints(traj, window=5, lam=1e-8, lam_grid=(1e-8,), scores=scores)
+
+
+def test_accelerate_checkpoints_scores_need_a_grid():
+    # Scores only rank a grid: without one they would go unused, miscounted or not.
+    traj = np.random.default_rng(0).standard_normal((6, 3))
+    for scores in (np.ones(6), np.ones(2)):
+        with pytest.raises(InvalidConfig, match="grid"):
+            accelerate_checkpoints(traj, window=5, lam=1e-8, scores=scores)
 
 
 def test_accelerate_checkpoints_grid_validates_like_plain_path():
@@ -322,3 +362,26 @@ def test_sweep_validation(tmp_path):
     with pytest.raises(InvalidConfig, match="does not take parameters"):
         sweep(replace(spec, problem_params={"bogus": 1}), [4], [1e-8], out_dir)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("target", ["spec_named_summary", "out_dir_inside_input_dir"])
+def test_sweep_refuses_an_output_on_an_input(tmp_path, monkeypatch, target):
+    def train(*args, **kwargs):
+        raise AssertionError("trained despite an output on an input")
+
+    monkeypatch.setattr("rnacc.experiment._train", train)
+    (tmp_path / "data").mkdir()
+    spec_path = tmp_path / "data" / "summary.csv"
+    spec_path.write_text("epochs = 5\n")
+    out_dir, inputs, word = {
+        "spec_named_summary": (
+            tmp_path / "data", [("the spec file", spec_path)], "summary.csv is the spec file"
+        ),
+        "out_dir_inside_input_dir": (
+            tmp_path / "data" / "cells", [("the data", tmp_path / "data")], "lies inside the data"
+        ),
+    }[target]
+    with pytest.raises(InvalidConfig, match=word):
+        sweep(default_spec("quadratic"), [4], [1e-8], out_dir, inputs=inputs)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "summary.csv"]
+    assert spec_path.read_text() == "epochs = 5\n"
