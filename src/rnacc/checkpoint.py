@@ -107,7 +107,7 @@ def write_checkpoints(path, iterates, precision: str = "f64") -> None:
         raise NumericalFailure(f"{path}: iterates exceed f32's range of +-{top:.8g}") from None
     with _replacing(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, dtype.itemsize, mat.shape[1], mat.shape[0]))
-        fh.write(payload.tobytes())
+        fh.write(payload.data)  # the array's own buffer, not a bytes copy
 
 
 def _checkpoint_files(path) -> list:

@@ -24,9 +24,10 @@ from .experiment import (
     _PROBLEMS,
     _SUMMARY_NAME,
     ExperimentSpec,
+    _accelerate,
+    _accelerate_settings,
     _numbers,
     _override,
-    accelerate_checkpoints,
     run_experiment,
     sweep,
 )
@@ -153,6 +154,7 @@ def cmd_run(args) -> int:
 
 
 def _read_scores(path) -> np.ndarray:
+    """The scores file's values; the one check that they are finite on this path."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             values = np.array([float(line) for line in fh if line.strip()])
@@ -167,19 +169,21 @@ def cmd_accelerate(args) -> int:
     # An output inside the input directory would be read back as its newest iterate.
     inputs = [("the input", args.checkpoints), ("--scores", args.scores)]
     _refuse_overwrite([("--out", args.out)], inputs)
-    mat = read_checkpoints(args.checkpoints)
     grid = _numbers(args.lam_grid) if args.lam_grid else None
+    cfg = _accelerate_settings(args.k, args.lam, grid, bool(args.scores))
     scores = _read_scores(args.scores) if args.scores else None
-    theta_hat, lam_star, coeffs = accelerate_checkpoints(
-        mat, window=args.k, lam=args.lam, lam_grid=grid, scores=scores
-    )
-    if args.k + 1 > mat.shape[0]:
+    mat = read_checkpoints(args.checkpoints)
+    count = mat.shape[0]
+    # The matrix is rnacc's own: its window becomes the differences, then is dropped.
+    theta_hat, lam_star, coeffs = _accelerate(mat, cfg, scores, overwrite=True)
+    del mat
+    if args.k + 1 > count:
         print(
             f"warning: window {args.k} wants {args.k + 1} checkpoints, only "
-            f"{mat.shape[0]} available; using all of them",
+            f"{count} available; using all of them",
             file=sys.stderr,
         )
-    write_checkpoints(args.out, [theta_hat], "f64")
+    write_checkpoints(args.out, theta_hat[np.newaxis], "f64")
     if coeffs is None:
         print("candidates ranked worse than the last checkpoint; returned it unchanged")
         print("lambda: none")

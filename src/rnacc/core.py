@@ -1,6 +1,6 @@
 """Regularized nonlinear acceleration of iterate sequences.
 
-Given a window of m successive iterates ``theta_0 .. theta_{m-1}`` of an
+Given a window of m = K+1 successive iterates ``theta_0 .. theta_K`` of an
 optimizer, build the residual matrix ``R`` of consecutive differences,
 solve the ridge-regularized Gram system ``(R^T R + lam*I) z = 1``,
 normalize the solution to unit sum, and return the affine combination
@@ -10,6 +10,15 @@ approximately minimizes the gradient norm of the extrapolated point;
 near a minimum, where the objective is close to quadratic, the window
 spans a Krylov subspace and the extrapolation can land far closer to the
 optimum than the last iterate.
+
+The window is held once, differenced: rows ``0 .. K-1`` hold
+``D_k = theta_{k+1} - theta_k`` (the same bits as ``np.diff``) and row K
+keeps ``theta_K``. The Gram matrix is ``D @ D.T`` and the combination is
+anchored at the newest iterate, ``theta_hat = theta_K - P @ D``, where
+``P`` holds the prefix sums of c (shifted by one for ``LATEST``). Public
+functions difference into a buffer of their own and never write into a
+caller's array; ``rnacc accelerate`` differences the matrix it read in
+place.
 
 Coefficients may be negative; only their sum is constrained. All
 arithmetic is float64 regardless of how iterates were stored.
@@ -175,15 +184,43 @@ def _validated(iterates) -> np.ndarray:
     return mat
 
 
-def _gram(window: np.ndarray) -> np.ndarray:
-    """Return ``R^T R`` for the window's residuals, formed as ``D @ D.T``."""
-    diffs = np.diff(window, axis=0)
+def _differenced(window: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """The window as rows ``theta_{k+1} - theta_k`` for k < K, then ``theta_K``.
+
+    Without ``overwrite`` the rows go to a new C-ordered buffer in one pass. With it
+    ``window``, which the caller owns, is overwritten row by row from the oldest.
+    """
+    if overwrite:
+        for k in range(len(window) - 1):
+            np.subtract(window[k + 1], window[k], out=window[k])
+        return window
+    out = np.empty(window.shape)
+    np.subtract(window[1:], window[:-1], out=out[:-1])
+    out[-1] = window[-1]
+    return out
+
+
+def _gram(diffs: np.ndarray) -> np.ndarray:
+    """Return ``R^T R`` for a :func:`_differenced` window, formed as ``D @ D.T``."""
+    d = diffs[:-1]
     with np.errstate(over="ignore"):  # _solve_gram reports a Gram matrix that overflowed
-        return diffs @ diffs.T
+        return d @ d.T
 
 
-def _combine(window: np.ndarray, weights: np.ndarray, target: WeightTarget) -> np.ndarray:
-    return weights @ (window[1:] if target is WeightTarget.LATEST else window[:-1])
+def _combine(diffs: np.ndarray, weights: np.ndarray, target: WeightTarget) -> np.ndarray:
+    """``sum_k c_k theta_{sigma(k)}`` from a :func:`_differenced` window, as a new array.
+
+    Anchored at the newest iterate: ``theta_K - P @ D``, with ``P`` the prefix sums
+    of c (shifted by one for ``LATEST``). Weights that do not sum to one exactly
+    put ``1 - sum(c)`` on ``theta_K`` inside the same product.
+    """
+    prefix = np.empty(len(diffs))
+    np.cumsum(weights, out=prefix[1:] if target is WeightTarget.LATEST else prefix[:-1])
+    if target is WeightTarget.LATEST:
+        prefix[0] = 0.0
+    prefix[-1] = 1.0 - math.fsum(weights)
+    theta = prefix @ diffs
+    return np.subtract(diffs[-1], theta, out=theta)
 
 
 def build_residuals(iterates) -> np.ndarray:
@@ -318,7 +355,7 @@ def extrapolate(iterates, coefficients, target=WeightTarget.LATEST) -> np.ndarra
             f"{weights.size} coefficients cannot weight {mat.shape[0]} iterates "
             f"(need exactly m - 1)"
         )
-    return _combine(mat, weights, _as_weight_target(target))
+    return _combine(_differenced(mat), weights, _as_weight_target(target))
 
 
 def rna(iterates, config: RnaConfig | None = None) -> tuple[np.ndarray, Coefficients]:
@@ -334,19 +371,23 @@ def rna(iterates, config: RnaConfig | None = None) -> tuple[np.ndarray, Coeffici
         (theta_hat, coefficients).
     """
     cfg = config if config is not None else RnaConfig()
-    window = _validated(iterates)[-(cfg.window + 1):]
-    coeffs = normalize(*_solve_gram(_gram(window), cfg.lam))
-    return _combine(window, coeffs.weights, cfg.weight_target), coeffs
+    return _rna(_differenced(_validated(iterates)[-(cfg.window + 1):]), cfg)
 
 
-def _select_ridge(window, config, rank, fallback_score):
+def _rna(diffs, config):
+    """:func:`rna` on a :func:`_differenced` window."""
+    coeffs = normalize(*_solve_gram(_gram(diffs), config.lam))
+    return _combine(diffs, coeffs.weights, config.weight_target), coeffs
+
+
+def _select_ridge(diffs, config, rank, fallback_score):
     """The ridge-selection policy of :func:`adaptive_rna`, for any ranking.
 
-    One Gram matrix serves every ridge; ``rank(coefficients)`` scores a
-    solved ridge and ``fallback_score`` the last iterate, which wins ties
-    and is returned as (last iterate, None, None).
+    One Gram matrix of the :func:`_differenced` window serves every ridge;
+    ``rank(coefficients)`` scores a solved ridge and ``fallback_score`` the
+    last iterate, which wins ties and is returned as (last iterate, None, None).
     """
-    gram = _gram(window)
+    gram = _gram(diffs)
     best_lam, best_coeffs, best_score = None, None, fallback_score
     for lam in config.lam_grid:
         try:
@@ -357,9 +398,8 @@ def _select_ridge(window, config, rank, fallback_score):
         if s < best_score:
             best_lam, best_coeffs, best_score = lam, coeffs, s
     if best_coeffs is None:
-        return window[-1].copy(), None, None
-    theta_hat = _combine(window, best_coeffs.weights, config.weight_target)
-    return theta_hat, best_lam, best_coeffs
+        return diffs[-1].copy(), None, None
+    return _combine(diffs, best_coeffs.weights, config.weight_target), best_lam, best_coeffs
 
 
 def adaptive_rna(
@@ -384,10 +424,10 @@ def adaptive_rna(
     """
     if config.lam_grid is None:
         raise InvalidConfig("adaptive_rna requires a config with lam_grid set")
-    window = _validated(iterates)[-(config.window + 1):]
+    diffs = _differenced(_validated(iterates)[-(config.window + 1):])
     return _select_ridge(
-        window,
+        diffs,
         config,
-        lambda c: float(score(_combine(window, c.weights, config.weight_target))),
-        float(score(window[-1].copy())),
+        lambda c: float(score(_combine(diffs, c.weights, config.weight_target))),
+        float(score(diffs[-1].copy())),
     )

@@ -18,7 +18,15 @@ import numpy as np
 
 from .checkpoint import _refuse_overwrite, _replacing, _write_table, write_checkpoints
 from .checkpoint import _render as _render_g17, write_metrics
-from .core import Coefficients, RnaConfig, WeightTarget, _select_ridge, _validated, rna
+from .core import (
+    Coefficients,
+    RnaConfig,
+    WeightTarget,
+    _differenced,
+    _rna,
+    _select_ridge,
+    _validated,
+)
 from .errors import InvalidConfig, RnaError, _require_int
 from .optimizers import OptimizerConfig, _replay, _train, run_with_rna
 from .problems import Problem, make_logistic, make_mlp, make_quadratic
@@ -245,6 +253,40 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None, inputs=
     return vanilla, accelerated, problem
 
 
+def _accelerate_settings(window, lam, lam_grid, has_scores: bool) -> RnaConfig:
+    """The settings of :func:`accelerate_checkpoints`, checked before any iterate is read."""
+    cfg = RnaConfig(window=window, lam=lam, lam_grid=lam_grid)
+    if cfg.lam_grid is None and has_scores:
+        raise InvalidConfig("scores rank a lambda grid; without a grid they go unused")
+    if cfg.lam_grid is not None and not has_scores:
+        raise InvalidConfig("ranking a lambda grid requires per-checkpoint scores")
+    return cfg
+
+
+def _accelerate(iterates, cfg: RnaConfig, scores, overwrite: bool = False):
+    """:func:`accelerate_checkpoints` on checked settings and finite float64 scores.
+
+    With ``overwrite`` the window of ``iterates``, a float64 matrix the caller
+    owns and no longer needs, is differenced in place instead of into a copy.
+    """
+    mat = _validated(iterates)
+    if scores is not None and scores.size != mat.shape[0]:
+        raise InvalidConfig(
+            f"{scores.size} scores for {mat.shape[0]} checkpoints; counts must match"
+        )
+    diffs = _differenced(mat[-(cfg.window + 1):], overwrite)
+    if cfg.lam_grid is None:
+        theta_hat, coeffs = _rna(diffs, cfg)
+        return theta_hat, coeffs.lam_used, coeffs
+    tail_scores = scores[-(cfg.window + 1):]
+    return _select_ridge(
+        diffs,
+        cfg,
+        lambda c: float(c.weights @ tail_scores[1:]),
+        float(tail_scores[-1]),
+    )
+
+
 def accelerate_checkpoints(
     iterates,
     window: int,
@@ -264,31 +306,14 @@ def accelerate_checkpoints(
     Returns (theta_hat, lam_star, coefficients) with None markers for
     the fallback. Bad settings, scores without a grid and missing, miscounted
     or non-finite scores raise InvalidConfig; bad iterates raise as in
-    :func:`rnacc.rna`.
+    :func:`rnacc.rna`. ``iterates`` is never written to.
     """
-    cfg = RnaConfig(window=window, lam=lam, lam_grid=lam_grid)
-    if cfg.lam_grid is None:
-        if scores is not None:
-            raise InvalidConfig("scores rank a lambda grid; without a grid they go unused")
-        theta_hat, coeffs = rna(iterates, cfg)
-        return theta_hat, coeffs.lam_used, coeffs
-    if scores is None:
-        raise InvalidConfig("ranking a lambda grid requires per-checkpoint scores")
-    mat = _validated(iterates)
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    if scores.size != mat.shape[0]:
-        raise InvalidConfig(
-            f"{scores.size} scores for {mat.shape[0]} checkpoints; counts must match"
-        )
-    if not np.isfinite(scores).all():
-        raise InvalidConfig("scores contain NaN or infinite values")
-    tail_scores = scores[-(cfg.window + 1):]
-    return _select_ridge(
-        mat[-(cfg.window + 1):],
-        cfg,
-        lambda c: float(c.weights @ tail_scores[1:]),
-        float(tail_scores[-1]),
-    )
+    cfg = _accelerate_settings(window, lam, lam_grid, scores is not None)
+    if scores is not None:
+        scores = np.asarray(scores, dtype=np.float64).ravel()
+        if not np.isfinite(scores).all():
+            raise InvalidConfig("scores contain NaN or infinite values")
+    return _accelerate(iterates, cfg, scores)
 
 
 @dataclass(frozen=True)

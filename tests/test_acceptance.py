@@ -11,14 +11,24 @@ recovery at a rel err of 0.139; there it checks that ``rna`` lands
 exactly where the oracle's exact arithmetic does.
 """
 
+import io
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rnacc import (
+    FormatError,
+    InvalidConfig,
     OptimizerConfig,
     RnaConfig,
+    RnaError,
+    WindowTooSmall,
+    accelerate_checkpoints,
     make_logistic,
     make_mlp,
     make_quadratic,
@@ -29,6 +39,7 @@ from rnacc import (
     solve_regularized,
     write_checkpoints,
 )
+from rnacc.checkpoint import _DTYPES, _HEADER, _WIDTHS, MAGIC, VERSION
 from rnacc.cli import build_parser, main
 from rnacc.optimizers import learning_rate
 
@@ -472,3 +483,96 @@ def test_c11_file_layer_fidelity(tmp_path, capsys):
     assert rc == 0
     assert bitwise
     assert near_optimum
+
+
+_GRID = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+
+
+@st.composite
+def _stored_sequences(draw):
+    """An iterate matrix, how it is stored, and the accelerate settings to run on it."""
+    m, d = draw(st.integers(2, 14)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["trajectory", "noise", "duplicated", "constant"]))
+    if kind == "trajectory":
+        limit, error, rates = rng.standard_normal((3, d))
+        mat = limit + error * (0.5 + 0.499 * np.abs(np.tanh(rates))) ** np.arange(1, m + 1)[:, None]
+    else:
+        mat = rng.standard_normal((m, d))
+        if kind == "duplicated":
+            mat = mat[np.sort(rng.integers(0, m, m))]
+        elif kind == "constant":
+            mat[:] = mat[0]
+    mat *= 10.0 ** draw(st.integers(-8, 8))
+    precision = draw(st.sampled_from(["f64", "f32"]))
+    if precision == "f32":  # both sides see the values the file holds
+        mat = mat.astype(np.float32).astype(np.float64)
+    if draw(st.sampled_from([False, False, False, True])):  # at most one non-finite row
+        mat[draw(st.integers(0, m - 1)), rng.integers(0, d)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    layout = draw(st.sampled_from(["file", "split", "manifest"]))
+    cuts = draw(st.sets(st.integers(1, m - 1))) if layout != "file" and m > 2 else set()
+    relation = draw(st.sampled_from([-1, 0, 1]))  # K below, at or above m - 1
+    window = max(1, m - 1 + relation * draw(st.integers(1, 3)))
+    lam = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-2]))
+    grid = draw(st.none() | st.sets(st.sampled_from(_GRID), min_size=1).map(sorted).map(tuple))
+    scores = None
+    if grid is not None:
+        scores = rng.standard_normal(m + draw(st.sampled_from([0, 0, 0, 1])))  # now and then miscounted
+    return mat, precision, layout, sorted(cuts), rng.permutation(len(cuts) + 1), window, lam, grid, scores
+
+
+def _write_raw(path, rows, precision) -> None:
+    """A checkpoint file as ``write_checkpoints`` lays it out, NaN and infinities included."""
+    dtype = _DTYPES[_WIDTHS[precision]]
+    header = _HEADER.pack(MAGIC, VERSION, dtype.itemsize, rows.shape[1], rows.shape[0])
+    Path(path).write_bytes(header + rows.astype(dtype).tobytes())
+
+
+def _exit_code(exc: RnaError) -> int:
+    if isinstance(exc, (InvalidConfig, WindowTooSmall)):
+        return 2
+    return 4 if isinstance(exc, FormatError) else 3
+
+
+@settings(max_examples=200)
+@given(_stored_sequences())
+def test_c11_every_layout_gives_the_in_memory_bits(case):
+    # C11 over drawn inputs: one file, a directory of parts or a directory whose
+    # manifest pins a shuffled order, f64 or f32, any window and ridge, with or
+    # without a scored grid. rnacc accelerate exits as the in-memory call does:
+    # on success its file holds write_checkpoints of the in-memory theta_hat,
+    # on failure its one error line carries the in-memory message.
+    mat, precision, layout, cuts, order, window, lam, grid, scores = case
+    try:
+        theta, _, _ = accelerate_checkpoints(mat, window, lam, grid, scores)
+        want_code, message = 0, None
+    except RnaError as exc:
+        want_code, message = _exit_code(exc), str(exc)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if layout == "file":
+            source = tmp / "seq.rnac"
+            _write_raw(source, mat, precision)
+        else:
+            source = tmp / "parts"
+            source.mkdir()
+            names = [f"{i:02d}.rnac" for i in (order if layout == "manifest" else range(len(order)))]
+            for name, rows in zip(names, np.split(mat, cuts)):
+                _write_raw(source / name, rows, precision)
+            if layout == "manifest":
+                (source / "manifest.txt").write_text("\n".join(names) + "\n")
+        out = tmp / "accel.rnac"
+        argv = ["accelerate", str(source), "--k", str(window), "--lambda", repr(lam), "--out", str(out)]
+        if grid is not None:
+            (tmp / "scores.txt").write_text("".join(f"{s!r}\n" for s in scores.tolist()))
+            argv += ["--lambda-grid", ",".join(map(repr, grid)), "--scores", str(tmp / "scores.txt")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+        assert code == want_code, stderr.getvalue()
+        if message is not None:
+            assert stderr.getvalue() == f"error: {message}\n"
+            assert stdout.getvalue() == "" and not out.exists()
+        else:
+            write_checkpoints(tmp / "expected.rnac", [theta], "f64")
+            assert out.read_bytes() == (tmp / "expected.rnac").read_bytes()

@@ -501,6 +501,63 @@ def test_accelerate_bad_scores_file_exit_2(tmp_path, capsys, bad_line):
     assert not (tmp_path / "o.rnac").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lambda-grid", "1e-6,1e-8", "--scores", "{scores}"], "strictly increasing"),
+        (["--scores", "{scores}"], "without a grid"),
+        (["--lambda-grid", "1e-8,1e-6", "--scores", "{bad_scores}"], "bad_scores.txt"),
+    ],
+    ids=["descending-grid", "scores-without-grid", "bad-scores-file"],
+)
+def test_accelerate_checks_settings_before_reading_payloads(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    def never(path):
+        raise AssertionError("read_checkpoints called before the settings were checked")
+
+    monkeypatch.setattr("rnacc.cli.read_checkpoints", never)
+    path = tmp_path / "seq.rnac"
+    _, traj = _export_trajectory(path)
+    (tmp_path / "scores.txt").write_text("1.0\n" * len(traj))
+    (tmp_path / "bad_scores.txt").write_text("1.0\nnan\n")
+    named = {"scores": tmp_path / "scores.txt", "bad_scores": tmp_path / "bad_scores.txt"}
+    argv = ["accelerate", str(path), "--out", str(tmp_path / "o.rnac")]
+    assert main(argv + [flag.format(**named) for flag in flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.rnac").exists()
+
+
+def test_accelerate_holds_one_float64_matrix(tmp_path, capsys):
+    # 12 one-iterate f32 files: the matrix read_checkpoints returns is 12 rows of
+    # d float64s, and the differences, the combination and the write add at most
+    # two rows more. A copy of the window for its differences would add ten.
+    import tracemalloc
+
+    d, count = 50_000, 12
+    rng = np.random.default_rng(8)
+    x_star, error, rates = rng.standard_normal(d), rng.standard_normal(d), rng.uniform(0.9, 0.999, d)
+    source = tmp_path / "ckpts"
+    source.mkdir()
+    for t in range(1, count + 1):
+        write_checkpoints(source / f"{t:02d}.rnac", [x_star + error * rates**t], "f32")
+    scores = tmp_path / "scores.txt"
+    scores.write_text("".join(f"{1.0 / t!r}\n" for t in range(1, count + 1)))
+    argv = [
+        "accelerate", str(source), "--lambda-grid", "1e-10,1e-8,1e-6",
+        "--scores", str(scores), "--out", str(tmp_path / "o.rnac"),
+    ]
+    assert main(argv) == 0  # the first call pays for imports and caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= (count + 2) * d * 8, f"peak {peak / (d * 8):.1f} rows of d float64s"
+
+
 # ------------------------------------------------------------------- sweep
 
 

@@ -396,6 +396,62 @@ def test_rna_unit_sum_property(m, d, seed, lam):
     assert len(coeffs.weights) == m - 1
 
 
+def _random_windows(count, seed):
+    """(kind, window) pairs: iterates of a linearly converging method, or noise,
+    2-12 iterates of 1-30 entries at a scale from 1e-8 to 1e8."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        m, d = int(rng.integers(2, 13)), int(rng.integers(1, 31))
+        scale = 10.0 ** rng.uniform(-8.0, 8.0)
+        if i % 2:
+            limit, error, rates = rng.standard_normal((3, d))
+            rates = 0.5 + 0.499 * np.abs(np.tanh(rates))
+            yield "trajectory", scale * (limit + error * rates ** np.arange(1, m + 1)[:, None])
+        else:
+            yield "noise", scale * rng.standard_normal((m, d))
+
+
+@pytest.mark.parametrize("target", list(WeightTarget), ids=lambda t: t.value)
+def test_extrapolate_and_rna_share_one_combination(target):
+    for _, window in _random_windows(60, seed=16):
+        cfg = RnaConfig(window=len(window) - 1, weight_target=target)
+        theta_hat, coeffs = rna(window, cfg)
+        np.testing.assert_array_equal(extrapolate(window, coeffs, target), theta_hat)
+
+
+@pytest.mark.parametrize("target", list(WeightTarget), ids=lambda t: t.value)
+def test_anchored_combination_error_against_exact_arithmetic(target):
+    # theta_hat = theta_K - P @ D rounds the differences D, the prefix sums P of c
+    # and one product, so each coordinate lies within
+    #   (K + 1) * eps * (|theta_K| + sum_j Q_j (|theta_j| + |theta_{j+1}|))
+    # of the exact sum_k c_k theta_sigma(k), with Q_j the sum of the |c_k| that
+    # P_j adds up. On iterates of a converging method under LATEST, rnacc's
+    # default, it also stays within K * eps * sum_k |c_k| |theta_sigma(k)|, the
+    # bound of a plain c @ X. On noise, or under OLDEST, whose weights leave out
+    # the anchor theta_K, it need not.
+    from fractions import Fraction
+
+    eps = np.finfo(np.float64).eps
+    latest = target is WeightTarget.LATEST
+    for kind, window in _random_windows(120, seed=16):
+        k = len(window) - 1
+        scale2 = float(np.abs(window).max()) ** 2
+        theta_hat, coeffs = rna(window, RnaConfig(window=k, lam=1e-10 * scale2, weight_target=target))
+        c = coeffs.weights
+        weighted = window[1:] if latest else window[:-1]
+        q = np.cumsum(np.abs(c))
+        q = np.concatenate(([0.0], q[:-1])) if latest else q
+        steps = np.abs(window[1:]) + np.abs(window[:-1])
+        anchored = (k + 1) * eps * (np.abs(window[-1]) + q @ steps)
+        plain = k * eps * (np.abs(c) @ np.abs(weighted))
+        for i in range(window.shape[1]):
+            exact = sum(Fraction(w) * Fraction(x) for w, x in zip(c.tolist(), weighted[:, i].tolist()))
+            error = abs(Fraction(theta_hat[i]) - exact)
+            assert error <= anchored[i]
+            if latest and kind == "trajectory":
+                assert error <= plain[i]
+
+
 # ------------------------------------------------------------ adaptive rna
 
 

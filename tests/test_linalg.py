@@ -80,7 +80,10 @@ def _trajectory(spec) -> list:
 
 def _grams(thetas, k):
     """The Gram matrix of every window that ``run_with_rna`` extrapolates."""
-    return [core._gram(np.vstack(thetas[max(0, t - k) : t + 1])) for t in range(1, len(thetas))]
+    return [
+        core._gram(core._differenced(np.vstack(thetas[max(0, t - k) : t + 1])))
+        for t in range(1, len(thetas))
+    ]
 
 
 def _bits(solve, a):
@@ -146,7 +149,7 @@ def test_refined_solve_near_scipy_on_duplicated_rows():
         for t in range(10, len(thetas)):
             window = np.vstack(thetas[t - 10 : t + 1])
             for rows in _DUPLICATED_ROWS:
-                gram = core._gram(window[rows])
+                gram = core._gram(core._differenced(window[rows]))
                 usual += [(gram, lam) for lam in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)]
                 tiny.append((gram, 1e-18 * float(np.trace(gram))))
     for systems, rtol in ((usual, 1e-15), (tiny, 1e-7)):
