@@ -128,8 +128,8 @@ class Coefficients:
 
     Attributes:
         weights: Length-K unit-sum coefficient vector c.
-        lam_used: Ridge that actually entered the solve (it may exceed
-            the requested one by a one-shot trace-scaled bump), or
+        lam_used: Ridge that entered the solve (a positive request is
+            floored at ``10 * eps`` times the Gram matrix's trace), or
             ``None`` when not applicable.
         raw_solution: The pre-normalization solution z of the Gram
             system.
@@ -238,39 +238,31 @@ def build_residuals(iterates) -> np.ndarray:
     return np.diff(_validated(iterates), axis=0).T
 
 
-def _shifted_solve(gram: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (gram + lam*I) z = 1; a shifted matrix that overflowed raises NumericalFailure."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf ridge times I's zeros is NaN
-        shifted = gram + lam * np.eye(gram.shape[0])
-    if not np.isfinite(shifted).all():
-        raise NumericalFailure(f"residual Gram matrix is not finite with the ridge {lam:g} added")
-    return refined_spd_solve(shifted, np.ones(gram.shape[0]))
-
-
 def _solve_gram(gram: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
-    """Solve (gram + lam*I) z = 1, bumping lam once on factorization failure.
+    """Solve (gram + lam*I) z = 1 once; return (z, the ridge that entered the solve).
 
-    Returns (z, effective lam). The bump adds ``10 * eps * trace(gram)``,
-    enough to absorb the rounding incurred while forming the Gram matrix;
-    it is attempted only for lam > 0, since lam == 0 with a singular
-    Gram is a caller error by contract. A Gram matrix that overflowed,
-    or overflows once the ridge is added, raises NumericalFailure.
+    A positive lam is floored at ``10 * eps * trace(gram)``, the rounding incurred
+    while forming the Gram matrix, which keeps cond(gram + lam*I) below about
+    4.5e14; lam == 0 is used as given, since a singular Gram matrix is then a
+    caller error by contract. A Gram matrix that overflowed, or overflows once the
+    ridge is added, raises NumericalFailure; one that does not factor raises
+    SingularSystem.
     """
     if not np.isfinite(gram).all():
         raise NumericalFailure("residual Gram matrix is not finite: the residuals overflow")
-    try:
-        return _shifted_solve(gram, lam), lam
-    except np.linalg.LinAlgError:
+    # The floor overflows with the trace, and an inf ridge times I's zeros is NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
         if lam > 0.0:
-            with np.errstate(over="ignore"):  # an infinite bump is reported by _shifted_solve
-                bumped = lam + 10.0 * np.finfo(np.float64).eps * float(np.trace(gram))
-            try:
-                return _shifted_solve(gram, bumped), bumped
-            except np.linalg.LinAlgError:
-                pass
+            lam = max(lam, float(10.0 * np.finfo(np.float64).eps * np.trace(gram)))
+        shifted = gram + lam * np.eye(gram.shape[0])
+    if not np.isfinite(shifted).all():
+        raise NumericalFailure(f"residual Gram matrix is not finite with the ridge {lam:g} added")
+    try:
+        return refined_spd_solve(shifted, np.ones(gram.shape[0])), lam
+    except np.linalg.LinAlgError:
         raise SingularSystem(
             "residual Gram matrix is numerically singular"
-            + (" at lam=0; use lam > 0" if lam == 0.0 else f" even at lam={lam:g}")
+            + (" at lam=0; use lam > 0" if lam == 0.0 else f" at lam={lam:g}")
         ) from None
 
 
@@ -278,21 +270,20 @@ def solve_regularized(residuals: np.ndarray, lam: float) -> np.ndarray:
     """Solve ``(R^T R + lam*I) z = 1`` for the raw combination weights.
 
     Forms the K x K Gram matrix explicitly (O(K^2 d)) and solves by
-    Cholesky with exact-residual refinement (O(K^3)). If the requested
-    ``lam`` is positive but rounding makes the shifted Gram numerically
-    indefinite, the ridge is bumped once by ``10 * eps * trace(R^T R)``
-    before giving up.
+    Cholesky with exact-residual refinement (O(K^3)). A positive ``lam``
+    below ``10 * eps * trace(R^T R)``, the Gram matrix's own rounding, is
+    raised to that floor.
 
     Args:
         residuals: d x K residual matrix.
-        lam: Ridge parameter, >= 0. ``lam == 0`` requires a numerically
-            nonsingular Gram matrix.
+        lam: Ridge parameter, >= 0. ``lam == 0`` is not floored and
+            requires a numerically nonsingular Gram matrix.
 
     Returns:
         z of length K.
 
     Raises:
-        SingularSystem: Rank-deficient system that the bump cannot fix.
+        SingularSystem: A system that does not factor, even at the floor.
         NumericalFailure: Non-finite entries in ``residuals``, or a Gram
             matrix that overflows.
         InvalidConfig: Negative or non-finite ``lam``.

@@ -31,8 +31,9 @@ class SingularSystem(RnaError):
 
     Raised when ``lam == 0`` and the residual Gram matrix is rank
     deficient (for example after duplicated consecutive iterates), or
-    when even the one-shot trace-scaled bump cannot restore positive
-    definiteness. Use ``lam > 0``.
+    when the Gram matrix plus a positive ridge, floored at ``10 * eps``
+    times its trace, is still not numerically positive definite. Use
+    ``lam > 0``.
     """
 
 

@@ -156,17 +156,17 @@ class ExperimentSpec:
         return _override(cls(problem=problem), values)
 
     def to_file(self, path) -> None:
-        with _replacing(path, "w", encoding="ascii") as fh:
+        with _replacing(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_text())
 
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
-        """Read a spec file, which is ASCII text; any other byte raises InvalidConfig."""
+        """Read a spec file, which is UTF-8 text; an undecodable byte raises InvalidConfig."""
         try:
-            with open(path, "r", encoding="ascii") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except UnicodeDecodeError as exc:
-            msg = f"{path}: not ASCII text ({exc.reason} at byte {exc.start})"
+            msg = f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
             raise InvalidConfig(msg) from None
         return cls.from_text(text)
 

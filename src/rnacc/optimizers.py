@@ -152,8 +152,10 @@ class EpochRecord:
 class AccelRecord:
     """Per-epoch extrapolation result, recorded next to the vanilla trace.
 
-    ``lam_used`` is None when the entry is a plain copy of the iterate
-    (window not yet filled, solve failed, or adaptive fallback).
+    ``lam_used`` is the ridge that entered the solve,
+    :attr:`Coefficients.lam_used`, with or without a grid. It is None when
+    the entry is a plain copy of the iterate (window not yet filled, solve
+    failed, or adaptive fallback).
     """
 
     epoch: int
@@ -240,10 +242,10 @@ def _replay(problem, vanilla, rna_cfg, opt_cfg, flush_on_drop) -> list[AccelReco
             window = np.vstack([r.theta for r in vanilla[lo : t + 1]])
             try:
                 if rna_cfg.lam_grid is not None:
-                    theta_hat, lam_used, _ = adaptive_rna(window, rna_cfg, problem.f)
+                    theta_hat, _, coeffs = adaptive_rna(window, rna_cfg, problem.f)
                 else:
                     theta_hat, coeffs = rna(window, rna_cfg)
-                    lam_used = coeffs.lam_used
+                lam_used = None if coeffs is None else coeffs.lam_used
             except DegenerateSum:
                 theta_hat, lam_used = record.theta, None
         accelerated.append(

@@ -5,18 +5,20 @@ solved through a full eigendecomposition (escalating to mpmath when the
 float64 one cannot resolve the spectrum), the logistic optimum comes from
 plain gradient descent, and all other references are brute-force
 re-derivations. The one exception is ``scipy_refined_spd_solve``, the
-refined solve as it stood on scipy's Cholesky routines, kept to pin the
-bits of the numpy-only solve.
+refined solve on scipy's Cholesky routines, kept to pin the bits of the
+numpy-only solve.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from mpmath import mp
 from scipy.linalg import cho_factor, cho_solve
 
 from rnacc.errors import NumericalFailure
-from rnacc.linalg import exact_residual
+from rnacc.linalg import _MAX_REFINE_STEPS, _REFINE_RTOL, exact_residual
 
 # Below this eigenvalue ratio the float64 eigendecomposition can no
 # longer place the small eigenvalues accurately enough, so the solve is
@@ -91,27 +93,26 @@ def logistic_gd_reference(grad, dim, eta, tol=1e-12, max_iters=2_000_000):
     )
 
 
-# The refinement settings of scipy_refined_spd_solve, fixed here so that a
-# change to rnacc.linalg's shows up as a change of bits.
-_REFINE_RTOL = 1e-15
-_MAX_REFINE_STEPS = 4
-
-
 def scipy_refined_spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ z = b`` for symmetric positive definite ``a``.
 
-    Cholesky factorization followed by iterative refinement with
-    exactly rounded residuals. Raises ``np.linalg.LinAlgError`` if the
-    factorization fails (matrix not numerically positive definite).
-    The caller guarantees that ``a`` and ``b`` are finite: neither is
-    checked here.
+    ``rnacc.linalg.refined_spd_solve``'s refinement, with its step cap,
+    tolerance and stopping rules, on scipy's Cholesky factor and solves:
+    the two differ only in the factorization. Raises
+    ``np.linalg.LinAlgError`` if the factorization fails (matrix not
+    numerically positive definite). The caller guarantees that ``a`` and
+    ``b`` are finite: neither is checked here.
     """
     factor = cho_factor(a, lower=True, check_finite=False)
     z = cho_solve(factor, b, check_finite=False)
+    previous = math.inf
     for _ in range(_MAX_REFINE_STEPS):
-        r = exact_residual(a, z, b)
-        step = cho_solve(factor, r, check_finite=False)
-        z = z + step
-        if np.linalg.norm(step) <= _REFINE_RTOL * np.linalg.norm(z):
+        step = cho_solve(factor, exact_residual(a, z, b), check_finite=False)
+        size = np.linalg.norm(step)
+        if not size < previous:
             break
+        z = z + step
+        if size <= _REFINE_RTOL * np.linalg.norm(z):
+            break
+        previous = size
     return z

@@ -140,7 +140,7 @@ def test_run_output_on_spec_or_other_output_exit_2(tmp_path, capsys, monkeypatch
 def test_undecodable_spec_file_exit_2(tmp_path, capsys, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     spec_path = tmp_path / "exp.spec"
-    spec_path.write_bytes("# café\nepochs = 3\n".encode("utf-8"))
+    spec_path.write_bytes(b"# \xff\nepochs = 3\n")
     argv = {"run": [], "sweep": ["--k-list", "2", "--lambda-list", "1e-8"]}[command]
     assert main([command, "--spec", str(spec_path)] + argv) == 2
     captured = capsys.readouterr()
@@ -376,7 +376,7 @@ def test_accelerate_overflowing_gram_exit_3(tmp_path, capsys):
     assert not (tmp_path / "o.rnac").exists()
 
 
-def test_accelerate_overflowing_ridge_bump_exit_3(tmp_path, capsys):
+def test_accelerate_overflowing_ridge_floor_exit_3(tmp_path, capsys):
     path = tmp_path / "far.rnac"
     write_checkpoints(path, np.array([[0.0], [1e154], [2e154]]), "f64")
     rc = main(["accelerate", str(path), "--k", "2", "--out", str(tmp_path / "o.rnac")])

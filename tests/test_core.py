@@ -1,6 +1,7 @@
 """Extrapolation pipeline: spec'd examples, invariants, property tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ def test_solve_input_validation():
         solve_regularized(np.ones(3), 1e-8)
 
 
-def test_solve_reports_a_ridge_bump_that_fails(monkeypatch):
+def test_solve_tries_the_floored_ridge_once(monkeypatch):
     import rnacc.core as core
 
     tried = []
@@ -132,9 +133,10 @@ def test_solve_reports_a_ridge_bump_that_fails(monkeypatch):
         raise np.linalg.LinAlgError("forced")
 
     monkeypatch.setattr(core, "refined_spd_solve", not_positive_definite)
-    with pytest.raises(SingularSystem, match="even at lam=1e-08"):
-        solve_regularized(np.eye(2), 1e-8)
-    assert len(tried) == 2 and tried[1] > tried[0]  # the bumped ridge was tried too
+    floor = 10.0 * np.finfo(np.float64).eps * 2.0  # trace(I) = 2
+    with pytest.raises(SingularSystem, match=re.escape(f"at lam={floor:g}")):
+        solve_regularized(np.eye(2), 1e-20)
+    assert tried == [1.0 + floor]  # one try, at the floor
 
 
 def test_solver_residual_bound_in_operating_regime():
@@ -188,8 +190,8 @@ def test_normalize_rejects_nonfinite():
 
 # Finite iterates whose differences square past the float64 range.
 _OVERFLOWING = np.array([[0.0], [1e200], [0.0]])
-# A finite, singular Gram matrix whose ridge bump, 10 * eps * trace, overflows.
-_BUMP_OVERFLOWS = np.array([[0.0], [1e154], [2e154]])
+# A finite, singular Gram matrix whose ridge floor, 10 * eps * trace, overflows.
+_FLOOR_OVERFLOWS = np.array([[0.0], [1e154], [2e154]])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -202,9 +204,9 @@ _BUMP_OVERFLOWS = np.array([[0.0], [1e154], [2e154]])
             _OVERFLOWING, 10, 1e-8, lam_grid=(1e-8, 1e-6), scores=[3.0, 2.0, 1.0]
         ),
         lambda: solve_regularized(np.array([[1e200]]), 1e-8),
-        lambda: rna(_BUMP_OVERFLOWS),
+        lambda: rna(_FLOOR_OVERFLOWS),
         lambda: rna(np.array([[0.0], [1e154], [0.0]]), RnaConfig(lam=1.7e308)),
-        lambda: adaptive_rna(_BUMP_OVERFLOWS, RnaConfig(lam_grid=(1e-8,)), lambda t: 0.0),
+        lambda: adaptive_rna(_FLOOR_OVERFLOWS, RnaConfig(lam_grid=(1e-8,)), lambda t: 0.0),
         lambda: solve_regularized(np.array([[1e154, 1e154]]), 1e-8),
     ],
     ids=[
@@ -212,10 +214,10 @@ _BUMP_OVERFLOWS = np.array([[0.0], [1e154], [2e154]])
         "adaptive_rna",
         "accelerate_checkpoints",
         "solve_regularized",
-        "rna_bumped_ridge",
+        "rna_floored_ridge",
         "rna_huge_ridge",
-        "adaptive_rna_bumped_ridge",
-        "solve_regularized_bumped_ridge",
+        "adaptive_rna_floored_ridge",
+        "solve_regularized_floored_ridge",
     ],
 )
 def test_overflowing_gram_is_a_numerical_failure(entry):
@@ -341,15 +343,16 @@ def test_rna_residual_norm_optimal_at_zero_ridge():
 
 def test_rna_scale_equivariance_power_of_two_is_bitwise():
     # Powers of two rescale residuals without rounding, so the
-    # coefficients must come out bit-identical.
+    # coefficients must come out bit-identical. At 1e-20 * trace the
+    # ridge is floored at 10 * eps * trace, which scales with s^2 too.
     rng = np.random.default_rng(55)
     seq = rng.standard_normal((9, 25))
     r = np.diff(seq, axis=0).T
-    lam = 1e-8 * np.trace(r.T @ r)
-    base = normalize(solve_regularized(r, lam)).weights
-    for s in (2.0**-12, 2.0**9):
-        scaled = normalize(solve_regularized(s * r, s * s * lam)).weights
-        np.testing.assert_array_equal(base, scaled)
+    for lam in (1e-8 * np.trace(r.T @ r), 1e-20 * np.trace(r.T @ r)):
+        base = normalize(solve_regularized(r, lam)).weights
+        for s in (2.0**-12, 2.0**9):
+            scaled = normalize(solve_regularized(s * r, s * s * lam)).weights
+            np.testing.assert_array_equal(base, scaled)
 
 
 def test_rna_quadratic_exactness_invariant_feasible_spectra():

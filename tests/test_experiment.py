@@ -63,14 +63,22 @@ def test_spec_file_round_trip_lossless(tmp_path):
 
 
 def test_spec_to_file_failure_keeps_previous_file(tmp_path):
-    # Spec files are ASCII; a path that is not fails to encode midway through the write.
+    # Spec files are UTF-8; a lone surrogate fails to encode midway through the write.
     path = tmp_path / "exp.spec"
     default_spec("quadratic").to_file(path)
     before = path.read_bytes()
     with pytest.raises(UnicodeEncodeError):
-        replace(default_spec("quadratic"), metrics_out="métrics.csv").to_file(path)
+        replace(default_spec("quadratic"), metrics_out="m\udce9trics.csv").to_file(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["exp.spec"]
+
+
+def test_spec_file_round_trips_a_non_ascii_output_path(tmp_path):
+    spec = replace(default_spec("quadratic"), metrics_out="métrics.csv")
+    path = tmp_path / "exp.spec"
+    spec.to_file(path)
+    assert "métrics.csv".encode("utf-8") in path.read_bytes()
+    assert ExperimentSpec.from_file(path) == spec
 
 
 def test_spec_defaults_round_trip():

@@ -22,6 +22,7 @@ from rnacc import (
     sgd_momentum_epoch,
     write_metrics,
 )
+from rnacc import core
 
 
 def _scalar_bowl():
@@ -224,6 +225,23 @@ def test_run_with_rna_adaptive_never_worse_than_iterate():
     vanilla, accel = run_with_rna(p, cfg, rna_cfg, epochs=25)
     for v, a in zip(vanilla, accel):
         assert a.objective <= v.objective
+
+
+def test_run_with_rna_records_the_ridge_that_entered_the_solve():
+    # A grid entry below the floor 10 * eps * trace(G) is solved at the floor,
+    # and the record says so, as it does without a grid.
+    p = make_quadratic(8, 10.0, seed=6)
+    cfg = OptimizerConfig(eta=1.0 / p.smoothness, momentum=0.0, weight_decay=0.0)
+    vanilla, accel = run_with_rna(p, cfg, RnaConfig(window=5, lam_grid=(1e-30,)), epochs=20)
+    extrapolated = 0
+    for t, a in enumerate(accel):
+        if a.lam_used is None:
+            continue
+        window = np.vstack([v.theta for v in vanilla[max(0, t - 5) : t + 1]])
+        gram = core._gram(core._differenced(window))
+        assert a.lam_used == 10.0 * np.finfo(np.float64).eps * float(np.trace(gram))
+        extrapolated += 1
+    assert extrapolated >= 10
 
 
 def test_run_with_rna_singular_config_raises():
