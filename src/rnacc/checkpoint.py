@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -113,8 +114,8 @@ def write_checkpoints(path, iterates, precision: str = "f64") -> None:
 def _checkpoint_files(path) -> list:
     """``[path]`` for a file, else a directory's files by name, skipping dot-files such
     as a writer's temporary file, or in the order its ``manifest.txt`` (one name per
-    line, ``#`` comments) pins; a manifest name that resolves outside the directory is
-    a FormatError.
+    line, ``#`` comments) pins; a manifest name that resolves outside the directory, or
+    two names that resolve to one file, are a FormatError.
     """
     if not os.path.isdir(path):
         return [path]
@@ -132,10 +133,14 @@ def _checkpoint_files(path) -> list:
             if line.strip() and not line.strip().startswith("#")
         ]
         files = [root / name for name in names]
-        inside = root.resolve()
-        outside = [n for n, f in zip(names, files) if inside not in f.resolve().parents]
+        inside, resolved = root.resolve(), [f.resolve() for f in files]
+        outside = [n for n, r in zip(names, resolved) if inside not in r.parents]
         if outside:
             raise FormatError(f"{path}: manifest names files outside the directory {outside}")
+        counts = Counter(resolved)
+        repeated = sorted({n for n, r in zip(names, resolved) if counts[r] > 1})
+        if repeated:
+            raise FormatError(f"{path}: manifest names one file more than once {repeated}")
         missing = [f.name for f in files if not f.is_file()]
         if missing:
             raise FormatError(f"{path}: manifest names missing files {missing}")

@@ -147,7 +147,10 @@ def cmd_run(args) -> int:
     spec = _spec_from_args(args)
     vanilla, accelerated, _ = run_experiment(spec, inputs=[("the spec file", args.spec)])
     last_v, last_a = vanilla[-1], accelerated[-1]
-    print(f"wrote {spec.metrics_out} ({len(vanilla)} epochs)")
+    if spec.metrics_out:
+        print(f"wrote {spec.metrics_out} ({len(vanilla)} epochs)")
+    if spec.checkpoints_out:
+        print(f"wrote {spec.checkpoints_out}")
     print(f"final objective        : {last_v.objective:.10e}")
     print(f"final objective (accel): {last_a.objective:.10e}")
     return 0
@@ -175,7 +178,7 @@ def cmd_accelerate(args) -> int:
     mat = read_checkpoints(args.checkpoints)
     count = mat.shape[0]
     # The matrix is rnacc's own: its window becomes the differences, then is dropped.
-    theta_hat, lam_star, coeffs = _accelerate(mat, cfg, scores, overwrite=True)
+    theta_hat, _, coeffs = _accelerate(mat, cfg, scores, overwrite=True)
     del mat
     if args.k + 1 > count:
         print(
@@ -188,7 +191,7 @@ def cmd_accelerate(args) -> int:
         print("candidates ranked worse than the last checkpoint; returned it unchanged")
         print("lambda: none")
     else:
-        print(f"lambda: {lam_star!r}")
+        print(f"lambda: {coeffs.lam_used!r}")  # the ridge that entered the solve
         print("coefficients:", " ".join(format(w, ".17g") for w in coeffs.weights))
     print(f"wrote {args.out}")
     return 0

@@ -133,8 +133,11 @@ class ExperimentSpec:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentSpec":
-        """Parse a spec; its keys override the defaults of its problem."""
-        pairs = {}
+        """Parse a spec; its keys override the defaults of its problem.
+
+        A key given on two lines raises InvalidConfig naming both.
+        """
+        pairs, linenos = {}, {}
         for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -142,7 +145,12 @@ class ExperimentSpec:
             if "=" not in stripped:
                 raise InvalidConfig(f"line {lineno}: expected 'key = value', got {line!r}")
             key, _, value = stripped.partition("=")
-            pairs[key.strip()] = value.strip()
+            key = key.strip()
+            if key in linenos:
+                raise InvalidConfig(
+                    f"spec key {key!r} is given twice, on lines {linenos[key]} and {lineno}"
+                )
+            pairs[key], linenos[key] = value.strip(), lineno
         problem = pairs.pop("problem", "quadratic")
         values = {}
         for key, value in pairs.items():

@@ -17,7 +17,6 @@ it stops without applying a correction that is no smaller than the one
 before it: past ``cond(A) * eps ~ 1`` the corrections stop shrinking, and
 applying them can make the solution far worse.
 
-Only numpy is used, so importing this module loads no scipy:
 ``np.linalg.cholesky`` factors, and the factor's K x K inverse, formed
 once, turns every solve into two matrix-vector products. The
 refinement, not the way each solve is applied, sets the accuracy.

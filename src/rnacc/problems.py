@@ -141,19 +141,23 @@ _ARMIJO_SLOPE = 1e-4
 _MAX_HALVINGS = 60
 
 
+def _expit(x):
+    """The logistic sigmoid ``1 / (1 + exp(-x))``; exactly 0 where exp(-x) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _logistic_reference(problem: Problem, l2: float, tol=1e-12, max_steps=100):
     """Damped Newton from zero to gradient norm ``tol``; the reference optimum.
 
     The step solves the exact Hessian ``X'WX/n + l2*I``, with
-    ``W = s(1 - s)`` and ``s = expit(labels * (X @ theta))``, and is
+    ``W = s(1 - s)`` and ``s = _expit(labels * (X @ theta))``, and is
     backtracked by an Armijo test on f while the decrement ``g'step`` is
     still resolvable next to f (above 1e-12 * |f|); below that f cannot
     see a decrease, so the full step is taken. A numerically singular
     Hessian, a failed line search or ``max_steps`` steps without
     convergence raise NumericalFailure.
     """
-    from scipy.special import expit
-
     x, labels = problem.extras["features"], problem.extras["labels"]
     n, dim = x.shape
     theta = np.zeros(dim)
@@ -161,7 +165,7 @@ def _logistic_reference(problem: Problem, l2: float, tol=1e-12, max_steps=100):
         g = problem.grad(theta)
         if np.linalg.norm(g) <= tol:
             return theta
-        s = expit(labels * (x @ theta))
+        s = _expit(labels * (x @ theta))
         w = s * (1.0 - s)
         hess = np.zeros((dim, dim))
         for lo in range(0, n, _HESSIAN_BLOCK_ROWS):
@@ -205,9 +209,6 @@ def make_logistic(n_samples: int, dim: int, l2: float, seed: int = 0) -> Problem
     the smoothness constant) and ``problem.optimum`` raises
     NumericalFailure.
     """
-    # Imported here, not at the top: only this problem needs scipy.
-    from scipy.special import expit
-
     n_samples, dim = _require_int("n_samples", n_samples), _require_int("dim", dim)
     seed = _require_int("seed", seed, minimum=0)
     if not (l2 >= 0.0 and math.isfinite(l2)):
@@ -228,7 +229,7 @@ def make_logistic(n_samples: int, dim: int, l2: float, seed: int = 0) -> Problem
 
     def _grad_on(theta, xb, yb):
         margins = yb * (xb @ theta)
-        return -(xb.T @ (yb * expit(-margins))) / len(yb) + l2 * theta
+        return -(xb.T @ (yb * _expit(-margins))) / len(yb) + l2 * theta
 
     def grad(theta: np.ndarray) -> np.ndarray:
         return _grad_on(np.asarray(theta, float), x, labels)

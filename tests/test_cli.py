@@ -27,6 +27,14 @@ from rnacc.cli import _spec_from_args, build_parser, main
 from oracles import gd_trajectory
 
 
+def _spec_text(problem, extra):
+    """``default_spec(problem)`` as a spec file whose lines for the keys ``extra`` sets are
+    replaced by ``extra``: a spec names each key once."""
+    keys = {line.partition("=")[0].strip() for line in extra.splitlines()}
+    lines = default_spec(problem).to_text().splitlines(keepends=True)
+    return "".join(line for line in lines if line.partition("=")[0].strip() not in keys) + extra
+
+
 def _export_trajectory(path, dim=4, steps=12, seed=3):
     problem = make_quadratic(dim, 20.0, seed=seed)
     traj = gd_trajectory(problem, np.ones(dim), 1.0 / problem.smoothness, steps)
@@ -125,7 +133,7 @@ def test_run_output_on_spec_or_other_output_exit_2(tmp_path, capsys, monkeypatch
     # Relative outputs against an absolute --spec: both resolve to one path.
     monkeypatch.chdir(tmp_path)
     spec_path = tmp_path / "exp.spec"
-    spec_path.write_text(default_spec("quadratic").to_text() + "epochs = 5\n" + lines)
+    spec_path.write_text(_spec_text("quadratic", "epochs = 5\n" + lines))
     before = spec_path.read_bytes()
     assert main(["run", "--spec", str(spec_path)] + flags) == 2
     captured = capsys.readouterr()
@@ -169,7 +177,7 @@ def test_undecodable_spec_file_exit_2(tmp_path, capsys, monkeypatch, command):
 )
 def test_bad_spec_value_exit_2(tmp_path, capsys, problem, key, value):
     spec_path = tmp_path / "exp.spec"
-    spec_path.write_text(default_spec(problem).to_text() + f"{key} = {value}\n")
+    spec_path.write_text(_spec_text(problem, f"{key} = {value}\n"))
     metrics = tmp_path / "m.csv"
     assert main(["run", "--spec", str(spec_path), "--out", str(metrics)]) == 2
     assert key in capsys.readouterr().err
@@ -219,6 +227,40 @@ def test_problem_flag_over_spec_of_another_problem(tmp_path, command, file_probl
     fresh = ExperimentSpec(problem=flag_problem)
     assert got == replace(spec, problem=flag_problem, problem_params=fresh.problem_params,
                           optimizer=replace(fresh.optimizer, seed=9))
+
+
+@pytest.mark.parametrize(
+    "lines, reported, files",
+    [
+        ("metrics_out =\n", [], ["exp.spec"]),
+        (
+            "checkpoints_out = theta.rnac\n",
+            ["wrote metrics.csv (3 epochs)", "wrote theta.rnac"],
+            ["exp.spec", "metrics.csv", "theta.rnac"],
+        ),
+    ],
+    ids=["no-metrics", "checkpoints"],
+)
+def test_run_reports_each_file_it_wrote(tmp_path, capsys, monkeypatch, lines, reported, files):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.spec").write_text(_spec_text("quadratic", "epochs = 3\n" + lines))
+    assert main(["run", "--spec", "exp.spec"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("wrote ")] == reported
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_spec_key_given_twice_exit_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.spec").write_text("epochs = 3\n# five, not three\nepochs = 5\n")
+    argv = {"run": [], "sweep": ["--k-list", "2", "--lambda-list", "1e-8"]}[command]
+    assert main([command, "--spec", "exp.spec"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "'epochs'" in line and "lines 1 and 3" in line
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.spec"]
 
 
 def test_run_adaptive_grid_flag(tmp_path, capsys):
@@ -271,6 +313,23 @@ def test_accelerate_manifest_outside_directory_exit_4(tmp_path, capsys, escape):
     out = tmp_path / "accel.rnac"
     assert main(["accelerate", str(seq_dir), "--out", str(out)]) == 4
     assert "outside the directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("again", ["b.rnac", "./b.rnac", "../parts/b.rnac"])
+def test_accelerate_manifest_naming_a_file_twice_exit_4(tmp_path, capsys, again):
+    _, traj = _export_trajectory(tmp_path / "x.rnac")
+    seq_dir = tmp_path / "parts"
+    seq_dir.mkdir()
+    for name, rows in (("a.rnac", traj[:4]), ("b.rnac", traj[4:8]), ("c.rnac", traj[8:])):
+        write_checkpoints(seq_dir / name, rows, "f64")
+    (seq_dir / "manifest.txt").write_text(f"a.rnac\nb.rnac\n{again}\nc.rnac\n")
+    out = tmp_path / "accel.rnac"
+    assert main(["accelerate", str(seq_dir), "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "more than once" in line and repr(again) in line
     assert not out.exists()
 
 
@@ -476,6 +535,26 @@ def test_accelerate_grid_with_scores(tmp_path, capsys):
     assert problem.f(result) <= problem.f(traj[-1])
 
 
+def test_accelerate_prints_the_floored_ridge_with_or_without_a_grid(tmp_path, capsys):
+    # A ridge far below the Gram matrix's rounding is floored, and the grid's winning
+    # entry is reported as the ridge that entered its solve, as a single --lambda is.
+    path = tmp_path / "seq.rnac"
+    problem, traj = _export_trajectory(path)
+    scores_path = tmp_path / "scores.txt"
+    scores_path.write_text("".join(f"{problem.f(t)!r}\n" for t in traj))
+    printed, outputs = [], []
+    for flags in (["--lambda", "1e-30"], ["--lambda-grid", "1e-30", "--scores", str(scores_path)]):
+        out = tmp_path / f"{len(outputs)}.rnac"
+        assert main(["accelerate", str(path), "--k", "4", "--out", str(out)] + flags) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed.append([line for line in lines if line.startswith("lambda:")])
+        outputs.append(out.read_bytes())
+    _, coeffs = rna(traj, RnaConfig(window=4, lam=1e-30))
+    assert coeffs.lam_used > 1e-30
+    assert printed == [[f"lambda: {coeffs.lam_used!r}"]] * 2
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("bad_line", ["not-a-number", "nan"])
 def test_accelerate_bad_scores_file_exit_2(tmp_path, capsys, bad_line):
     path = tmp_path / "seq.rnac"
@@ -592,7 +671,7 @@ def test_sweep_output_on_spec_exit_2(tmp_path, capsys, monkeypatch, spec_name):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sw").mkdir()
     spec_path = tmp_path / "sw" / spec_name
-    spec_path.write_text(default_spec("quadratic").to_text() + "epochs = 5\n")
+    spec_path.write_text(_spec_text("quadratic", "epochs = 5\n"))
     before = spec_path.read_bytes()
     argv = ["sweep", "--spec", str(spec_path), "--k-list", "5", "--lambda-list", "1e-8"]
     assert main(argv + ["--out", "sw"]) == 2
@@ -609,7 +688,7 @@ def test_sweep_spec_inside_out_dir_runs(tmp_path, capsys):
     out_dir = tmp_path / "sw"
     out_dir.mkdir()
     spec_path = out_dir / "spec.txt"
-    spec_path.write_text(default_spec("quadratic").to_text() + "epochs = 5\n")
+    spec_path.write_text(_spec_text("quadratic", "epochs = 5\n"))
     before = spec_path.read_bytes()
     argv = ["sweep", "--spec", str(spec_path), "--k-list", "5", "--lambda-list", "1e-8"]
     assert main(argv + ["--out", str(out_dir)]) == 0
@@ -694,7 +773,7 @@ def test_non_integer_setting_exit_2(tmp_path, capsys, key, value):
                 "--out", str(tmp_path / "cells")]
     else:
         spec_path = tmp_path / "exp.spec"
-        spec_path.write_text(default_spec("quadratic").to_text() + f"{key} = {value}\n")
+        spec_path.write_text(_spec_text("quadratic", f"{key} = {value}\n"))
         argv = ["run", "--spec", str(spec_path), "--out", str(tmp_path / "m.csv")]
     assert main(argv) == 2
     assert "must be a" in capsys.readouterr().err
@@ -718,9 +797,7 @@ def test_whole_float_setting_runs_like_the_integer(tmp_path, capsys, problem, ex
     outputs = []
     for value in (whole, integer):
         spec_path = tmp_path / f"{value}.spec"
-        spec_path.write_text(
-            default_spec(problem).to_text() + f"epochs = 4\n{extra}{key} = {value}\n"
-        )
+        spec_path.write_text(_spec_text(problem, f"epochs = 4\n{extra}{key} = {value}\n"))
         out = tmp_path / f"{value}.csv"
         assert main(["run", "--spec", str(spec_path), "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
@@ -730,8 +807,9 @@ def test_whole_float_setting_runs_like_the_integer(tmp_path, capsys, problem, ex
 
 # ------------------------------------------------------------- import path
 
-# Blocks scipy (any import of it raises ImportError), then runs the commands
-# that need no logistic problem and prints every scipy module they loaded.
+# Blocks scipy (any import of it raises ImportError), then runs every command on
+# every built-in problem, solves a logistic reference optimum, and prints every
+# scipy module that was loaded.
 _WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None
@@ -758,13 +836,17 @@ for argv in (
      "--lambda-list", "1e-8", "--out", "sweep_q"],
     ["sweep", "--problem", "mlp", "--epochs", "3", "--k-list", "2",
      "--lambda-list", "1e-8", "--out", "sweep_m"],
+    ["run", "--problem", "logistic", "--epochs", "3", "--out", "l.csv"],
+    ["sweep", "--problem", "logistic", "--epochs", "3", "--k-list", "2",
+     "--lambda-list", "1e-8", "--out", "sweep_l"],
 ):
     assert main(argv) == 0, argv
+assert np.isfinite(rnacc.make_logistic(50, 3, 1e-3, seed=1).optimum).all()
 print([m for m, mod in sys.modules.items() if mod is not None and m.split(".")[0] == "scipy"])
 """
 
 
-def test_accelerate_and_run_load_no_scipy(tmp_path):
+def test_rnacc_never_imports_scipy(tmp_path):
     (tmp_path / "traj").mkdir()
     src = Path(rnacc.__file__).resolve().parent.parent
     proc = subprocess.run(
@@ -777,6 +859,6 @@ def test_accelerate_and_run_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
-    for name in ("from_file.rnac", "from_dir.rnac", "q.csv", "m.csv", "sweep_q/summary.csv",
-                 "sweep_m/summary.csv"):
+    for name in ("from_file.rnac", "from_dir.rnac", "q.csv", "m.csv", "l.csv",
+                 "sweep_q/summary.csv", "sweep_m/summary.csv", "sweep_l/summary.csv"):
         assert (tmp_path / name).is_file()

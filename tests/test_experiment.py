@@ -96,6 +96,20 @@ def test_spec_parser_rejects_unknown_keys_and_bad_schedule():
         ExperimentSpec.from_text("just some words\n")
 
 
+@pytest.mark.parametrize(
+    "text, key, lines",
+    [
+        ("epochs = 3\nepochs = 5\n", "epochs", (1, 2)),
+        ("problem = logistic\n\n# again\n  problem=mlp\n", "problem", (1, 4)),
+        ("problem.dim = 5\nepochs = 3\nproblem.dim = 5\n", "problem.dim", (1, 3)),
+    ],
+)
+def test_spec_parser_rejects_a_key_given_twice(text, key, lines):
+    with pytest.raises(InvalidConfig) as exc:
+        ExperimentSpec.from_text(text)
+    assert repr(key) in str(exc.value) and "lines %d and %d" % lines in str(exc.value)
+
+
 def test_spec_comments_and_blank_lines_ignored():
     spec = ExperimentSpec.from_text("# comment\n\nproblem = quadratic\n")
     assert spec.problem == "quadratic"

@@ -1,5 +1,7 @@
 """Objective constructors and their gradient oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,30 @@ def test_quadratic_validation():
 
 
 # ----------------------------------------------------------------- logistic
+
+
+def test_sigmoid_matches_scipy_expit():
+    # The package's sigmoid is numpy's; scipy's expit is the reference, within 4 ulp.
+    from scipy.special import expit
+
+    from rnacc.problems import _expit
+
+    rng = np.random.default_rng(0)
+    for scale in (1e-6, 1e-2, 1.0, 10.0, 100.0):
+        x = scale * rng.standard_normal(100_000)
+        np.testing.assert_allclose(_expit(x), expit(x), rtol=1e-15, atol=0.0)
+    x = np.linspace(-708.0, 708.0, 100_001)
+    np.testing.assert_allclose(_expit(x), expit(x), rtol=1e-15, atol=0.0)
+
+
+def test_sigmoid_underflows_to_zero_without_warning():
+    from rnacc.problems import _expit
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _expit(np.array([-1000.0]))[0] == 0.0
+        assert _expit(-1000.0) == 0.0
+        assert _expit(np.array([1000.0]))[0] == 1.0
 
 
 def test_logistic_convex_along_random_rays():
