@@ -217,6 +217,12 @@ def _write_table(path, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _metric_row(v, a) -> list[str]:
+    """The rendered metrics row of one epoch's vanilla and accelerated records."""
+    fields = (v.objective, v.grad_norm, a.objective, a.grad_norm, a.lam_used)
+    return [str(v.epoch)] + [_render(x) for x in fields]
+
+
 def write_metrics(path, vanilla, accelerated) -> None:
     """Write one row per epoch of two equally long traces, vanilla and accelerated.
 
@@ -224,12 +230,5 @@ def write_metrics(path, vanilla, accelerated) -> None:
     ``accelerated`` :class:`~rnacc.optimizers.AccelRecord` entries; traces of
     different lengths raise ValueError before the file is opened.
     """
-    _write_table(
-        path,
-        METRIC_COLUMNS,
-        (
-            [str(v.epoch)]
-            + [_render(x) for x in (v.objective, v.grad_norm, a.objective, a.grad_norm, a.lam_used)]
-            for v, a in zip(vanilla, accelerated, strict=True)
-        ),
-    )
+    rows = (_metric_row(v, a) for v, a in zip(vanilla, accelerated, strict=True))
+    _write_table(path, METRIC_COLUMNS, rows)

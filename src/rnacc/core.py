@@ -168,9 +168,13 @@ def as_iterate_matrix(iterates) -> np.ndarray:
         raise WindowTooSmall("empty iterate sequence")
     if mat.shape[1] == 0:
         raise DimensionMismatch("iterates must be nonempty vectors")
-    if not np.isfinite(mat).all():
-        bad = np.isfinite(mat).all(axis=1).argmin()
-        raise NumericalFailure(f"iterate {bad} of {len(mat)} contains NaN or infinite entries")
+    # A row with a NaN or an infinity has no finite sum; finite values can overflow
+    # one, so only the rows whose sum is not finite are checked entry by entry.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = mat.sum(axis=1)
+    for bad in np.flatnonzero(~np.isfinite(sums)):
+        if not np.isfinite(mat[bad]).all():
+            raise NumericalFailure(f"iterate {bad} of {len(mat)} contains NaN or infinite entries")
     return mat
 
 

@@ -16,8 +16,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checkpoint import _refuse_overwrite, _replacing, _write_table, write_checkpoints
-from .checkpoint import _render as _render_g17, write_metrics
+from .checkpoint import (
+    METRIC_COLUMNS,
+    _metric_row,
+    _refuse_overwrite,
+    _replacing,
+    _write_table,
+    write_checkpoints,
+    write_metrics,
+)
+from .checkpoint import _render as _render_g17
 from .core import (
     Coefficients,
     RnaConfig,
@@ -339,20 +347,16 @@ class SweepCell:
     error: str = ""
 
 
-def _run_cell(spec, problem, vanilla, error, cfg, metrics_path, f_star) -> SweepCell:
-    try:
-        accelerated = _replay(problem, vanilla, cfg, spec.optimizer, spec.flush_on_drop)
-    except RnaError as exc:
-        error = exc
+def _cell(cfg, path, rows, final_v, final_a, error, f_star) -> SweepCell:
+    """A cell's outcome; without an error its metrics ``rows`` are written to ``path``."""
     if error is not None:
         return SweepCell(cfg.window, cfg.lam, "failed", None, error=str(error))
-    write_metrics(metrics_path, vanilla, accelerated)
-    final_v, final_a = vanilla[-1].objective, accelerated[-1].objective
+    _write_table(path, METRIC_COLUMNS, rows)
     return SweepCell(
         window=cfg.window,
         lam=cfg.lam,
         status="ok",
-        metrics_path=metrics_path,
+        metrics_path=path,
         final_objective=final_v,
         final_objective_rna=final_a,
         final_suboptimality=None if f_star is None else final_v - f_star,
@@ -380,15 +384,24 @@ def _sweep_cells(spec: ExperimentSpec, windows, lams, out_dir) -> list[tuple[Rna
 
 
 def sweep(spec: ExperimentSpec, windows, lams, out_dir, inputs=()) -> list[SweepCell]:
-    """Train once, then replay that trace for every (window, lambda) cell.
+    """Train once, then replay that trace once for all (window, lambda) cells.
 
-    Each cell writes the ``metrics_k{K}_lam{lambda:g}.csv`` that :func:`run_experiment`
-    would; a failing cell is recorded in ``summary.csv`` and spares the others.
+    Cells share what they have in common: per epoch, each distinct window is
+    differenced once and each distinct (window, lambda) point solved and evaluated
+    once. Each cell writes the ``metrics_k{K}_lam{lambda:g}.csv`` that
+    :func:`run_experiment` would, byte for byte; a cell keeps its metrics rows and
+    final objectives, never the extrapolated points. A failing cell is recorded in
+    ``summary.csv`` and spares the others.
     ``inputs`` holds ``(label, path)`` pairs of files the sweep must not overwrite,
     such as its spec file. Bad epochs, problem parameters or cells, two cells sharing
-    a file name, or an output on one of ``inputs`` raise InvalidConfig, and a failed
+    a file name, an output on one of ``inputs``, or a spec that sets ``rna.lambda_grid``
+    or ``checkpoints_out``, which a sweep does not use, raise InvalidConfig, and a failed
     reference optimum NumericalFailure, before ``out_dir`` is made.
     """
+    if spec.rna.lam_grid is not None:
+        raise InvalidConfig("rna.lambda_grid: each sweep cell solves at one lambda of the list")
+    if spec.checkpoints_out:
+        raise InvalidConfig("checkpoints_out: a sweep writes no checkpoint file")
     _require_int("epochs", spec.epochs)
     cells = _sweep_cells(spec, windows, lams, out_dir)
     summary = os.path.join(out_dir, _SUMMARY_NAME)
@@ -398,7 +411,24 @@ def sweep(spec: ExperimentSpec, windows, lams, out_dir, inputs=()) -> list[Sweep
     f_star = None if problem.optimum is None else float(problem.f(problem.optimum))
     os.makedirs(out_dir, exist_ok=True)
     vanilla, error = _train(problem, spec.optimizer, spec.epochs)
-    results = [_run_cell(spec, problem, vanilla, error, cfg, path, f_star) for cfg, path in cells]
+    # Per cell: its metrics rows, final accelerated objective and error; a replay
+    # error takes precedence over the training error.
+    rows = [[] for _ in cells]
+    finals = [None] * len(cells)
+    errors = [error] * len(cells)
+    replay = _replay(problem, vanilla, [c for c, _ in cells], spec.optimizer, spec.flush_on_drop)
+    for v, entries in zip(vanilla, replay):
+        for i, a in enumerate(entries):
+            if isinstance(a, RnaError):
+                errors[i] = a
+            elif a is not None:
+                rows[i].append(_metric_row(v, a))
+                finals[i] = a.objective
+    final_v = vanilla[-1].objective if vanilla else None
+    results = [
+        _cell(cfg, path, r, final_v, final_a, e, f_star)
+        for (cfg, path), r, final_a, e in zip(cells, rows, finals, errors)
+    ]
     _write_summary(summary, results)
     return results
 

@@ -5,7 +5,8 @@ step-drop learning rate schedule. The driver :func:`run_with_rna`
 records the parameters once per epoch, then replays that trace and
 extrapolates each epoch's window offline; the extrapolated point is
 never fed back, so the base trajectory is bit-identical with
-acceleration on or off.
+acceleration on or off. One replay serves any number of configs, as
+``rnacc sweep`` needs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RnaConfig, adaptive_rna, rna
+from .core import RnaConfig, _combine, _differenced, _rna, _select_ridge, _validated
 from .errors import DegenerateSum, InvalidConfig, NumericalFailure, RnaError, _require_int
 from .problems import Problem
 
@@ -175,12 +176,12 @@ def run_with_rna(
 ) -> tuple[list[EpochRecord], list[AccelRecord]]:
     """Train for ``epochs`` passes, then extrapolate every epoch offline.
 
-    The recorded trace is replayed: each epoch extrapolates its last
-    ``rna_cfg.window + 1`` snapshots, grid-adaptive when
-    ``rna_cfg.lam_grid`` is set and scored by the objective. A
-    degenerate solve falls back to the last iterate for that epoch; a
-    singular system, which signals a misconfigured ridge rather than
-    unlucky data, raises ahead of any later training error. Pass
+    The recorded trace is replayed once, for the one config ``rna_cfg``:
+    each epoch extrapolates its last ``rna_cfg.window + 1`` snapshots,
+    grid-adaptive when ``rna_cfg.lam_grid`` is set and scored by the
+    objective. A degenerate solve falls back to the last iterate for that
+    epoch; a singular system, which signals a misconfigured ridge rather
+    than unlucky data, raises ahead of any later training error. Pass
     ``rna_cfg=None`` to disable acceleration; the vanilla trace is
     bit-identical either way.
 
@@ -192,9 +193,12 @@ def run_with_rna(
         when acceleration is disabled.
     """
     vanilla, error = _train(problem, opt_cfg, epochs, theta0)
-    accelerated = (
-        [] if rna_cfg is None else _replay(problem, vanilla, rna_cfg, opt_cfg, flush_on_drop)
-    )
+    accelerated: list[AccelRecord] = []
+    if rna_cfg is not None:
+        for (entry,) in _replay(problem, vanilla, [rna_cfg], opt_cfg, flush_on_drop):
+            if isinstance(entry, RnaError):
+                raise entry
+            accelerated.append(entry)
     if error is not None:
         raise error
     return vanilla, accelerated
@@ -225,36 +229,77 @@ def _train(problem, opt_cfg, epochs, theta0=None) -> tuple[list[EpochRecord], Rn
     return vanilla, None
 
 
-def _replay(problem, vanilla, rna_cfg, opt_cfg, flush_on_drop) -> list[AccelRecord]:
-    """Extrapolate epoch index t of a recorded trace from ``vanilla[lo:t + 1]``.
+def _replay(problem, vanilla, rna_cfgs, opt_cfg, flush_on_drop):
+    """Replay a recorded trace once for every config in ``rna_cfgs``.
 
-    ``lo = max(start, t - rna_cfg.window)``; ``start`` moves to each drop if ``flush_on_drop``.
+    Config i extrapolates epoch index t from ``vanilla[lo:t + 1]``, with
+    ``lo = max(start, t - rna_cfgs[i].window)``; ``start`` moves to each drop if
+    ``flush_on_drop``. Yields, per epoch, one entry per config: its
+    :class:`AccelRecord`, the :class:`RnaError` that ends that config's replay, or
+    None once it has ended. Within an epoch each distinct window start ``lo`` is
+    stacked, checked and differenced once, and each distinct (lo, lam, lam_grid,
+    weight_target) is solved and evaluated once; configs that share one share its
+    entry. The replay holds one window at a time and keeps no entry past its epoch.
     """
     drops = {e for e, _ in opt_cfg.schedule} if flush_on_drop else set()
-    accelerated: list[AccelRecord] = []
+    live = range(len(rna_cfgs))
     start = 0
     for t, record in enumerate(vanilla):
         if record.epoch in drops:
             start = t
-        lo = max(start, t - rna_cfg.window)
-        theta_hat, lam_used = record.theta, None
-        if t > lo:
-            window = np.vstack([r.theta for r in vanilla[lo : t + 1]])
+        by_lo: dict[int, list[int]] = {}
+        for i in live:
+            by_lo.setdefault(max(start, t - rna_cfgs[i].window), []).append(i)
+        entries = [None] * len(rna_cfgs)
+        for lo, members in by_lo.items():
+            cfgs = [rna_cfgs[i] for i in members]
+            for i, entry in zip(members, _window_entries(problem, vanilla, lo, t, cfgs)):
+                entries[i] = entry
+        live = [i for i in live if not isinstance(entries[i], RnaError)]
+        yield entries
+
+
+def _window_entries(problem, vanilla, lo, t, cfgs) -> list:
+    """The entries of ``cfgs``, which all extrapolate epoch index t from ``vanilla[lo:t + 1]``."""
+    record = vanilla[t]
+    diffs = None
+    if t > lo:
+        try:
+            window = _validated([r.theta for r in vanilla[lo : t + 1]])
+        except RnaError as exc:
+            return [exc] * len(cfgs)
+        diffs = _differenced(window, overwrite=True)  # the stacked window is ours
+    points = {}
+    keys = [None if diffs is None else (c.lam, c.lam_grid, c.weight_target) for c in cfgs]
+    for key, cfg in zip(keys, cfgs):
+        if key not in points:
             try:
-                if rna_cfg.lam_grid is not None:
-                    theta_hat, _, coeffs = adaptive_rna(window, rna_cfg, problem.f)
-                else:
-                    theta_hat, coeffs = rna(window, rna_cfg)
-                lam_used = None if coeffs is None else coeffs.lam_used
-            except DegenerateSum:
-                theta_hat, lam_used = record.theta, None
-        accelerated.append(
-            AccelRecord(
-                epoch=record.epoch,
-                theta=np.array(theta_hat, dtype=np.float64),
-                objective=float(problem.f(theta_hat)),
-                grad_norm=float(np.linalg.norm(problem.grad(theta_hat))),
-                lam_used=lam_used,
-            )
-        )
-    return accelerated
+                points[key] = _extrapolated(problem, record, diffs, cfg)
+            except RnaError as exc:
+                points[key] = exc
+    return [points[key] for key in keys]
+
+
+def _extrapolated(problem, record, diffs, cfg) -> AccelRecord:
+    """``record``'s epoch extrapolated from the window ``diffs`` (None: a copy of it)."""
+    theta_hat, coeffs = record.theta, None
+    if diffs is not None:
+        try:
+            if cfg.lam_grid is None:
+                theta_hat, coeffs = _rna(diffs, cfg)
+            else:
+                theta_hat, _, coeffs = _select_ridge(
+                    diffs,
+                    cfg,
+                    lambda c: float(problem.f(_combine(diffs, c.weights, cfg.weight_target))),
+                    float(problem.f(diffs[-1].copy())),
+                )
+        except DegenerateSum:
+            theta_hat, coeffs = record.theta, None
+    return AccelRecord(
+        epoch=record.epoch,
+        theta=np.array(theta_hat, dtype=np.float64),
+        objective=float(problem.f(theta_hat)),
+        grad_norm=float(np.linalg.norm(problem.grad(theta_hat))),
+        lam_used=None if coeffs is None else coeffs.lam_used,
+    )

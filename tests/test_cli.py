@@ -699,6 +699,22 @@ def test_sweep_spec_inside_out_dir_runs(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "key, value", [("rna.lambda_grid", "1e-8,1e-6"), ("checkpoints_out", "ck.rnac")]
+)
+def test_sweep_spec_key_it_does_not_use_exit_2(tmp_path, capsys, monkeypatch, key, value):
+    # A sweep solves each cell at one lambda of --lambda-list and writes no checkpoint.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.spec").write_text(_spec_text("quadratic", f"epochs = 3\n{key} = {value}\n"))
+    argv = ["sweep", "--spec", "exp.spec", "--k-list", "2", "--lambda-list", "1e-8", "--out", "sw"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {key}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.spec"]
+
+
 def test_sweep_cli_all_cells_failing_exit_3(tmp_path, capsys):
     spec = default_spec("quadratic", seed=0)
     spec.problem_params = {"dim": 3, "condition": 10.0, "seed": 0}

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rnacc import (
     WindowTooSmall,
     accelerate_checkpoints,
     adaptive_rna,
+    as_iterate_matrix,
     build_residuals,
     extrapolate,
     make_quadratic,
@@ -60,6 +62,35 @@ def test_residuals_equal_scaled_gradients_on_quadratic():
     r = build_residuals(iterates)
     for k, g in enumerate(grads):
         np.testing.assert_allclose(r[:, k], -eta * g, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 3, 6])
+def test_iterate_check_names_the_first_nonfinite_iterate(bad, row):
+    mat = np.arange(28.0).reshape(7, 4)
+    mat[row:, 2] = bad  # every iterate from ``row`` on
+    with pytest.raises(NumericalFailure, match=f"^iterate {row} of 7 contains"):
+        as_iterate_matrix(mat)
+
+
+def test_iterate_check_passes_finite_rows_whose_sum_overflows():
+    mat = np.array([[1e308, 1e308], [-1e308, -1e308], [1.0, 2.0]])
+    assert as_iterate_matrix(mat) is mat
+    mat[2, 1] = np.nan
+    with pytest.raises(NumericalFailure, match="^iterate 2 of 3 contains"):
+        as_iterate_matrix(mat)
+
+
+def test_iterate_check_allocates_no_matrix():
+    # No boolean matrix of the iterates: the check's peak stays below a tenth of a row.
+    mat = np.random.default_rng(0).standard_normal((12, 50_000))
+    tracemalloc.start()
+    try:
+        as_iterate_matrix(mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * mat[0].nbytes
 
 
 def test_residuals_rejects_short_ragged_and_nonfinite():

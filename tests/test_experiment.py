@@ -1,5 +1,6 @@
 """Spec files, the experiment runner, offline acceleration, sweeps."""
 
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from rnacc import (
     NumericalFailure,
     OptimizerConfig,
     RnaConfig,
+    RnaError,
     accelerate_checkpoints,
     build_problem,
     default_spec,
@@ -337,7 +339,9 @@ def test_sweep_best_cell_at_least_as_good_as_default(tmp_path):
 def test_sweep_trains_once_and_matches_standalone_runs(tmp_path, monkeypatch):
     # One training for the whole grid, and every cell's metrics file is
     # byte-identical to running that cell on its own, across a flushed
-    # schedule drop.
+    # schedule drop, for both weight targets. K=20 is above the 14 epochs; at
+    # lambda=0 a window of more residuals than the 6 dimensions is singular,
+    # and that cell reports the message the run raises.
     spec = ExperimentSpec(
         problem="logistic",
         problem_params={"n_samples": 60, "dim": 6, "l2": 0.001, "seed": 3},
@@ -345,26 +349,76 @@ def test_sweep_trains_once_and_matches_standalone_runs(tmp_path, monkeypatch):
             eta=1.0, momentum=0.9, weight_decay=1e-5, schedule=((6, 0.1),),
             batch_size=16, seed=11,
         ),
-        rna=RnaConfig(weight_target="oldest"),
         epochs=14,
         flush_on_drop=True,
     )
-    epochs_trained = []
-    train_epoch = optimizers.sgd_momentum_epoch
-    monkeypatch.setattr(
-        optimizers,
-        "sgd_momentum_epoch",
-        lambda *args: epochs_trained.append(args[-1]) or train_epoch(*args),
-    )
-    cells = sweep(spec, [3, 8], [1e-10, 1e-4], tmp_path / "grid")
-    assert epochs_trained == list(range(1, spec.epochs + 1))
-    monkeypatch.undo()
-    for c in cells:
-        assert c.status == "ok"
-        alone = tmp_path / f"alone_k{c.window}_lam{c.lam:g}.csv"
-        cell_rna = RnaConfig(window=c.window, lam=c.lam, weight_target="oldest")
-        run_experiment(replace(spec, rna=cell_rna, metrics_out=str(alone)))
-        assert Path(c.metrics_path).read_bytes() == alone.read_bytes()
+    for target in ("latest", "oldest"):
+        spec = replace(spec, rna=RnaConfig(weight_target=target))
+        epochs_trained = []
+        train_epoch = optimizers.sgd_momentum_epoch
+        monkeypatch.setattr(
+            optimizers,
+            "sgd_momentum_epoch",
+            lambda *args: epochs_trained.append(args[-1]) or train_epoch(*args),
+        )
+        cells = sweep(spec, [3, 8, 20], [0.0, 1e-10, 1e-4], tmp_path / target)
+        assert epochs_trained == list(range(1, spec.epochs + 1))
+        monkeypatch.undo()
+        failed = []
+        for c in cells:
+            alone = tmp_path / f"{target}_k{c.window}_lam{c.lam:g}.csv"
+            cell_rna = RnaConfig(window=c.window, lam=c.lam, weight_target=target)
+            try:
+                run_experiment(replace(spec, rna=cell_rna, metrics_out=str(alone)))
+            except RnaError as exc:
+                assert (c.status, c.metrics_path, c.error) == ("failed", None, str(exc))
+                failed.append((c.window, c.lam))
+                continue
+            assert c.status == "ok"
+            assert Path(c.metrics_path).read_bytes() == alone.read_bytes()
+        assert failed == [(8, 0.0), (20, 0.0)]
+
+
+def test_sweep_differences_each_window_and_solves_each_point_once(tmp_path, monkeypatch):
+    # Per epoch t, windows K in (5, 10, 20) start at max(0, t - K): one window for
+    # t <= 5, two for t <= 10, three after, 57 over 25 epochs rather than 72; each is
+    # solved once per ridge, 228 times rather than 288. Epoch 1 is one shared copy.
+    counts = {"_differenced": 0, "_rna": 0, "_extrapolated": 0}
+    for name in counts:
+        wrapped = getattr(optimizers, name)
+
+        def counted(*args, _name=name, _wrapped=wrapped, **kwargs):
+            counts[_name] += 1
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(optimizers, name, counted)
+    spec = replace(default_spec("quadratic", seed=0), epochs=25)
+    cells = sweep(spec, [5, 10, 20], [1e-10, 1e-8, 1e-6, 1e-4], tmp_path)
+    assert all(c.status == "ok" for c in cells)
+    assert counts == {"_differenced": 57, "_rna": 228, "_extrapolated": 229}
+
+
+def _sweep_peak_bytes(spec, out_dir) -> int:
+    tracemalloc.start()
+    try:
+        sweep(spec, [2, 4, 8], [1e-10, 1e-8, 1e-6, 1e-4], out_dir)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_grows_by_the_vanilla_trace_alone(tmp_path):
+    # The replay holds the vanilla trace, one window and one epoch's points: once
+    # every window is full, the peak grows by about one row of d per epoch, not by
+    # one per cell and epoch.
+    spec = default_spec("mlp")
+    spec.problem_params = {"d_in": 100, "hidden": 100, "n_samples": 100, "seed": 0}
+    row = 8 * build_problem(spec).dim  # 10,201 float64s
+    peaks = [
+        _sweep_peak_bytes(replace(spec, epochs=epochs), tmp_path / str(epochs))
+        for epochs in (10, 20)
+    ]
+    assert (peaks[1] - peaks[0]) / row / 10 <= 1.5
 
 
 def test_sweep_validation(tmp_path):
@@ -384,6 +438,25 @@ def test_sweep_validation(tmp_path):
     with pytest.raises(InvalidConfig, match="does not take parameters"):
         sweep(replace(spec, problem_params={"bogus": 1}), [4], [1e-8], out_dir)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "key, change",
+    [
+        ("rna.lambda_grid", {"rna": RnaConfig(lam_grid=(1e-8, 1e-6))}),
+        ("checkpoints_out", {"checkpoints_out": "ck.rnac"}),
+    ],
+)
+def test_sweep_rejects_spec_keys_it_does_not_use(tmp_path, monkeypatch, key, change):
+    def train(*args, **kwargs):
+        raise AssertionError("trained despite a spec key the sweep does not use")
+
+    monkeypatch.setattr("rnacc.experiment._train", train)
+    monkeypatch.chdir(tmp_path)
+    spec = replace(default_spec("quadratic"), epochs=3, **change)
+    with pytest.raises(InvalidConfig, match=f"^{key}: "):
+        sweep(spec, [2], [1e-8], "cells")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("target", ["spec_named_summary", "out_dir_inside_input_dir"])

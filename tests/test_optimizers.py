@@ -17,7 +17,6 @@ from rnacc import (
     make_logistic,
     make_mlp,
     make_quadratic,
-    rna,
     run_with_rna,
     sgd_momentum_epoch,
     write_metrics,
@@ -256,12 +255,12 @@ def test_run_with_rna_singular_config_raises():
 def test_run_with_rna_degenerate_sum_keeps_the_iterate(tmp_path, monkeypatch):
     import rnacc.optimizers as optimizers
 
-    def degenerate_at_epoch_4(window, cfg):
-        if len(window) == 4:  # epoch 4 extrapolates from epochs 1..4
+    def degenerate_at_epoch_4(diffs, cfg):
+        if len(diffs) == 4:  # epoch 4 extrapolates from epochs 1..4
             raise DegenerateSum("forced")
-        return rna(window, cfg)
+        return core._rna(diffs, cfg)
 
-    monkeypatch.setattr(optimizers, "rna", degenerate_at_epoch_4)
+    monkeypatch.setattr(optimizers, "_rna", degenerate_at_epoch_4)
     p = make_quadratic(5, 10.0, seed=3)
     cfg = OptimizerConfig(eta=0.05, momentum=0.0, weight_decay=0.0)
     vanilla, accel = run_with_rna(p, cfg, RnaConfig(window=10, lam=1e-8), epochs=6)
