@@ -1,13 +1,16 @@
 """Spec files, the experiment runner, offline acceleration, sweeps."""
 
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rnacc import (
+    DegenerateSum,
     ExperimentSpec,
     InvalidConfig,
     NumericalFailure,
@@ -24,6 +27,7 @@ from rnacc import (
     WindowTooSmall,
 )
 from rnacc import optimizers
+from rnacc.checkpoint import _render
 
 from oracles import gd_trajectory
 
@@ -377,6 +381,89 @@ def test_sweep_trains_once_and_matches_standalone_runs(tmp_path, monkeypatch):
             assert c.status == "ok"
             assert Path(c.metrics_path).read_bytes() == alone.read_bytes()
         assert failed == [(8, 0.0), (20, 0.0)]
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A small problem, its training settings, and the windows and ridges to sweep."""
+    kind = draw(st.sampled_from(["quadratic", "logistic", "mlp"]))
+    params = {
+        "quadratic": {"dim": 5, "condition": 10.0},
+        "logistic": {"n_samples": 24, "dim": 4, "l2": 0.001},
+        "mlp": {"d_in": 3, "hidden": 2, "n_samples": 20},
+    }[kind]
+    spec = ExperimentSpec(problem=kind, problem_params={**params, "seed": draw(st.integers(0, 3))})
+    epochs = draw(st.integers(1, 15))
+    n_samples = params.get("n_samples")
+    n_drops = draw(st.integers(0, min(2, epochs - 1)))
+    drops = sorted(draw(st.sets(st.integers(2, max(2, epochs)), min_size=n_drops, max_size=n_drops)))
+    optimizer = replace(
+        spec.optimizer,
+        eta=spec.optimizer.eta * draw(st.sampled_from([1.0, 3000.0])),  # 3000 diverges
+        momentum=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        schedule=tuple((e, 0.1) for e in drops),
+        batch_size=None if n_samples is None else draw(st.none() | st.integers(1, n_samples)),
+        seed=draw(st.integers(0, 3)),
+    )
+    spec = replace(
+        spec,
+        optimizer=optimizer,
+        rna=RnaConfig(weight_target=draw(st.sampled_from(["latest", "oldest"]))),
+        epochs=epochs,
+        flush_on_drop=draw(st.booleans()),
+    )
+    windows = draw(st.lists(st.integers(1, 16), min_size=1, max_size=4, unique=True))
+    lams = draw(st.lists(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]), min_size=1, max_size=3, unique=True))
+    return spec, windows, lams
+
+
+@settings(max_examples=100)
+@given(_sweep_cases())
+def test_every_sweep_cell_equals_its_own_run(case):
+    # Over drawn problems, batches, momenta, schedules (flushed or not), weight
+    # targets, windows (some above the epoch count) and ridges (0 fails on some
+    # windows): each cell's metrics file, error and summary.csv finals equal its own
+    # run_experiment, and each extrapolated point of the run equals the public rna on
+    # the window vanilla[max(start, t - K):t + 1], start moving to each flushed drop,
+    # or the iterate where there is no window or the sum is degenerate.
+    spec, windows, lams = case
+    drops = {e for e, _ in spec.optimizer.schedule} if spec.flush_on_drop else set()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cells = sweep(spec, windows, lams, tmp / "cells")
+        summary = (tmp / "cells" / "summary.csv").read_text().splitlines()[1:]
+        for cell, line in zip(cells, summary, strict=True):
+            cfg = replace(spec.rna, window=cell.window, lam=cell.lam)
+            alone = tmp / "alone.csv"
+            try:
+                vanilla, accel, problem = run_experiment(
+                    replace(spec, rna=cfg, metrics_out=str(alone))
+                )
+            except RnaError as exc:
+                assert (cell.status, cell.metrics_path, cell.error) == ("failed", None, str(exc))
+                assert line.split(",")[2:] == ["failed", "", "", "", "", str(exc).replace(",", ";")]
+                continue
+            assert cell.status == "ok"
+            assert Path(cell.metrics_path).read_bytes() == alone.read_bytes()
+            finals = [vanilla[-1].objective, accel[-1].objective]
+            if problem.optimum is not None:
+                f_star = float(problem.f(problem.optimum))
+                finals += [finals[0] - f_star, finals[1] - f_star]
+            else:
+                finals += [None, None]
+            assert line.split(",")[2:] == ["ok", *map(_render, finals), ""]
+            start = 0
+            for t, (v, a) in enumerate(zip(vanilla, accel, strict=True)):
+                if v.epoch in drops:
+                    start = t
+                lo = max(start, t - cell.window)
+                want = v.theta
+                if t > lo:
+                    try:
+                        want, _ = rna([r.theta for r in vanilla[lo : t + 1]], cfg)
+                    except DegenerateSum:
+                        pass
+                assert a.theta.tobytes() == want.tobytes(), (cell.window, cell.lam, v.epoch)
 
 
 def test_sweep_differences_each_window_and_solves_each_point_once(tmp_path, monkeypatch):
