@@ -2,8 +2,8 @@
 
 Too little regularization lets nearly collinear residuals blow up the
 coefficients; too much collapses the method into plain iterate averaging.
-The sweep runner trains once, replays that trajectory for every
-(window, ridge) cell and tabulates final suboptimality.
+The sweep runner trains once, extrapolates each epoch for every
+(window, ridge) cell as it goes and tabulates final suboptimality.
 """
 
 import tempfile

@@ -379,8 +379,9 @@ def _select_ridge(diffs, config, rank, fallback_score):
     """The ridge-selection policy of :func:`adaptive_rna`, for any ranking.
 
     One Gram matrix of the :func:`_differenced` window serves every ridge;
-    ``rank(coefficients)`` scores a solved ridge and ``fallback_score`` the
-    last iterate, which wins ties and is returned as (last iterate, None, None).
+    ``rank(coefficients)`` scores a solved ridge and ``fallback_score`` the last iterate,
+    which wins ties. Returns (theta_hat, lam_star, coefficients, the winner's score),
+    with (last iterate, None, None, fallback_score) for the fallback.
     """
     gram = _gram(diffs)
     best_lam, best_coeffs, best_score = None, None, fallback_score
@@ -393,8 +394,9 @@ def _select_ridge(diffs, config, rank, fallback_score):
         if s < best_score:
             best_lam, best_coeffs, best_score = lam, coeffs, s
     if best_coeffs is None:
-        return diffs[-1].copy(), None, None
-    return _combine(diffs, best_coeffs.weights, config.weight_target), best_lam, best_coeffs
+        return diffs[-1].copy(), None, None, best_score
+    theta_hat = _combine(diffs, best_coeffs.weights, config.weight_target)
+    return theta_hat, best_lam, best_coeffs, best_score
 
 
 def adaptive_rna(
@@ -425,4 +427,4 @@ def adaptive_rna(
         config,
         lambda c: float(score(_combine(diffs, c.weights, config.weight_target))),
         float(score(diffs[-1].copy())),
-    )
+    )[:3]

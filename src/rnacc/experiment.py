@@ -36,7 +36,7 @@ from .core import (
     _validated,
 )
 from .errors import InvalidConfig, RnaError, _require_int
-from .optimizers import OptimizerConfig, _replay, _train, run_with_rna
+from .optimizers import OptimizerConfig, _stream, run_with_rna
 from .problems import Problem, make_logistic, make_mlp, make_quadratic
 
 __all__ = [
@@ -300,7 +300,7 @@ def _accelerate(iterates, cfg: RnaConfig, scores, overwrite: bool = False):
         cfg,
         lambda c: float(c.weights @ tail_scores[1:]),
         float(tail_scores[-1]),
-    )
+    )[:3]
 
 
 def accelerate_checkpoints(
@@ -384,11 +384,12 @@ def _sweep_cells(spec: ExperimentSpec, windows, lams, out_dir) -> list[tuple[Rna
 
 
 def sweep(spec: ExperimentSpec, windows, lams, out_dir, inputs=()) -> list[SweepCell]:
-    """Train once, then replay that trace once for all (window, lambda) cells.
+    """Train once, extrapolating each epoch for all (window, lambda) cells as it ends.
 
     Cells share what they have in common: per epoch, each distinct window is
     differenced once and each distinct (window, lambda) point solved and evaluated
-    once. Each cell writes the ``metrics_k{K}_lam{lambda:g}.csv`` that
+    once, and only the last ``max(windows) + 1`` iterates are held, never the
+    whole vanilla trace. Each cell writes the ``metrics_k{K}_lam{lambda:g}.csv`` that
     :func:`run_experiment` would, byte for byte; a cell keeps its metrics rows and
     final objectives, never the extrapolated points. A failing cell is recorded in
     ``summary.csv`` and spares the others.
@@ -410,21 +411,24 @@ def sweep(spec: ExperimentSpec, windows, lams, out_dir, inputs=()) -> list[Sweep
     problem = build_problem(spec)
     f_star = None if problem.optimum is None else float(problem.f(problem.optimum))
     os.makedirs(out_dir, exist_ok=True)
-    vanilla, error = _train(problem, spec.optimizer, spec.epochs)
-    # Per cell: its metrics rows, final accelerated objective and error; a replay
-    # error takes precedence over the training error.
+    # Per cell: its metrics rows, final accelerated objective and error. A training
+    # error ends every cell still running.
     rows = [[] for _ in cells]
     finals = [None] * len(cells)
-    errors = [error] * len(cells)
-    replay = _replay(problem, vanilla, [c for c, _ in cells], spec.optimizer, spec.flush_on_drop)
-    for v, entries in zip(vanilla, replay):
-        for i, a in enumerate(entries):
-            if isinstance(a, RnaError):
-                errors[i] = a
-            elif a is not None:
-                rows[i].append(_metric_row(v, a))
-                finals[i] = a.objective
-    final_v = vanilla[-1].objective if vanilla else None
+    errors = [None] * len(cells)
+    final_v = None
+    cfgs = [c for c, _ in cells]
+    try:
+        for v, entries in _stream(problem, spec.optimizer, cfgs, spec.epochs, spec.flush_on_drop):
+            final_v = v.objective
+            for i, a in enumerate(entries):
+                if isinstance(a, RnaError):
+                    errors[i] = a
+                elif a is not None:
+                    rows[i].append(_metric_row(v, a))
+                    finals[i] = a.objective
+    except RnaError as exc:
+        errors = [exc if e is None else e for e in errors]
     results = [
         _cell(cfg, path, r, final_v, final_a, e, f_star)
         for (cfg, path), r, final_a, e in zip(cells, rows, finals, errors)

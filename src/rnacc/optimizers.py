@@ -1,17 +1,17 @@
 """Baseline optimizers whose iterate streams feed the acceleration.
 
 Plain gradient descent and heavy-ball SGD with weight decay and a
-step-drop learning rate schedule. The driver :func:`run_with_rna`
-records the parameters once per epoch, then replays that trace and
-extrapolates each epoch's window offline; the extrapolated point is
-never fed back, so the base trajectory is bit-identical with
-acceleration on or off. One replay serves any number of configs, as
-``rnacc sweep`` needs.
+step-drop learning rate schedule. The driver :func:`run_with_rna` trains
+one epoch at a time and extrapolates it at once from a ring of the last
+K+1 iterates; the extrapolated point is never fed back, so the base
+trajectory is bit-identical with acceleration on or off. One pass serves
+any number of configs, as ``rnacc sweep`` needs.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,16 +174,15 @@ def run_with_rna(
     theta0=None,
     flush_on_drop: bool = False,
 ) -> tuple[list[EpochRecord], list[AccelRecord]]:
-    """Train for ``epochs`` passes, then extrapolate every epoch offline.
+    """Train for ``epochs`` passes, extrapolating each epoch offline as it ends.
 
-    The recorded trace is replayed once, for the one config ``rna_cfg``:
-    each epoch extrapolates its last ``rna_cfg.window + 1`` snapshots,
+    Each epoch extrapolates its last ``rna_cfg.window + 1`` iterates,
     grid-adaptive when ``rna_cfg.lam_grid`` is set and scored by the
     objective. A degenerate solve falls back to the last iterate for that
     epoch; a singular system, which signals a misconfigured ridge rather
-    than unlucky data, raises ahead of any later training error. Pass
-    ``rna_cfg=None`` to disable acceleration; the vanilla trace is
-    bit-identical either way.
+    than unlucky data, raises at its epoch, so ahead of any later training
+    error. Pass ``rna_cfg=None`` to disable acceleration; the vanilla trace
+    is bit-identical either way.
 
     ``flush_on_drop`` restarts the window at every schedule drop, since
     a drop changes the dynamics the window is extrapolating.
@@ -192,80 +191,70 @@ def run_with_rna(
         (vanilla records, acceleration records); the latter is empty
         when acceleration is disabled.
     """
-    vanilla, error = _train(problem, opt_cfg, epochs, theta0)
+    cfgs = [] if rna_cfg is None else [rna_cfg]
+    vanilla: list[EpochRecord] = []
     accelerated: list[AccelRecord] = []
-    if rna_cfg is not None:
-        for (entry,) in _replay(problem, vanilla, [rna_cfg], opt_cfg, flush_on_drop):
+    for record, entries in _stream(problem, opt_cfg, cfgs, epochs, flush_on_drop, theta0):
+        vanilla.append(record)
+        for entry in entries:
             if isinstance(entry, RnaError):
                 raise entry
             accelerated.append(entry)
-    if error is not None:
-        raise error
     return vanilla, accelerated
 
 
-def _train(problem, opt_cfg, epochs, theta0=None) -> tuple[list[EpochRecord], RnaError | None]:
-    """The records of the epochs that trained, and the error that stopped training."""
-    vanilla: list[EpochRecord] = []
-    try:
-        epochs = _require_int("epochs", epochs)
-        theta = np.zeros(problem.dim) if theta0 is None else np.array(theta0, float).ravel()
-        if theta.size != problem.dim:
-            raise InvalidConfig(f"theta0 has size {theta.size}, problem.dim is {problem.dim}")
-        velocity = np.zeros_like(theta)
-        for epoch in range(1, epochs + 1):
-            theta, velocity = sgd_momentum_epoch(theta, velocity, problem, opt_cfg, epoch)
-            vanilla.append(
-                EpochRecord(
-                    epoch=epoch,
-                    theta=theta.copy(),
-                    objective=float(problem.f(theta)),
-                    grad_norm=float(np.linalg.norm(problem.grad(theta))),
-                    eta=learning_rate(opt_cfg, epoch),
-                )
-            )
-    except RnaError as exc:
-        return vanilla, exc
-    return vanilla, None
+def _stream(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop=False, theta0=None):
+    """Train epoch by epoch, extrapolating each epoch for every config in ``rna_cfgs``.
 
-
-def _replay(problem, vanilla, rna_cfgs, opt_cfg, flush_on_drop):
-    """Replay a recorded trace once for every config in ``rna_cfgs``.
-
-    Config i extrapolates epoch index t from ``vanilla[lo:t + 1]``, with
-    ``lo = max(start, t - rna_cfgs[i].window)``; ``start`` moves to each drop if
-    ``flush_on_drop``. Yields, per epoch, one entry per config: its
-    :class:`AccelRecord`, the :class:`RnaError` that ends that config's replay, or
-    None once it has ended. Within an epoch each distinct window start ``lo`` is
-    stacked, checked and differenced once, and each distinct (lo, lam, lam_grid,
-    weight_target) is solved and evaluated once; configs that share one share its
-    entry. The replay holds one window at a time and keeps no entry past its epoch.
+    Yields, per epoch, its :class:`EpochRecord` and one entry per config: its
+    :class:`AccelRecord`, the :class:`RnaError` that ends that config, or None once
+    it has ended. A training error, bad ``epochs`` or ``theta0`` included, is raised
+    after the epochs before it have been yielded. Config i extrapolates the last
+    ``rna_cfgs[i].window + 1`` iterates of a ring that holds the newest
+    ``max(window) + 1`` and is cleared at each drop if ``flush_on_drop``. Within an
+    epoch each distinct window length is stacked, checked and differenced once, and
+    each distinct (length, lam, lam_grid, weight_target) is solved and evaluated
+    once; configs that share one share its entry.
     """
+    epochs = _require_int("epochs", epochs)
+    theta = np.zeros(problem.dim) if theta0 is None else np.array(theta0, float).ravel()
+    if theta.size != problem.dim:
+        raise InvalidConfig(f"theta0 has size {theta.size}, problem.dim is {problem.dim}")
+    velocity = np.zeros_like(theta)
     drops = {e for e, _ in opt_cfg.schedule} if flush_on_drop else set()
+    ring = deque(maxlen=max((c.window for c in rna_cfgs), default=0) + 1)
     live = range(len(rna_cfgs))
-    start = 0
-    for t, record in enumerate(vanilla):
-        if record.epoch in drops:
-            start = t
-        by_lo: dict[int, list[int]] = {}
+    for epoch in range(1, epochs + 1):
+        theta, velocity = sgd_momentum_epoch(theta, velocity, problem, opt_cfg, epoch)
+        record = EpochRecord(
+            epoch=epoch,
+            theta=theta.copy(),
+            objective=float(problem.f(theta)),
+            grad_norm=float(np.linalg.norm(problem.grad(theta))),
+            eta=learning_rate(opt_cfg, epoch),
+        )
+        if epoch in drops:
+            ring.clear()
+        ring.append(record.theta)
+        by_length: dict[int, list[int]] = {}
         for i in live:
-            by_lo.setdefault(max(start, t - rna_cfgs[i].window), []).append(i)
+            by_length.setdefault(min(len(ring), rna_cfgs[i].window + 1), []).append(i)
         entries = [None] * len(rna_cfgs)
-        for lo, members in by_lo.items():
+        for length, members in by_length.items():
+            thetas = list(ring)[-length:]
             cfgs = [rna_cfgs[i] for i in members]
-            for i, entry in zip(members, _window_entries(problem, vanilla, lo, t, cfgs)):
+            for i, entry in zip(members, _window_entries(problem, record, thetas, cfgs)):
                 entries[i] = entry
         live = [i for i in live if not isinstance(entries[i], RnaError)]
-        yield entries
+        yield record, entries
 
 
-def _window_entries(problem, vanilla, lo, t, cfgs) -> list:
-    """The entries of ``cfgs``, which all extrapolate epoch index t from ``vanilla[lo:t + 1]``."""
-    record = vanilla[t]
+def _window_entries(problem, record, thetas, cfgs) -> list:
+    """The entries of ``cfgs``, which all extrapolate ``record``'s epoch from ``thetas``."""
     diffs = None
-    if t > lo:
+    if len(thetas) > 1:
         try:
-            window = _validated([r.theta for r in vanilla[lo : t + 1]])
+            window = _validated(thetas)
         except RnaError as exc:
             return [exc] * len(cfgs)
         diffs = _differenced(window, overwrite=True)  # the stacked window is ours
@@ -282,24 +271,24 @@ def _window_entries(problem, vanilla, lo, t, cfgs) -> list:
 
 def _extrapolated(problem, record, diffs, cfg) -> AccelRecord:
     """``record``'s epoch extrapolated from the window ``diffs`` (None: a copy of it)."""
-    theta_hat, coeffs = record.theta, None
+    theta_hat, coeffs, objective = record.theta, None, None
     if diffs is not None:
         try:
             if cfg.lam_grid is None:
                 theta_hat, coeffs = _rna(diffs, cfg)
-            else:
-                theta_hat, _, coeffs = _select_ridge(
+            else:  # ranked by f, so the winner's f is its score; the fallback's is the record's
+                theta_hat, _, coeffs, objective = _select_ridge(
                     diffs,
                     cfg,
                     lambda c: float(problem.f(_combine(diffs, c.weights, cfg.weight_target))),
-                    float(problem.f(diffs[-1].copy())),
+                    record.objective,
                 )
         except DegenerateSum:
             theta_hat, coeffs = record.theta, None
     return AccelRecord(
         epoch=record.epoch,
         theta=np.array(theta_hat, dtype=np.float64),
-        objective=float(problem.f(theta_hat)),
+        objective=float(problem.f(theta_hat)) if objective is None else objective,
         grad_norm=float(np.linalg.norm(problem.grad(theta_hat))),
         lam_used=None if coeffs is None else coeffs.lam_used,
     )

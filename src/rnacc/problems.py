@@ -218,8 +218,9 @@ def make_logistic(n_samples: int, dim: int, l2: float, seed: int = 0) -> Problem
     planted = rng.standard_normal(dim)
     labels = np.where(x @ planted + 0.1 * rng.standard_normal(n_samples) >= 0, 1.0, -1.0)
     n = float(n_samples)
-    # Largest curvature: logistic term is bounded by ||X||^2 / (4n).
-    smoothness = float(l2 + np.linalg.eigvalsh(x.T @ x).max() / (4.0 * n))
+    # Largest curvature: logistic term is bounded by ||X||^2 / (4n), from X'X or XX'.
+    gram = x.T @ x if dim <= n_samples else x @ x.T
+    smoothness = float(l2 + np.linalg.eigvalsh(gram).max() / (4.0 * n))
 
     def f(theta: np.ndarray) -> float:
         margins = labels * (x @ np.asarray(theta, float))

@@ -494,18 +494,18 @@ def _sweep_peak_bytes(spec, out_dir) -> int:
         tracemalloc.stop()
 
 
-def test_sweep_memory_grows_by_the_vanilla_trace_alone(tmp_path):
-    # The replay holds the vanilla trace, one window and one epoch's points: once
-    # every window is full, the peak grows by about one row of d per epoch, not by
-    # one per cell and epoch.
+def test_sweep_memory_does_not_grow_with_epochs(tmp_path):
+    # The sweep holds the last max(K) + 1 iterates, one window and one epoch's
+    # points, never the vanilla trace: once every window is full, 30 more epochs
+    # add almost nothing to the peak, where a held trace adds one row of d each.
     spec = default_spec("mlp")
     spec.problem_params = {"d_in": 100, "hidden": 100, "n_samples": 100, "seed": 0}
     row = 8 * build_problem(spec).dim  # 10,201 float64s
     peaks = [
         _sweep_peak_bytes(replace(spec, epochs=epochs), tmp_path / str(epochs))
-        for epochs in (10, 20)
+        for epochs in (10, 40)
     ]
-    assert (peaks[1] - peaks[0]) / row / 10 <= 1.5
+    assert (peaks[1] - peaks[0]) / row / 30 <= 0.25
 
 
 def test_sweep_validation(tmp_path):
@@ -538,7 +538,7 @@ def test_sweep_rejects_spec_keys_it_does_not_use(tmp_path, monkeypatch, key, cha
     def train(*args, **kwargs):
         raise AssertionError("trained despite a spec key the sweep does not use")
 
-    monkeypatch.setattr("rnacc.experiment._train", train)
+    monkeypatch.setattr("rnacc.experiment._stream", train)
     monkeypatch.chdir(tmp_path)
     spec = replace(default_spec("quadratic"), epochs=3, **change)
     with pytest.raises(InvalidConfig, match=f"^{key}: "):
@@ -551,7 +551,7 @@ def test_sweep_refuses_an_output_on_an_input(tmp_path, monkeypatch, target):
     def train(*args, **kwargs):
         raise AssertionError("trained despite an output on an input")
 
-    monkeypatch.setattr("rnacc.experiment._train", train)
+    monkeypatch.setattr("rnacc.experiment._stream", train)
     (tmp_path / "data").mkdir()
     spec_path = tmp_path / "data" / "summary.csv"
     spec_path.write_text("epochs = 5\n")

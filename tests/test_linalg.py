@@ -11,7 +11,7 @@ from mpmath import mp
 from rnacc import core, default_spec, linalg
 from rnacc.experiment import build_problem
 from rnacc.linalg import exact_residual, refined_spd_solve
-from rnacc.optimizers import _train
+from rnacc.optimizers import run_with_rna
 
 from oracles import mp_eig_solve, scipy_refined_spd_solve
 
@@ -73,8 +73,7 @@ def test_refined_solve_rejects_indefinite():
 
 
 def _trajectory(spec) -> list:
-    vanilla, error = _train(build_problem(spec), spec.optimizer, spec.epochs)
-    assert error is None
+    vanilla, _ = run_with_rna(build_problem(spec), spec.optimizer, None, spec.epochs)
     return [record.theta for record in vanilla]
 
 

@@ -226,6 +226,20 @@ def test_run_with_rna_adaptive_never_worse_than_iterate():
         assert a.objective <= v.objective
 
 
+def test_run_with_rna_grid_evaluates_f_once_per_ridge():
+    # With a grid each extrapolated epoch evaluates f at its 6 ranked points and
+    # nowhere else: the fallback's score is the epoch's recorded objective, and the
+    # winner's objective is its ranking score. Training takes one f per epoch, and
+    # epoch 1, with no window yet, one more for its copy.
+    p = make_logistic(100, 10, 1e-3, seed=2)
+    f, calls = p.f, []
+    p.f = lambda theta: calls.append(1) or f(theta)
+    cfg = OptimizerConfig(eta=2.0, momentum=0.0, weight_decay=0.0)
+    rna_cfg = RnaConfig(window=5, lam_grid=(1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2))
+    run_with_rna(p, cfg, rna_cfg, epochs=20)
+    assert len(calls) == 20 + 1 + 6 * 19
+
+
 def test_run_with_rna_records_the_ridge_that_entered_the_solve():
     # A grid entry below the floor 10 * eps * trace(G) is solved at the floor,
     # and the record says so, as it does without a grid.

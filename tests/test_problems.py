@@ -1,5 +1,6 @@
 """Objective constructors and their gradient oracles."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -189,6 +190,23 @@ def test_logistic_seeded_determinism():
     b = make_logistic(30, 4, l2=1e-2, seed=6)
     np.testing.assert_array_equal(a.extras["features"], b.extras["features"])
     np.testing.assert_array_equal(a.extras["labels"], b.extras["labels"])
+
+
+def test_logistic_smoothness_needs_no_d_by_d_matrix():
+    # With d > n the smoothness comes from the n x n Gram X X', which shares the
+    # largest eigenvalue of the d x d X'X: the build's peak stays near the bytes of
+    # the features, where X'X alone is 100 times them at d = 20,000.
+    tracemalloc.start()
+    try:
+        problem = make_logistic(200, 20_000, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * problem.extras["features"].nbytes
+    problem = make_logistic(200, 2_000, 1e-3)
+    x = problem.extras["features"]
+    want = 1e-3 + np.linalg.eigvalsh(x.T @ x).max() / (4.0 * 200)
+    assert abs(problem.smoothness - want) <= 1e-14 * want
 
 
 def test_logistic_validation():
