@@ -257,6 +257,31 @@ def test_run_with_rna_records_the_ridge_that_entered_the_solve():
     assert extrapolated >= 10
 
 
+@pytest.mark.parametrize("target", ["latest", "oldest"])
+def test_run_with_rna_grid_epochs_equal_adaptive_rna(target):
+    # Each epoch of a grid run is adaptive_rna on its window, ranked by f: the same
+    # point bit for bit, its objective, and the ridge that entered the winner's solve.
+    # 1e-30 is below the floor, and on this trajectory the last iterate wins some epochs.
+    p = make_mlp(6, 5, 60, seed=1)
+    cfg = OptimizerConfig(eta=0.2, momentum=0.9, weight_decay=1e-5, batch_size=20, seed=2)
+    rna_cfg = RnaConfig(window=4, lam_grid=(1e-30, 1e-8, 1e-2), weight_target=target)
+    vanilla, accel = run_with_rna(p, cfg, rna_cfg, epochs=20)
+    assert accel[0].theta.tobytes() == vanilla[0].theta.tobytes()
+    assert accel[0].lam_used is None
+    ridges = []
+    for t in range(1, len(vanilla)):
+        window = [v.theta for v in vanilla[max(0, t - 4) : t + 1]]
+        theta_hat, _, coeffs = core.adaptive_rna(window, rna_cfg, p.f)
+        a = accel[t]
+        assert a.theta.tobytes() == theta_hat.tobytes(), t
+        assert a.objective == p.f(theta_hat)
+        assert a.lam_used == (None if coeffs is None else coeffs.lam_used)
+        ridges.append(a.lam_used)
+    assert None in ridges  # the last iterate won an epoch
+    assert {1e-8, 1e-2} <= set(ridges)
+    assert any(r is not None and r not in rna_cfg.lam_grid for r in ridges)  # a floored 1e-30
+
+
 def test_run_with_rna_singular_config_raises():
     # Window wider than the dimension makes the Gram singular at lam=0;
     # that is a configuration error and must surface, not fall back.
