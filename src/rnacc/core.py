@@ -18,7 +18,8 @@ anchored at the newest iterate, ``theta_hat = theta_K - P @ D``, where
 ``P`` holds the prefix sums of c (shifted by one for ``LATEST``). Public
 functions difference into a buffer of their own and never write into a
 caller's array; ``rnacc accelerate`` differences the matrix it read in
-place.
+place. Every entry point then solves once at ``lam``, or once per ridge
+of ``lam_grid`` keeping the best-ranked point, over one Gram matrix.
 
 Coefficients may be negative; only their sum is constrained. All
 arithmetic is float64 regardless of how iterates were stored.
@@ -314,7 +315,7 @@ def normalize(raw_solution, lam_used: float | None = None) -> Coefficients:
     legal; the combination is affine, not convex.
 
     Raises:
-        DegenerateSum: ``|sum(z)| < 1e-12 * ||z||_1`` (raise lam).
+        DegenerateSum: ``|sum(z)|`` not above ``1e-12 * ||z||_1`` (raise lam).
         NumericalFailure: Non-finite entries.
     """
     z = np.asarray(raw_solution, dtype=np.float64).ravel()
@@ -323,7 +324,8 @@ def normalize(raw_solution, lam_used: float | None = None) -> Coefficients:
     if not np.isfinite(z).all():
         raise NumericalFailure("raw solution contains NaN or infinite entries")
     total = math.fsum(z)
-    if abs(total) < DEGENERATE_SUM_RTOL * math.fsum(np.abs(z)):
+    # Not "<": a zero z, or one so small that the bound underflows to 0, sums to 0 too.
+    if not abs(total) > DEGENERATE_SUM_RTOL * math.fsum(np.abs(z)):
         raise DegenerateSum(
             f"raw solution sums to {total:.3e}, which is negligible against "
             f"its own magnitude; increase lam"
@@ -341,7 +343,8 @@ def extrapolate(iterates, coefficients, target=WeightTarget.LATEST) -> np.ndarra
     ``theta_0 .. theta_{m-2}``.
 
     Accepts a :class:`Coefficients` or a bare weight vector. Raises
-    DimensionMismatch unless ``len(c) == m - 1``.
+    DimensionMismatch unless ``len(c) == m - 1`` and NumericalFailure for
+    non-finite weights.
     """
     mat = as_iterate_matrix(iterates)
     weights = np.asarray(getattr(coefficients, "weights", coefficients), dtype=np.float64)
@@ -350,6 +353,8 @@ def extrapolate(iterates, coefficients, target=WeightTarget.LATEST) -> np.ndarra
             f"{weights.size} coefficients cannot weight {mat.shape[0]} iterates "
             f"(need exactly m - 1)"
         )
+    if not np.isfinite(weights).all():
+        raise NumericalFailure("coefficients contain NaN or infinite entries")
     return _combine(_differenced(mat), weights, _as_weight_target(target))
 
 
@@ -360,30 +365,31 @@ def rna(iterates, config: RnaConfig | None = None) -> tuple[np.ndarray, Coeffici
     shrinking the window when fewer are available (so the procedure is
     usable from the second epoch onward). Validates once, then does the
     work of :func:`build_residuals`, :func:`solve_regularized`,
-    :func:`normalize`, and :func:`extrapolate`; deterministic.
+    :func:`normalize`, and :func:`extrapolate`; deterministic. A grid
+    needs a score, so a config with ``lam_grid`` raises InvalidConfig.
 
     Returns:
         (theta_hat, coefficients).
     """
     cfg = config if config is not None else RnaConfig()
-    return _rna(_differenced(_validated(iterates)[-(cfg.window + 1):]), cfg)
+    diffs = _differenced(_validated(iterates)[-(cfg.window + 1):])
+    theta_hat, _, coeffs, _ = _extrapolate(diffs, _gram(diffs), cfg)
+    return theta_hat, coeffs
 
 
-def _rna(diffs, config):
-    """:func:`rna` on a :func:`_differenced` window."""
-    coeffs = normalize(*_solve_gram(_gram(diffs), config.lam))
-    return _combine(diffs, coeffs.weights, config.weight_target), coeffs
+def _extrapolate(diffs, gram, config, rank=None, fallback_score=None):
+    """Extrapolate a :func:`_differenced` window from its :func:`_gram`, plain or grid.
 
-
-def _select_ridge(diffs, config, rank, fallback_score):
-    """The ridge-selection policy of :func:`adaptive_rna`, for any ranking.
-
-    One Gram matrix of the :func:`_differenced` window serves every ridge;
-    ``rank(coefficients)`` scores a solved ridge and ``fallback_score`` the last iterate,
-    which wins ties. Returns (theta_hat, lam_star, coefficients, the winner's score),
-    with (last iterate, None, None, fallback_score) for the fallback.
+    Returns (theta_hat, lam_star, coefficients, score). Without a grid: one solve at
+    ``config.lam`` whose errors raise, ``lam_star`` its ``lam_used`` and no score. With
+    one: the policy of :func:`adaptive_rna`, ``rank(coefficients)`` scoring each ridge
+    and ``fallback_score`` the last iterate; a grid without ``rank`` raises InvalidConfig.
     """
-    gram = _gram(diffs)
+    if config.lam_grid is None:
+        coeffs = normalize(*_solve_gram(gram, config.lam))
+        return _combine(diffs, coeffs.weights, config.weight_target), coeffs.lam_used, coeffs, None
+    if rank is None:
+        raise InvalidConfig("a lam_grid is ranked by a score; use adaptive_rna, or drop the grid")
     best_lam, best_coeffs, best_score = None, None, fallback_score
     for lam in config.lam_grid:
         try:
@@ -422,8 +428,9 @@ def adaptive_rna(
     if config.lam_grid is None:
         raise InvalidConfig("adaptive_rna requires a config with lam_grid set")
     diffs = _differenced(_validated(iterates)[-(config.window + 1):])
-    return _select_ridge(
+    return _extrapolate(
         diffs,
+        _gram(diffs),
         config,
         lambda c: float(score(_combine(diffs, c.weights, config.weight_target))),
         float(score(diffs[-1].copy())),

@@ -31,8 +31,8 @@ from .core import (
     RnaConfig,
     WeightTarget,
     _differenced,
-    _rna,
-    _select_ridge,
+    _extrapolate,
+    _gram,
     _validated,
 )
 from .errors import InvalidConfig, RnaError, _require_int
@@ -291,15 +291,12 @@ def _accelerate(iterates, cfg: RnaConfig, scores, overwrite: bool = False):
             f"{scores.size} scores for {mat.shape[0]} checkpoints; counts must match"
         )
     diffs = _differenced(mat[-(cfg.window + 1):], overwrite)
-    if cfg.lam_grid is None:
-        theta_hat, coeffs = _rna(diffs, cfg)
-        return theta_hat, coeffs.lam_used, coeffs
-    tail_scores = scores[-(cfg.window + 1):]
-    return _select_ridge(
+    return _extrapolate(
         diffs,
+        _gram(diffs),
         cfg,
-        lambda c: float(c.weights @ tail_scores[1:]),
-        float(tail_scores[-1]),
+        lambda c: float(c.weights @ scores[-len(c):]),  # c weights the last len(c) iterates
+        None if scores is None else float(scores[-1]),
     )[:3]
 
 
@@ -386,12 +383,12 @@ def _sweep_cells(spec: ExperimentSpec, windows, lams, out_dir) -> list[tuple[Rna
 def sweep(spec: ExperimentSpec, windows, lams, out_dir, inputs=()) -> list[SweepCell]:
     """Train once, extrapolating each epoch for all (window, lambda) cells as it ends.
 
-    Cells share what they have in common: per epoch, each distinct window is
-    differenced once and each distinct (window, lambda) point solved and evaluated
-    once, and only the last ``max(windows) + 1`` iterates are held, never the
+    Cells share what they have in common: per epoch, each distinct window is differenced
+    and its Gram matrix formed once, each distinct (window, lambda) point solved and
+    evaluated once, and only the last ``max(windows) + 1`` iterates are held, never the
     whole vanilla trace. Each cell writes the ``metrics_k{K}_lam{lambda:g}.csv`` that
-    :func:`run_experiment` would, byte for byte; a cell keeps its metrics rows and
-    final objectives, never the extrapolated points. A failing cell is recorded in
+    :func:`run_experiment` would, byte for byte; a cell keeps its metrics rows and final
+    objectives, never the extrapolated points. A failing cell is recorded in
     ``summary.csv`` and spares the others.
     ``inputs`` holds ``(label, path)`` pairs of files the sweep must not overwrite,
     such as its spec file. Bad epochs, problem parameters or cells, two cells sharing

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RnaConfig, _combine, _differenced, _rna, _select_ridge, _validated
+from .core import RnaConfig, _combine, _differenced, _extrapolate, _gram, _validated
 from .errors import DegenerateSum, InvalidConfig, NumericalFailure, RnaError, _require_int
 from .problems import Problem
 
@@ -212,14 +212,16 @@ def _stream(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop=False, theta0=None
     after the epochs before it have been yielded. Config i extrapolates the last
     ``rna_cfgs[i].window + 1`` iterates of a ring that holds the newest
     ``max(window) + 1`` and is cleared at each drop if ``flush_on_drop``. Within an
-    epoch each distinct window length is stacked, checked and differenced once, and
-    each distinct (length, lam, lam_grid, weight_target) is solved and evaluated
-    once; configs that share one share its entry.
+    epoch each distinct window length is stacked, checked, differenced and its Gram
+    matrix formed once, and each distinct (length, lam, lam_grid, weight_target) is
+    solved and evaluated once; configs that share one share its entry.
     """
     epochs = _require_int("epochs", epochs)
     theta = np.zeros(problem.dim) if theta0 is None else np.array(theta0, float).ravel()
     if theta.size != problem.dim:
         raise InvalidConfig(f"theta0 has size {theta.size}, problem.dim is {problem.dim}")
+    if not np.isfinite(theta).all():
+        raise NumericalFailure("theta0 contains NaN or infinite entries")
     velocity = np.zeros_like(theta)
     drops = {e for e, _ in opt_cfg.schedule} if flush_on_drop else set()
     ring = deque(maxlen=max((c.window for c in rna_cfgs), default=0) + 1)
@@ -251,38 +253,37 @@ def _stream(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop=False, theta0=None
 
 def _window_entries(problem, record, thetas, cfgs) -> list:
     """The entries of ``cfgs``, which all extrapolate ``record``'s epoch from ``thetas``."""
-    diffs = None
+    diffs = gram = None
     if len(thetas) > 1:
         try:
             window = _validated(thetas)
         except RnaError as exc:
             return [exc] * len(cfgs)
         diffs = _differenced(window, overwrite=True)  # the stacked window is ours
+        gram = _gram(diffs)
     points = {}
     keys = [None if diffs is None else (c.lam, c.lam_grid, c.weight_target) for c in cfgs]
     for key, cfg in zip(keys, cfgs):
         if key not in points:
             try:
-                points[key] = _extrapolated(problem, record, diffs, cfg)
+                points[key] = _extrapolated(problem, record, diffs, gram, cfg)
             except RnaError as exc:
                 points[key] = exc
     return [points[key] for key in keys]
 
 
-def _extrapolated(problem, record, diffs, cfg) -> AccelRecord:
-    """``record``'s epoch extrapolated from the window ``diffs`` (None: a copy of it)."""
+def _extrapolated(problem, record, diffs, gram, cfg) -> AccelRecord:
+    """``record``'s epoch extrapolated from ``diffs`` and its ``gram`` (None: a copy of it)."""
     theta_hat, coeffs, objective = record.theta, None, None
     if diffs is not None:
-        try:
-            if cfg.lam_grid is None:
-                theta_hat, coeffs = _rna(diffs, cfg)
-            else:  # ranked by f, so the winner's f is its score; the fallback's is the record's
-                theta_hat, _, coeffs, objective = _select_ridge(
-                    diffs,
-                    cfg,
-                    lambda c: float(problem.f(_combine(diffs, c.weights, cfg.weight_target))),
-                    record.objective,
-                )
+        try:  # a grid is ranked by f: its score is the objective, the fallback's the record's
+            theta_hat, _, coeffs, objective = _extrapolate(
+                diffs,
+                gram,
+                cfg,
+                lambda c: float(problem.f(_combine(diffs, c.weights, cfg.weight_target))),
+                record.objective,
+            )
         except DegenerateSum:
             theta_hat, coeffs = record.theta, None
     return AccelRecord(

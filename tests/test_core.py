@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,15 @@ def test_normalize_sum_is_exact_after_correction():
         )
 
 
+@pytest.mark.parametrize("z", [np.zeros(3), [1e-320, -1e-320, 0.0]], ids=["zeros", "subnormal"])
+def test_normalize_zero_sum_is_degenerate(z):
+    # The bound 1e-12 * ||z||_1 is 0 for both, and a zero sum must not pass it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSum):
+            normalize(z)
+
+
 def test_normalize_rejects_nonfinite():
     with pytest.raises(NumericalFailure):
         normalize([np.nan, 1.0])
@@ -287,6 +297,12 @@ def test_extrapolate_uniform_weights_match_mean():
 def test_extrapolate_length_mismatch():
     with pytest.raises(DimensionMismatch):
         extrapolate([(0.0,), (1.0,)], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_extrapolate_rejects_nonfinite_weights(bad):
+    with pytest.raises(NumericalFailure, match="coefficients"):
+        extrapolate(np.eye(3), [bad, 1.0])
 
 
 # ---------------------------------------------------------------------- rna
@@ -539,6 +555,13 @@ def test_adaptive_requires_grid():
     _, traj = _quadratic_trajectory()
     with pytest.raises(InvalidConfig):
         adaptive_rna(traj, RnaConfig(window=5), lambda t: 0.0)
+
+
+def test_rna_rejects_a_grid():
+    # rna has no score to rank a grid by, and does not fall back to config.lam.
+    _, traj = _quadratic_trajectory()
+    with pytest.raises(InvalidConfig, match="adaptive_rna"):
+        rna(traj, RnaConfig(window=5, lam_grid=(1e-8,)))
 
 
 def test_adaptive_every_grid_cell_failing_returns_last_iterate(monkeypatch):

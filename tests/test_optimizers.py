@@ -294,12 +294,12 @@ def test_run_with_rna_singular_config_raises():
 def test_run_with_rna_degenerate_sum_keeps_the_iterate(tmp_path, monkeypatch):
     import rnacc.optimizers as optimizers
 
-    def degenerate_at_epoch_4(diffs, cfg):
+    def degenerate_at_epoch_4(diffs, *args):
         if len(diffs) == 4:  # epoch 4 extrapolates from epochs 1..4
             raise DegenerateSum("forced")
-        return core._rna(diffs, cfg)
+        return core._extrapolate(diffs, *args)
 
-    monkeypatch.setattr(optimizers, "_rna", degenerate_at_epoch_4)
+    monkeypatch.setattr(optimizers, "_extrapolate", degenerate_at_epoch_4)
     p = make_quadratic(5, 10.0, seed=3)
     cfg = OptimizerConfig(eta=0.05, momentum=0.0, weight_decay=0.0)
     vanilla, accel = run_with_rna(p, cfg, RnaConfig(window=10, lam=1e-8), epochs=6)
@@ -324,6 +324,15 @@ def test_run_with_rna_flush_on_drop_restarts_window():
     assert by_epoch[4].lam_used is not None  # window filled before the drop
     assert by_epoch[5].lam_used is None  # flushed at the drop
     assert by_epoch[6].lam_used is not None  # refilling again
+
+
+def test_run_with_rna_rejects_a_nonfinite_theta0():
+    # A zero gradient would carry the NaN through every epoch without an error.
+    flat = Problem("flat", 3, lambda t: float(np.sum(t)), lambda t: np.zeros(3))
+    cfg = OptimizerConfig(eta=0.1, momentum=0.0, weight_decay=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericalFailure, match="theta0"):
+            run_with_rna(flat, cfg, None, epochs=3, theta0=[bad, 0.0, 0.0])
 
 
 def test_run_with_rna_epoch_validation():
