@@ -1,0 +1,56 @@
+#!/usr/bin/env bash
+# Run the rnacc console script through every command that CI checks outside pytest.
+#
+#     bash .github/cli_smoke.sh DIR
+#
+# DIR is an existing, empty directory. It receives the inputs of write_trajectory.py
+# and the three accelerate outputs that check_c11.py compares. Exits nonzero at the
+# first command that fails or check that does not hold.
+set -euo pipefail
+dir=$1
+
+rnacc --help
+for command in run accelerate sweep; do rnacc "$command" --help; done
+rnacc run --epochs 3 --out "$dir/m.csv"
+rnacc run --problem quadratic --epochs 3 --out "$dir/q.csv"
+rnacc run --problem logistic --epochs 3 --out "$dir/l.csv"
+# The training driver's grid branch, which pytest alone reaches otherwise.
+rnacc run --problem logistic --epochs 6 --k 4 --lambda-grid 1e-10,1e-6 --out "$dir/lg.csv"
+# Flags read as spec lines do: whole floats run exactly as the integers.
+rnacc run --epochs 3 --k 2 --seed 2 --out "$dir/whole.csv"
+rnacc run --epochs 3.0 --k 2.0 --seed 2.0 --out "$dir/whole_float.csv"
+cmp "$dir/whole.csv" "$dir/whole_float.csv"
+rnacc sweep --problem quadratic --epochs 3 --k-list 2 --lambda-list 1e-8 --out "$dir/sweep"
+rnacc sweep --problem logistic --epochs 3 --k-list 2 --lambda-list 1e-8 --out "$dir/sweep_l"
+
+# One 6-iterate trajectory as one f64 file and as a directory of six f32 files.
+python .github/write_trajectory.py "$dir"
+rnacc accelerate "$dir/traj.rnac" --k 4 --out "$dir/from_file.rnac"
+rnacc accelerate "$dir/traj" --k 4 --out "$dir/from_dir.rnac"
+rnacc accelerate "$dir/traj.rnac" --k 4 --lambda-grid 1e-8,1e-6 \
+  --scores "$dir/scores.txt" --out "$dir/from_grid.rnac"
+
+# An --out inside the input directory, on the input file or on the scores file,
+# exits 2 and changes nothing.
+before=$(cat "$dir/traj.rnac" "$dir"/traj/* "$dir/scores.txt" | sha256sum)
+status=0
+rnacc accelerate "$dir/traj" --k 4 --out "$dir/traj/again.rnac" || status=$?
+test "$status" -eq 2
+status=0
+rnacc accelerate "$dir/traj.rnac" --k 4 --out "$dir/traj.rnac" || status=$?
+test "$status" -eq 2
+status=0
+rnacc accelerate "$dir/traj.rnac" --k 4 --lambda-grid 1e-8,1e-6 \
+  --scores "$dir/scores.txt" --out "$dir/scores.txt" || status=$?
+test "$status" -eq 2
+test ! -e "$dir/traj/again.rnac"
+test "$(cat "$dir/traj.rnac" "$dir"/traj/* "$dir/scores.txt" | sha256sum)" = "$before"
+
+# An output in a missing directory exits 4 before any work, and nothing is made.
+status=0
+rnacc run --epochs 3 --out "$dir/missing/m.csv" || status=$?
+test "$status" -eq 4
+status=0
+rnacc accelerate "$dir/traj.rnac" --k 4 --out "$dir/missing/o.rnac" || status=$?
+test "$status" -eq 4
+test ! -e "$dir/missing"

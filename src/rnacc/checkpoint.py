@@ -91,6 +91,13 @@ def _refuse_overwrite(outputs, inputs=()) -> None:
         seen.append((label, path, mine))
 
 
+def _require_dirs(outputs) -> None:
+    """Raise FileNotFoundError naming the first ``(label, path)`` output in a missing directory."""
+    for label, path in outputs:
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"{label} {path}: its directory does not exist")
+
+
 def write_checkpoints(path, iterates, precision: str = "f64") -> None:
     """Write an iterate sequence as one binary checkpoint file.
 

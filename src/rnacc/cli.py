@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .checkpoint import _refuse_overwrite, read_checkpoints, write_checkpoints
+from .checkpoint import _refuse_overwrite, _require_dirs, read_checkpoints, write_checkpoints
 from .core import RnaConfig
 from .errors import (
     FormatError,
@@ -40,15 +40,14 @@ FORMAT_EXIT = 4
 def _window_flags(**defaults) -> argparse.ArgumentParser:
     """The extrapolation flags of run and accelerate, as a parent parser.
 
-    Parents share their actions with every child, and ``set_defaults`` writes into
-    the actions, so each command gets its own copy: accelerate's defaults must not
-    become run's, where an unset flag leaves the spec's value.
+    A flag's text is read by ``_override`` as its spec key's value. Parents share their
+    actions with every child, and ``set_defaults`` writes into the actions, so each
+    command gets its own copy: accelerate's defaults must not become run's, where an
+    unset flag leaves the spec's value.
     """
     flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--k", type=int, help=f"window size (default {RnaConfig.window})")
-    flags.add_argument(
-        "--lambda", dest="lam", type=float, help=f"ridge parameter (default {RnaConfig.lam:g})"
-    )
+    flags.add_argument("--k", help=f"window size (default {RnaConfig.window})")
+    flags.add_argument("--lambda", dest="lam", help=f"ridge parameter (default {RnaConfig.lam:g})")
     flags.add_argument(
         "--lambda-grid",
         dest="lam_grid",
@@ -75,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(_PROBLEMS),
         help="built-in problem; overrides the spec file's selector",
     )
-    training.add_argument("--epochs", type=int, help="number of training epochs")
-    training.add_argument("--seed", type=int, help="problem and shuffling seed")
+    training.add_argument("--epochs", help="number of training epochs")
+    training.add_argument("--seed", help="problem and shuffling seed")
 
     run_p = sub.add_parser(
         "run",
@@ -129,15 +128,14 @@ def _spec_from_args(args) -> ExperimentSpec:
         fresh = ExperimentSpec(problem=args.problem)
         optimizer = replace(fresh.optimizer, seed=spec.optimizer.seed)
         spec = replace(spec, problem=args.problem, problem_params={}, optimizer=optimizer)
-    lam_grid = getattr(args, "lam_grid", None)
     flags = {
         "problem.seed": args.seed,
         "optimizer.seed": args.seed,
         "epochs": args.epochs,
         "rna.window": getattr(args, "k", None),
         "rna.lambda": getattr(args, "lam", None),
-        "rna.lambda_grid": _numbers(lam_grid) if lam_grid else None,
-        "metrics_out": getattr(args, "out", None) or None,
+        "rna.lambda_grid": getattr(args, "lam_grid", None),
+        "metrics_out": getattr(args, "out", None),
         "flush_on_drop": getattr(args, "flush_on_drop", None),
     }
     return _override(spec, {key: value for key, value in flags.items() if value is not None})
@@ -172,17 +170,18 @@ def cmd_accelerate(args) -> int:
     # An output inside the input directory would be read back as its newest iterate.
     inputs = [("the input", args.checkpoints), ("--scores", args.scores)]
     _refuse_overwrite([("--out", args.out)], inputs)
-    grid = _numbers(args.lam_grid) if args.lam_grid else None
-    cfg = _accelerate_settings(args.k, args.lam, grid, bool(args.scores))
+    _require_dirs([("--out", args.out)])
+    settings = {"rna.window": args.k, "rna.lambda": args.lam, "rna.lambda_grid": args.lam_grid}
+    cfg = _accelerate_settings(_override(ExperimentSpec(), settings).rna, bool(args.scores))
     scores = _read_scores(args.scores) if args.scores else None
     mat = read_checkpoints(args.checkpoints)
     count = mat.shape[0]
     # The matrix is rnacc's own: its window becomes the differences, then is dropped.
     theta_hat, _, coeffs = _accelerate(mat, cfg, scores, overwrite=True)
     del mat
-    if args.k + 1 > count:
+    if cfg.window + 1 > count:
         print(
-            f"warning: window {args.k} wants {args.k + 1} checkpoints, only "
+            f"warning: window {cfg.window} wants {cfg.window + 1} checkpoints, only "
             f"{count} available; using all of them",
             file=sys.stderr,
         )

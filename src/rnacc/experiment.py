@@ -5,8 +5,8 @@ configs) that round-trips losslessly: floats are rendered with ``repr``,
 empty values mean None. Each key is declared once, with its type, in
 ``_KEYS``; a file is a set of overrides on the defaults that the
 :class:`ExperimentSpec` constructor fills in for its ``problem`` (from
-``_PROBLEMS``), and the CLI turns its flags into the same keys, so a value
-from a file and one from a flag take one path and are validated once.
+``_PROBLEMS``), and the CLI hands its flags' text to the same keys, so a value
+from a file and one from a flag take one path, ``_override``, and read alike.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .checkpoint import (
     _metric_row,
     _refuse_overwrite,
     _replacing,
+    _require_dirs,
     _write_table,
     write_checkpoints,
     write_metrics,
@@ -66,19 +67,19 @@ def _number(text: str):
     raise InvalidConfig(f"expected a number, got {text!r}")
 
 
-def _numbers(text: str) -> tuple:
-    """Comma-separated numbers, as in spec files and the CLI's list flags."""
-    return tuple(_number(part.strip()) for part in text.split(",") if part.strip())
+def _list(parse):
+    """Comma-separated entries, each read by ``parse``; empty entries are skipped."""
+    return lambda text: tuple(parse(part.strip()) for part in text.split(",") if part.strip())
 
 
-def _schedule(text: str) -> tuple:
-    out = []
-    for part in text.split(",") if text else ():
-        epoch, _, mult = part.partition(":")
-        if not mult:
-            raise InvalidConfig(f"schedule entries look like 'epoch:mult', got {part!r}")
-        out.append((_number(epoch.strip()), _number(mult.strip())))
-    return tuple(out)
+_numbers = _list(_number)  # as in spec files and the CLI's list flags
+
+
+def _drop(text: str) -> tuple:
+    epoch, _, mult = text.partition(":")
+    if not mult:
+        raise InvalidConfig(f"schedule entries look like 'epoch:mult', got {text!r}")
+    return _number(epoch.strip()), _number(mult.strip())
 
 
 def _flag(text: str) -> bool:
@@ -97,7 +98,7 @@ _KEYS = {
     "optimizer.eta": ("optimizer", "eta", _number),
     "optimizer.momentum": ("optimizer", "momentum", _number),
     "optimizer.weight_decay": ("optimizer", "weight_decay", _number),
-    "optimizer.schedule": ("optimizer", "schedule", _schedule),
+    "optimizer.schedule": ("optimizer", "schedule", _list(_drop)),
     "optimizer.batch_size": ("optimizer", "batch_size", _optional(_number)),
     "optimizer.seed": ("optimizer", "seed", _number),
     "rna.window": ("rna", "window", _number),
@@ -141,7 +142,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentSpec":
-        """Parse a spec; its keys override the defaults of its problem.
+        """Parse a spec; its keys override the defaults of its problem, in file order.
 
         A key given on two lines raises InvalidConfig naming both.
         """
@@ -160,16 +161,7 @@ class ExperimentSpec:
                 )
             pairs[key], linenos[key] = value.strip(), lineno
         problem = pairs.pop("problem", "quadratic")
-        values = {}
-        for key, value in pairs.items():
-            if key not in _KEYS and not key.startswith("problem."):
-                raise InvalidConfig(f"unknown spec key {key!r}")
-            parse = _KEYS[key][2] if key in _KEYS else _number
-            try:
-                values[key] = parse(value)
-            except InvalidConfig as exc:
-                raise InvalidConfig(f"{key}: {exc}") from None
-        return _override(cls(problem=problem), values)
+        return _override(cls(problem=problem), pairs)
 
     def to_file(self, path) -> None:
         with _replacing(path, "w", encoding="utf-8") as fh:
@@ -188,18 +180,23 @@ class ExperimentSpec:
 
 
 def _override(spec: ExperimentSpec, values: dict) -> ExperimentSpec:
-    """``spec`` with each spec key in ``values`` set; a rejected value names its key."""
+    """``spec`` with each spec key in ``values`` set, in order. Text is parsed with the
+    key's ``_KEYS`` parser (``_number`` for ``problem.*``); other values are taken as
+    given. An unknown key raises InvalidConfig, and a rejected value names its key."""
     for key, value in values.items():
+        if key in _KEYS:
+            section, name, parse = _KEYS[key]
+        elif key.startswith("problem."):
+            section, name, parse = "problem_params", key[len("problem."):], _number
+        else:
+            raise InvalidConfig(f"unknown spec key {key!r}")
         try:
-            if key.startswith("problem."):
-                params = {**spec.problem_params, key[len("problem."):]: value}
-                spec = replace(spec, problem_params=params)
-                continue
-            section, name, _ = _KEYS[key]
-            if section is not None:
+            value = parse(value) if isinstance(value, str) else value
+            if section == "problem_params":
+                value = {**spec.problem_params, name: value}
+            elif section is not None:
                 value = replace(getattr(spec, section), **{name: value})
-                name = section
-            spec = replace(spec, **{name: value})
+            spec = replace(spec, **{section or name: value})
         except InvalidConfig as exc:
             raise InvalidConfig(f"{key}: {exc}") from None
     return spec
@@ -248,11 +245,12 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None, inputs=
 
     Returns (vanilla records, acceleration records, problem). ``inputs`` holds
     ``(label, path)`` pairs of files the run must not overwrite, such as its spec
-    file. An output on one of them, or two outputs on one path, raise InvalidConfig
-    before training.
+    file. An output on one of them, or two outputs on one path, raise InvalidConfig,
+    and an output in a missing directory FileNotFoundError, before training.
     """
     outputs = [("metrics_out", spec.metrics_out), ("checkpoints_out", spec.checkpoints_out)]
     _refuse_overwrite(outputs, inputs)
+    _require_dirs(outputs)
     if problem is None:
         problem = build_problem(spec)
     vanilla, accelerated = run_with_rna(
@@ -269,9 +267,8 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None, inputs=
     return vanilla, accelerated, problem
 
 
-def _accelerate_settings(window, lam, lam_grid, has_scores: bool) -> RnaConfig:
-    """The settings of :func:`accelerate_checkpoints`, checked before any iterate is read."""
-    cfg = RnaConfig(window=window, lam=lam, lam_grid=lam_grid)
+def _accelerate_settings(cfg: RnaConfig, has_scores: bool) -> RnaConfig:
+    """``cfg``, once scores are checked to come with its grid, before any iterate is read."""
     if cfg.lam_grid is None and has_scores:
         raise InvalidConfig("scores rank a lambda grid; without a grid they go unused")
     if cfg.lam_grid is not None and not has_scores:
@@ -321,7 +318,7 @@ def accelerate_checkpoints(
     or non-finite scores raise InvalidConfig; bad iterates raise as in
     :func:`rnacc.rna`. ``iterates`` is never written to.
     """
-    cfg = _accelerate_settings(window, lam, lam_grid, scores is not None)
+    cfg = _accelerate_settings(RnaConfig(window, lam, lam_grid), scores is not None)
     if scores is not None:
         scores = np.asarray(scores, dtype=np.float64).ravel()
         if not np.isfinite(scores).all():

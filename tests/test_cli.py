@@ -13,6 +13,7 @@ import pytest
 import rnacc
 from rnacc import (
     ExperimentSpec,
+    InvalidConfig,
     RnaConfig,
     build_problem,
     default_spec,
@@ -56,6 +57,53 @@ def test_missing_subcommand_is_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# Each setting flag of run, and the spec keys that a line sets for it.
+_FLAG_KEYS = {
+    "--epochs": ("epochs",),
+    "--seed": ("problem.seed", "optimizer.seed"),
+    "--k": ("rna.window",),
+    "--lambda": ("rna.lambda",),
+    "--lambda-grid": ("rna.lambda_grid",),
+    "--out": ("metrics_out",),
+}
+
+
+def _text_or_error(make):
+    """The text of the spec ``make`` returns, or the message of the InvalidConfig it raises."""
+    try:
+        return make().to_text()
+    except InvalidConfig as exc:
+        return f"InvalidConfig: {exc}"
+
+
+@pytest.mark.parametrize("text", ["4", "4.0", "1e1", "2.5", "-1", "nan", "abc", ""])
+@pytest.mark.parametrize("flag", list(_FLAG_KEYS))
+def test_flag_reads_like_its_spec_line(flag, text):
+    # A flag's text means what the same text means on its key's spec line, empty
+    # text included; a rejected value gives the spec file's message.
+    args = build_parser().parse_args(["run", flag, text])
+    lines = "".join(f"{key} = {text}\n" for key in _FLAG_KEYS[flag])
+    expected = _text_or_error(lambda: ExperimentSpec.from_text(lines))
+    assert _text_or_error(lambda: _spec_from_args(args)) == expected
+
+
+def test_accelerate_flag_reads_like_its_spec_value(tmp_path, capsys):
+    # A whole float window runs as the integer, warning included; text that is not
+    # a number exits 2 naming the spec key.
+    path = tmp_path / "seq.rnac"
+    _export_trajectory(path)
+    runs = []
+    for k in ("4", "4.0", "20", "20.0"):
+        out = tmp_path / "o.rnac"
+        assert main(["accelerate", str(path), "--k", k, "--out", str(out)]) == 0
+        runs.append((out.read_bytes(), capsys.readouterr()))
+    assert runs[0] == runs[1] and runs[2] == runs[3]
+    assert runs[0][0] != runs[2][0] and "window 20 wants 21" in runs[2][1].err
+    assert main(["accelerate", str(path), "--k", "abc", "--out", str(tmp_path / "x.rnac")]) == 2
+    assert capsys.readouterr().err == "error: rna.window: expected a number, got 'abc'\n"
+    assert not (tmp_path / "x.rnac").exists()
 
 
 # --------------------------------------------------------------------- run
@@ -469,6 +517,38 @@ def test_accelerate_out_colliding_with_input_exit_2(tmp_path, capsys, target):
     assert rc == 2
     assert err.startswith("error: --out ") and err.count("\n") == 1
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize(
+    "argv, extra, output",
+    [
+        (["run", "--epochs", "200", "--out", "nope/m.csv"], None, "nope/m.csv"),
+        (["run", "--spec", "exp.spec"], "checkpoints_out = nope/ck.rnac\n", "nope/ck.rnac"),
+        (["accelerate", "seq.rnac", "--out", "nope/o.rnac"], None, "nope/o.rnac"),
+    ],
+    ids=["run-out", "spec-checkpoints-out", "accelerate-out"],
+)
+def test_output_in_a_missing_directory_exit_4_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, extra, output
+):
+    def never(*args, **kwargs):
+        raise AssertionError("work began before every output's directory was checked")
+
+    monkeypatch.setattr("rnacc.experiment.run_with_rna", never)
+    monkeypatch.setattr("rnacc.cli.read_checkpoints", never)
+    monkeypatch.chdir(tmp_path)
+    _export_trajectory(tmp_path / "seq.rnac")
+    if extra:
+        (tmp_path / "exp.spec").write_text(
+            _spec_text("quadratic", f"epochs = 3\nmetrics_out = m.csv\n{extra}")
+        )
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f" {output}: " in captured.err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_accelerate_missing_file_exit_4(tmp_path, capsys):

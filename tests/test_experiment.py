@@ -103,6 +103,23 @@ def test_spec_parser_rejects_unknown_keys_and_bad_schedule():
 
 
 @pytest.mark.parametrize(
+    "key, text, listed",
+    [
+        ("optimizer.schedule", "5:0.1,", "5:0.1"),
+        ("optimizer.schedule", "5:0.1,,9:0.1", "5:0.1,9:0.1"),
+        ("rna.lambda_grid", "1e-8,", "1e-08"),
+        ("rna.lambda_grid", "1e-8,,1e-6", "1e-08,1e-06"),
+    ],
+)
+def test_list_settings_skip_empty_entries(key, text, listed):
+    # Both list keys read one syntax: an empty entry, trailing or between commas, is
+    # skipped, and the spec renders as if it had never been written.
+    spec = ExperimentSpec.from_text(f"{key} = {text}\n")
+    assert spec == ExperimentSpec.from_text(f"{key} = {listed}\n")
+    assert f"{key} = {listed}\n" in spec.to_text()
+
+
+@pytest.mark.parametrize(
     "text, key, lines",
     [
         ("epochs = 3\nepochs = 5\n", "epochs", (1, 2)),
