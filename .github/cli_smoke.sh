@@ -54,3 +54,28 @@ status=0
 rnacc accelerate "$dir/traj.rnac" --k 4 --out "$dir/missing/o.rnac" || status=$?
 test "$status" -eq 4
 test ! -e "$dir/missing"
+
+# An output that is a directory exits 4 before any work, and so does a sweep whose
+# out directory holds a summary.csv directory; nothing is written.
+mkdir "$dir/isdir" "$dir/sw" "$dir/sw/summary.csv"
+status=0
+rnacc run --epochs 3 --out "$dir/isdir" || status=$?
+test "$status" -eq 4
+status=0
+rnacc accelerate "$dir/traj.rnac" --k 4 --out "$dir/isdir" || status=$?
+test "$status" -eq 4
+status=0
+rnacc sweep --epochs 3 --k-list 2 --lambda-list 1e-8 --out "$dir/sw" || status=$?
+test "$status" -eq 4
+test "$(find "$dir/isdir" "$dir/sw" -mindepth 1)" = "$dir/sw/summary.csv"
+
+# An unknown --problem exits 2 with the message that its spec line gives.
+printf 'problem = svm\n' > "$dir/svm.spec"
+status=0
+rnacc run --problem svm --out "$dir/svm.csv" 2> "$dir/svm_flag.err" || status=$?
+test "$status" -eq 2
+status=0
+rnacc run --spec "$dir/svm.spec" --out "$dir/svm.csv" 2> "$dir/svm_spec.err" || status=$?
+test "$status" -eq 2
+cmp "$dir/svm_flag.err" "$dir/svm_spec.err"
+test ! -e "$dir/svm.csv"

@@ -13,6 +13,7 @@ from .core import (
     Coefficients,
     RnaConfig,
     WeightTarget,
+    accelerate_checkpoints,
     adaptive_rna,
     as_iterate_matrix,
     build_residuals,
@@ -34,7 +35,6 @@ from .errors import (
 )
 from .experiment import (
     ExperimentSpec,
-    accelerate_checkpoints,
     build_problem,
     default_spec,
     run_experiment,

@@ -92,9 +92,18 @@ def _refuse_overwrite(outputs, inputs=()) -> None:
 
 
 def _require_dirs(outputs) -> None:
-    """Raise FileNotFoundError naming the first ``(label, path)`` output in a missing directory."""
+    """Raise an OSError naming the first ``(label, path)`` output that cannot be written
+    as a file: one that is a directory, or lies in a missing directory or in a file.
+    A symbolic link to a directory is not one: the write replaces the link."""
     for label, path in outputs:
-        if path and not Path(path).parent.is_dir():
+        if not path:
+            continue
+        out = Path(path)
+        if out.is_dir() and not out.is_symlink():
+            raise IsADirectoryError(f"{label} {path}: is a directory")
+        if not out.parent.is_dir():
+            if out.parent.exists():
+                raise NotADirectoryError(f"{label} {path}: {out.parent} is not a directory")
             raise FileNotFoundError(f"{label} {path}: its directory does not exist")
 
 

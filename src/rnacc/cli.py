@@ -8,24 +8,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .checkpoint import _refuse_overwrite, _require_dirs, read_checkpoints, write_checkpoints
-from .core import RnaConfig
-from .errors import (
-    FormatError,
-    InvalidConfig,
-    RnaError,
-    WindowTooSmall,
-)
+from .core import RnaConfig, _accelerate, _accelerate_settings
+from .errors import FormatError, InvalidConfig, RnaError, WindowTooSmall
 from .experiment import (
     _PROBLEMS,
     _SUMMARY_NAME,
     ExperimentSpec,
-    _accelerate,
-    _accelerate_settings,
     _numbers,
     _override,
     run_experiment,
@@ -71,8 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     training.add_argument("--spec", help="experiment spec file (key = value lines)")
     training.add_argument(
         "--problem",
-        choices=tuple(_PROBLEMS),
-        help="built-in problem; overrides the spec file's selector",
+        help=f"built-in problem: {', '.join(_PROBLEMS)}; overrides the spec file's selector",
     )
     training.add_argument("--epochs", help="number of training epochs")
     training.add_argument("--seed", help="problem and shuffling seed")
@@ -123,12 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(args) -> ExperimentSpec:
     spec = ExperimentSpec.from_file(args.spec) if args.spec else ExperimentSpec()
-    if args.problem and args.problem != spec.problem:
-        # Another problem brings its own parameters and step; the file keeps the rest.
-        fresh = ExperimentSpec(problem=args.problem)
-        optimizer = replace(fresh.optimizer, seed=spec.optimizer.seed)
-        spec = replace(spec, problem=args.problem, problem_params={}, optimizer=optimizer)
     flags = {
+        "problem": args.problem,
         "problem.seed": args.seed,
         "optimizer.seed": args.seed,
         "epochs": args.epochs,
@@ -219,15 +206,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidConfig, WindowTooSmall) as exc:
+    except (RnaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FORMAT_EXIT
-    except RnaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return NUMERICAL_EXIT
+        if isinstance(exc, (InvalidConfig, WindowTooSmall)):
+            return USAGE_EXIT
+        return FORMAT_EXIT if isinstance(exc, (FormatError, OSError)) else NUMERICAL_EXIT
 
 
 def console_main() -> None:

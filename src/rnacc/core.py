@@ -15,11 +15,14 @@ The window is held once, differenced: rows ``0 .. K-1`` hold
 ``D_k = theta_{k+1} - theta_k`` (the same bits as ``np.diff``) and row K
 keeps ``theta_K``. The Gram matrix is ``D @ D.T`` and the combination is
 anchored at the newest iterate, ``theta_hat = theta_K - P @ D``, where
-``P`` holds the prefix sums of c (shifted by one for ``LATEST``). Public
-functions difference into a buffer of their own and never write into a
-caller's array; ``rnacc accelerate`` differences the matrix it read in
-place. Every entry point then solves once at ``lam``, or once per ridge
-of ``lam_grid`` keeping the best-ranked point, over one Gram matrix.
+``P`` holds the prefix sums of c (shifted by one for ``LATEST``). Every entry
+point (:func:`rna`, :func:`adaptive_rna`, :func:`accelerate_checkpoints` and the
+training driver) runs one stage first, ``_window``: validate, keep the last K+1
+iterates, difference them and form the Gram matrix. Public functions difference
+into a buffer of their own and never write into a caller's array; ``rnacc
+accelerate`` and the training driver difference the matrix they stacked in place.
+Each then solves once at ``lam``, or once per ridge of ``lam_grid`` keeping the
+best-ranked point, over that one Gram matrix.
 
 Coefficients may be negative; only their sum is constrained. All
 arithmetic is float64 regardless of how iterates were stored.
@@ -56,6 +59,7 @@ __all__ = [
     "extrapolate",
     "rna",
     "adaptive_rna",
+    "accelerate_checkpoints",
 ]
 
 # |sum(z)| below this multiple of ||z||_1 means the affine combination
@@ -210,6 +214,15 @@ def _gram(diffs: np.ndarray) -> np.ndarray:
     d = diffs[:-1]
     with np.errstate(over="ignore"):  # _solve_gram reports a Gram matrix that overflowed
         return d @ d.T
+
+
+def _window(iterates, window: int, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The stage every entry point runs first: validate ``iterates``, keep the last
+    ``window + 1`` and return their :func:`_differenced` rows and :func:`_gram`.
+    ``overwrite`` differences the validated matrix in place, for a caller that owns it
+    and no longer needs it; a list of rows is stacked into a new one."""
+    diffs = _differenced(_validated(iterates)[-(window + 1):], overwrite)
+    return diffs, _gram(diffs)
 
 
 def _combine(diffs: np.ndarray, weights: np.ndarray, target: WeightTarget) -> np.ndarray:
@@ -372,8 +385,7 @@ def rna(iterates, config: RnaConfig | None = None) -> tuple[np.ndarray, Coeffici
         (theta_hat, coefficients).
     """
     cfg = config if config is not None else RnaConfig()
-    diffs = _differenced(_validated(iterates)[-(cfg.window + 1):])
-    theta_hat, _, coeffs, _ = _extrapolate(diffs, _gram(diffs), cfg)
+    theta_hat, _, coeffs, _ = _extrapolate(*_window(iterates, cfg.window), cfg)
     return theta_hat, coeffs
 
 
@@ -427,11 +439,63 @@ def adaptive_rna(
     """
     if config.lam_grid is None:
         raise InvalidConfig("adaptive_rna requires a config with lam_grid set")
-    diffs = _differenced(_validated(iterates)[-(config.window + 1):])
+    diffs, gram = _window(iterates, config.window)
     return _extrapolate(
-        diffs,
-        _gram(diffs),
-        config,
+        diffs, gram, config,
         lambda c: float(score(_combine(diffs, c.weights, config.weight_target))),
         float(score(diffs[-1].copy())),
     )[:3]
+
+
+def _accelerate_settings(cfg: RnaConfig, has_scores: bool) -> RnaConfig:
+    """``cfg``, once scores are checked to come with its grid, before any iterate is read."""
+    if cfg.lam_grid is None and has_scores:
+        raise InvalidConfig("scores rank a lambda grid; without a grid they go unused")
+    if cfg.lam_grid is not None and not has_scores:
+        raise InvalidConfig("ranking a lambda grid requires per-checkpoint scores")
+    return cfg
+
+
+def _accelerate(iterates, cfg: RnaConfig, scores, overwrite: bool = False):
+    """:func:`accelerate_checkpoints` on checked settings and finite float64 scores.
+
+    With ``overwrite`` the window of ``iterates``, a float64 matrix the caller
+    owns and no longer needs, is differenced in place instead of into a copy.
+    """
+    diffs, gram = _window(iterates, cfg.window, overwrite)
+    if scores is not None and scores.size != len(iterates):
+        raise InvalidConfig(
+            f"{scores.size} scores for {len(iterates)} checkpoints; counts must match"
+        )
+    return _extrapolate(
+        diffs, gram, cfg,
+        lambda c: float(c.weights @ scores[-len(c):]),  # c weights the last len(c) iterates
+        None if scores is None else float(scores[-1]),
+    )[:3]
+
+
+def accelerate_checkpoints(
+    iterates, window: int, lam: float, lam_grid=None, scores=None
+) -> tuple[np.ndarray, float | None, Coefficients | None]:
+    """Extrapolate a stored sequence, optionally ranking a ridge grid.
+
+    Without a grid this is one plain extrapolation over the last
+    ``window + 1`` iterates. With a grid, per-checkpoint objective
+    values must be supplied; each candidate is ranked by the unit-sum
+    linearization ``sum_k c_k * score[sigma(k)]`` (the only estimate of
+    the candidate's objective available without evaluating the model),
+    the last checkpoint is the fallback candidate at its own recorded
+    score, and ties go to the fallback, as in :func:`adaptive_rna`.
+    Returns (theta_hat, lam_star, coefficients) with None markers for
+    the fallback. Bad settings, scores without a grid and missing, miscounted
+    or non-finite scores raise InvalidConfig; bad iterates raise as in
+    :func:`rna`, ahead of a miscount. ``iterates`` is never written to.
+    """
+    cfg = _accelerate_settings(RnaConfig(window, lam, lam_grid), scores is not None)
+    if scores is not None:
+        scores = np.asarray(scores, dtype=np.float64).ravel()
+        if not np.isfinite(scores).all():
+            raise InvalidConfig("scores contain NaN or infinite values")
+        if not hasattr(iterates, "__len__"):  # counted after the window stage reads it
+            iterates = list(iterates)
+    return _accelerate(iterates, cfg, scores)

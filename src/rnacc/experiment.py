@@ -1,4 +1,4 @@
-"""Experiment descriptions, their on-disk form, and sweep machinery.
+"""Experiment specs, runs and sweeps.
 
 A spec is a flat ``key = value`` text file (dotted keys for the nested
 configs) that round-trips losslessly: floats are rendered with ``repr``,
@@ -7,14 +7,14 @@ empty values mean None. Each key is declared once, with its type, in
 :class:`ExperimentSpec` constructor fills in for its ``problem`` (from
 ``_PROBLEMS``), and the CLI hands its flags' text to the same keys, so a value
 from a file and one from a flag take one path, ``_override``, and read alike.
+Extrapolation is the core's; :func:`accelerate_checkpoints` lives in
+:mod:`rnacc.core` and is re-exported here.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .checkpoint import (
     METRIC_COLUMNS,
@@ -27,15 +27,7 @@ from .checkpoint import (
     write_metrics,
 )
 from .checkpoint import _render as _render_g17
-from .core import (
-    Coefficients,
-    RnaConfig,
-    WeightTarget,
-    _differenced,
-    _extrapolate,
-    _gram,
-    _validated,
-)
+from .core import RnaConfig, WeightTarget, accelerate_checkpoints
 from .errors import InvalidConfig, RnaError, _require_int
 from .optimizers import OptimizerConfig, _stream, run_with_rna
 from .problems import Problem, make_logistic, make_mlp, make_quadratic
@@ -142,7 +134,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentSpec":
-        """Parse a spec; its keys override the defaults of its problem, in file order.
+        """Parse a spec; its ``problem``, then its other keys in file order, override the defaults.
 
         A key given on two lines raises InvalidConfig naming both.
         """
@@ -160,8 +152,8 @@ class ExperimentSpec:
                     f"spec key {key!r} is given twice, on lines {linenos[key]} and {lineno}"
                 )
             pairs[key], linenos[key] = value.strip(), lineno
-        problem = pairs.pop("problem", "quadratic")
-        return _override(cls(problem=problem), pairs)
+        first = {"problem": pairs.pop("problem")} if "problem" in pairs else {}
+        return _override(cls(), {**first, **pairs})
 
     def to_file(self, path) -> None:
         with _replacing(path, "w", encoding="utf-8") as fh:
@@ -182,15 +174,21 @@ class ExperimentSpec:
 def _override(spec: ExperimentSpec, values: dict) -> ExperimentSpec:
     """``spec`` with each spec key in ``values`` set, in order. Text is parsed with the
     key's ``_KEYS`` parser (``_number`` for ``problem.*``); other values are taken as
-    given. An unknown key raises InvalidConfig, and a rejected value names its key."""
+    given. Another ``problem`` brings its own parameters and step; ``optimizer.seed`` stays.
+    An unknown key raises InvalidConfig, and a rejected value names its key."""
     for key, value in values.items():
         if key in _KEYS:
             section, name, parse = _KEYS[key]
         elif key.startswith("problem."):
             section, name, parse = "problem_params", key[len("problem."):], _number
-        else:
+        elif key != "problem":
             raise InvalidConfig(f"unknown spec key {key!r}")
         try:
+            if key == "problem":
+                if value != spec.problem:
+                    optimizer = replace(ExperimentSpec(value).optimizer, seed=spec.optimizer.seed)
+                    spec = replace(spec, problem=value, problem_params={}, optimizer=optimizer)
+                continue
             value = parse(value) if isinstance(value, str) else value
             if section == "problem_params":
                 value = {**spec.problem_params, name: value}
@@ -246,7 +244,7 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None, inputs=
     Returns (vanilla records, acceleration records, problem). ``inputs`` holds
     ``(label, path)`` pairs of files the run must not overwrite, such as its spec
     file. An output on one of them, or two outputs on one path, raise InvalidConfig,
-    and an output in a missing directory FileNotFoundError, before training.
+    and an output that is a directory or lies in a missing one OSError, before training.
     """
     outputs = [("metrics_out", spec.metrics_out), ("checkpoints_out", spec.checkpoints_out)]
     _refuse_overwrite(outputs, inputs)
@@ -265,65 +263,6 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None, inputs=
     if spec.checkpoints_out:
         write_checkpoints(spec.checkpoints_out, [accelerated[-1].theta], "f64")
     return vanilla, accelerated, problem
-
-
-def _accelerate_settings(cfg: RnaConfig, has_scores: bool) -> RnaConfig:
-    """``cfg``, once scores are checked to come with its grid, before any iterate is read."""
-    if cfg.lam_grid is None and has_scores:
-        raise InvalidConfig("scores rank a lambda grid; without a grid they go unused")
-    if cfg.lam_grid is not None and not has_scores:
-        raise InvalidConfig("ranking a lambda grid requires per-checkpoint scores")
-    return cfg
-
-
-def _accelerate(iterates, cfg: RnaConfig, scores, overwrite: bool = False):
-    """:func:`accelerate_checkpoints` on checked settings and finite float64 scores.
-
-    With ``overwrite`` the window of ``iterates``, a float64 matrix the caller
-    owns and no longer needs, is differenced in place instead of into a copy.
-    """
-    mat = _validated(iterates)
-    if scores is not None and scores.size != mat.shape[0]:
-        raise InvalidConfig(
-            f"{scores.size} scores for {mat.shape[0]} checkpoints; counts must match"
-        )
-    diffs = _differenced(mat[-(cfg.window + 1):], overwrite)
-    return _extrapolate(
-        diffs,
-        _gram(diffs),
-        cfg,
-        lambda c: float(c.weights @ scores[-len(c):]),  # c weights the last len(c) iterates
-        None if scores is None else float(scores[-1]),
-    )[:3]
-
-
-def accelerate_checkpoints(
-    iterates,
-    window: int,
-    lam: float,
-    lam_grid=None,
-    scores=None,
-) -> tuple[np.ndarray, float | None, Coefficients | None]:
-    """Extrapolate a stored sequence, optionally ranking a ridge grid.
-
-    Without a grid this is one plain extrapolation over the last
-    ``window + 1`` iterates. With a grid, per-checkpoint objective
-    values must be supplied; each candidate is ranked by the unit-sum
-    linearization ``sum_k c_k * score[sigma(k)]`` (the only estimate of
-    the candidate's objective available without evaluating the model),
-    the last checkpoint is the fallback candidate at its own recorded
-    score, and ties go to the fallback, as in :func:`rnacc.adaptive_rna`.
-    Returns (theta_hat, lam_star, coefficients) with None markers for
-    the fallback. Bad settings, scores without a grid and missing, miscounted
-    or non-finite scores raise InvalidConfig; bad iterates raise as in
-    :func:`rnacc.rna`. ``iterates`` is never written to.
-    """
-    cfg = _accelerate_settings(RnaConfig(window, lam, lam_grid), scores is not None)
-    if scores is not None:
-        scores = np.asarray(scores, dtype=np.float64).ravel()
-        if not np.isfinite(scores).all():
-            raise InvalidConfig("scores contain NaN or infinite values")
-    return _accelerate(iterates, cfg, scores)
 
 
 @dataclass(frozen=True)
@@ -391,7 +330,8 @@ def sweep(spec: ExperimentSpec, windows, lams, out_dir, inputs=()) -> list[Sweep
     such as its spec file. Bad epochs, problem parameters or cells, two cells sharing
     a file name, an output on one of ``inputs``, or a spec that sets ``rna.lambda_grid``
     or ``checkpoints_out``, which a sweep does not use, raise InvalidConfig, and a failed
-    reference optimum NumericalFailure, before ``out_dir`` is made.
+    reference optimum NumericalFailure, before ``out_dir`` is made. An ``out_dir`` that
+    is a file, or an output in it that is a directory, raise OSError before the problem is built.
     """
     if spec.rna.lam_grid is not None:
         raise InvalidConfig("rna.lambda_grid: each sweep cell solves at one lambda of the list")
@@ -401,7 +341,10 @@ def sweep(spec: ExperimentSpec, windows, lams, out_dir, inputs=()) -> list[Sweep
     cells = _sweep_cells(spec, windows, lams, out_dir)
     summary = os.path.join(out_dir, _SUMMARY_NAME)
     outputs = [(f"cell k={cfg.window} lambda={cfg.lam!r}", path) for cfg, path in cells]
-    _refuse_overwrite(outputs + [("the summary", summary)], inputs)
+    outputs.append(("the summary", summary))
+    _refuse_overwrite(outputs, inputs)
+    if os.path.lexists(out_dir):  # a missing out_dir is made once the problem is built
+        _require_dirs(outputs)
     problem = build_problem(spec)
     f_star = None if problem.optimum is None else float(problem.f(problem.optimum))
     os.makedirs(out_dir, exist_ok=True)

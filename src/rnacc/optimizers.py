@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RnaConfig, _combine, _differenced, _extrapolate, _gram, _validated
+from .core import RnaConfig, _combine, _extrapolate, _window
 from .errors import DegenerateSum, InvalidConfig, NumericalFailure, RnaError, _require_int
 from .problems import Problem
 
@@ -255,12 +255,10 @@ def _window_entries(problem, record, thetas, cfgs) -> list:
     """The entries of ``cfgs``, which all extrapolate ``record``'s epoch from ``thetas``."""
     diffs = gram = None
     if len(thetas) > 1:
-        try:
-            window = _validated(thetas)
+        try:  # the window stacked from the list is ours to difference in place
+            diffs, gram = _window(thetas, len(thetas) - 1, overwrite=True)
         except RnaError as exc:
             return [exc] * len(cfgs)
-        diffs = _differenced(window, overwrite=True)  # the stacked window is ours
-        gram = _gram(diffs)
     points = {}
     keys = [None if diffs is None else (c.lam, c.lam_grid, c.weight_target) for c in cfgs]
     for key, cfg in zip(keys, cfgs):

@@ -277,6 +277,46 @@ def test_problem_flag_over_spec_of_another_problem(tmp_path, command, file_probl
                           optimizer=replace(fresh.optimizer, seed=9))
 
 
+def test_problem_flag_keeps_only_the_optimizer_seed(tmp_path):
+    # Logistic's own parameters and step replace the file's; its optimizer seed stays.
+    (tmp_path / "exp.spec").write_text(
+        "optimizer.seed = 3\noptimizer.momentum = 0.9\nproblem.dim = 5\n"
+    )
+    argv = ["run", "--spec", str(tmp_path / "exp.spec"), "--problem", "logistic"]
+    assert _spec_from_args(build_parser().parse_args(argv)).to_text() == (
+        "problem = logistic\n"
+        "problem.dim = 50\nproblem.l2 = 0.001\nproblem.n_samples = 500\nproblem.seed = 0\n"
+        "optimizer.eta = 2.0\noptimizer.momentum = 0.0\noptimizer.weight_decay = 0.0\n"
+        "optimizer.schedule = \noptimizer.batch_size = \noptimizer.seed = 3\n"
+        "rna.window = 10\nrna.lambda = 1e-08\nrna.lambda_grid = \nrna.weight_target = latest\n"
+        "epochs = 60\nflush_on_drop = false\nmetrics_out = metrics.csv\ncheckpoints_out = \n"
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unknown_problem_flag_reads_like_its_spec_line(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.spec").write_text("problem = svm\n")
+    extra = {"run": [], "sweep": ["--k-list", "2", "--lambda-list", "1e-8"]}[command]
+    assert main([command, "--problem", "svm"] + extra) == 2
+    flag = capsys.readouterr()
+    assert main([command, "--spec", "exp.spec"] + extra) == 2
+    assert capsys.readouterr() == flag
+    assert flag.out == ""
+    assert flag.err == (
+        "error: problem: unknown problem 'svm'; choose from ['logistic', 'mlp', 'quadratic']\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.spec"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_problem_flag_help_lists_the_problems(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "built-in problem: quadratic, logistic, mlp;" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize(
     "lines, reported, files",
     [
@@ -447,6 +487,25 @@ def test_accelerate_nan_error_matches_in_memory_path(tmp_path, capsys, layout, b
     assert not out.exists()
 
 
+def test_accelerate_nan_iterate_wins_over_miscounted_scores_exit_3(tmp_path, capsys):
+    # The iterates are checked before the scores are counted against them.
+    path = tmp_path / "seq.rnac"
+    _export_trajectory(path, steps=6)
+    raw = bytearray(path.read_bytes())
+    start = _HEADER.size + (3 * 4 + 1) * 8
+    raw[start:start + 8] = np.float64(np.nan).tobytes()
+    path.write_bytes(bytes(raw))
+    (tmp_path / "scores.txt").write_text("1.0\n" * 3)
+    out = tmp_path / "o.rnac"
+    argv = ["accelerate", str(path), "--k", "4", "--lambda-grid", "1e-8,1e-6",
+            "--scores", str(tmp_path / "scores.txt"), "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: iterate 3 of 7 contains NaN or infinite entries\n"
+    assert not out.exists()
+
+
 def test_accelerate_undecodable_manifest_exit_4(tmp_path, capsys):
     # A 0xff byte in a comment line: the manifest is read as UTF-8 whatever the locale.
     _, traj = _export_trajectory(tmp_path / "seq.rnac")
@@ -549,6 +608,53 @@ def test_output_in_a_missing_directory_exit_4_before_any_work(
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f" {output}: " in captured.err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--epochs", "200", "--out", "isdir"], "metrics_out isdir: is a directory"),
+        (["accelerate", "seq.rnac", "--out", "isdir"], "--out isdir: is a directory"),
+        (
+            ["sweep", "--epochs", "3", "--k-list", "2,4", "--lambda-list", "1e-8", "--out", "sw"],
+            "the summary sw/summary.csv: is a directory",
+        ),
+        (
+            ["sweep", "--epochs", "3", "--k-list", "2", "--lambda-list", "1e-8",
+             "--out", "seq.rnac"],
+            "cell k=2 lambda=1e-08 seq.rnac/metrics_k2_lam1e-08.csv: seq.rnac is not a directory",
+        ),
+    ],
+    ids=["run-out", "accelerate-out", "sweep-summary", "sweep-out-file"],
+)
+def test_output_that_cannot_be_a_file_exit_4_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    def never(*args, **kwargs):
+        raise AssertionError("work began before every output was checked")
+
+    for name in ("run_with_rna", "_stream", "build_problem"):
+        monkeypatch.setattr(f"rnacc.experiment.{name}", never)
+    monkeypatch.setattr("rnacc.cli.read_checkpoints", never)
+    monkeypatch.chdir(tmp_path)
+    _export_trajectory(tmp_path / "seq.rnac")
+    (tmp_path / "isdir").mkdir()
+    (tmp_path / "sw" / "summary.csv").mkdir(parents=True)
+    before = {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")}
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+def test_output_on_a_link_to_a_directory_replaces_the_link(tmp_path, capsys):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "d")
+    assert main(["run", "--epochs", "3", "--out", str(tmp_path / "link")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "link").is_file() and not (tmp_path / "link").is_symlink()
+    assert list((tmp_path / "d").iterdir()) == []
 
 
 def test_accelerate_missing_file_exit_4(tmp_path, capsys):

@@ -305,6 +305,42 @@ def test_accelerate_checkpoints_grid_validates_like_plain_path():
             )
 
 
+def test_accelerate_checkpoints_nan_iterate_wins_over_miscounted_scores():
+    traj = np.random.default_rng(0).standard_normal((6, 3))
+    traj[3, 1] = np.nan
+    with pytest.raises(NumericalFailure, match="iterate 3 of 6"):
+        accelerate_checkpoints(traj, window=5, lam=1e-8, lam_grid=(1e-8,), scores=np.ones(3))
+
+
+def test_accelerate_checkpoints_miscounted_scores_leave_the_matrix_unchanged():
+    traj = np.random.default_rng(0).standard_normal((6, 3))
+    before = traj.tobytes()
+    with pytest.raises(InvalidConfig, match="3 scores for 6 checkpoints"):
+        accelerate_checkpoints(traj, window=3, lam=1e-8, lam_grid=(1e-8,), scores=np.ones(3))
+    assert traj.tobytes() == before
+
+
+def test_accelerate_checkpoints_counts_the_scores_of_an_iterator():
+    problem = make_quadratic(4, 15.0, seed=5)
+    traj = gd_trajectory(problem, np.ones(4), 1.0 / problem.smoothness, 10)
+    scores = [problem.f(t) for t in traj]
+    grid = (1e-12, 1e-8, 1e-3)
+    got = accelerate_checkpoints(iter(traj), 6, 1e-8, grid, scores)
+    want = accelerate_checkpoints(list(traj), 6, 1e-8, grid, scores)
+    assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+    with pytest.raises(InvalidConfig, match="counts must match"):
+        accelerate_checkpoints(iter(traj), 6, 1e-8, grid, scores[1:])
+
+
+def test_accelerate_checkpoints_lives_in_core_and_imports_from_experiment():
+    import rnacc.core
+    import rnacc.experiment
+
+    assert rnacc.experiment.accelerate_checkpoints is rnacc.accelerate_checkpoints
+    assert rnacc.core.accelerate_checkpoints is rnacc.accelerate_checkpoints
+    assert "accelerate_checkpoints" in rnacc.experiment.__all__
+
+
 # ------------------------------------------------------------------- sweep
 
 
@@ -485,10 +521,10 @@ def test_every_sweep_cell_equals_its_own_run(case):
 
 def test_sweep_differences_each_window_and_solves_each_point_once(tmp_path, monkeypatch):
     # Per epoch t, windows K in (5, 10, 20) start at max(0, t - K): one window for
-    # t <= 5, two for t <= 10, three after, 57 over 25 epochs rather than 72; each is
-    # differenced and its Gram matrix formed once, then solved once per ridge, 228
-    # times rather than 288. Epoch 1 is one shared copy.
-    counts = {"_differenced": 0, "_gram": 0, "_extrapolate": 0, "_extrapolated": 0}
+    # t <= 5, two for t <= 10, three after, 57 over 25 epochs rather than 72; each goes
+    # through the window stage once (differences and Gram matrix), then is solved once
+    # per ridge, 228 times rather than 288. Epoch 1 is one shared copy.
+    counts = {"_window": 0, "_extrapolate": 0, "_extrapolated": 0}
     for name in counts:
         wrapped = getattr(optimizers, name)
 
@@ -500,7 +536,7 @@ def test_sweep_differences_each_window_and_solves_each_point_once(tmp_path, monk
     spec = replace(default_spec("quadratic", seed=0), epochs=25)
     cells = sweep(spec, [5, 10, 20], [1e-10, 1e-8, 1e-6, 1e-4], tmp_path)
     assert all(c.status == "ok" for c in cells)
-    assert counts == {"_differenced": 57, "_gram": 57, "_extrapolate": 228, "_extrapolated": 229}
+    assert counts == {"_window": 57, "_extrapolate": 228, "_extrapolated": 229}
 
 
 def _sweep_peak_bytes(spec, out_dir) -> int:
