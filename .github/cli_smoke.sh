@@ -79,3 +79,35 @@ rnacc run --spec "$dir/svm.spec" --out "$dir/svm.csv" 2> "$dir/svm_spec.err" || 
 test "$status" -eq 2
 cmp "$dir/svm_flag.err" "$dir/svm_spec.err"
 test ! -e "$dir/svm.csv"
+
+# A sweep's list entry reads as run's flag: a rejected one gives run's message.
+status=0
+rnacc run --epochs 3 --k abc --out "$dir/kabc.csv" 2> "$dir/k_run.err" || status=$?
+test "$status" -eq 2
+status=0
+rnacc sweep --epochs 3 --k-list abc --lambda-list 1e-8 --out "$dir/kabc" \
+  2> "$dir/k_sweep.err" || status=$?
+test "$status" -eq 2
+cmp "$dir/k_run.err" "$dir/k_sweep.err"
+test ! -e "$dir/kabc.csv"
+test ! -e "$dir/kabc"
+
+# A batch size the problem cannot serve exits 2 before the reference optimum, as in
+# run, and so does an --out that cannot be made with 4; nothing is made.
+printf 'problem = logistic\nproblem.n_samples = 50\noptimizer.batch_size = 100\n' \
+  > "$dir/batch.spec"
+touch "$dir/afile"
+before=$(ls -A "$dir")
+status=0
+rnacc sweep --spec "$dir/batch.spec" --epochs 3 --k-list 2 --lambda-list 1e-8 \
+  --out "$dir/batch" || status=$?
+test "$status" -eq 2
+status=0
+rnacc sweep --epochs 3 --k-list 2 --lambda-list 1e-8 --out "$dir/afile/sub" || status=$?
+test "$status" -eq 4
+test "$(ls -A "$dir")" = "$before"
+test ! -s "$dir/afile"
+
+# Flag text is read without the spaces around it, as a spec value is.
+rnacc run --problem ' logistic' --epochs 3 --out "$dir/l_padded.csv"
+cmp "$dir/l.csv" "$dir/l_padded.csv"

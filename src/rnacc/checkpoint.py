@@ -107,6 +107,19 @@ def _require_dirs(outputs) -> None:
             raise FileNotFoundError(f"{label} {path}: its directory does not exist")
 
 
+def _require_makeable(label, path) -> None:
+    """Raise an OSError naming ``label`` unless ``os.makedirs`` can make the missing
+    directory ``path``: one that is empty, or whose nearest existing ancestor is not a
+    directory, cannot be made."""
+    if not path:
+        raise FileNotFoundError(f"{label}: an empty path names no directory")
+    for ancestor in Path(path).parents:
+        if ancestor.exists():
+            if not ancestor.is_dir():
+                raise NotADirectoryError(f"{label} {path}: {ancestor} is not a directory")
+            return
+
+
 def write_checkpoints(path, iterates, precision: str = "f64") -> None:
     """Write an iterate sequence as one binary checkpoint file.
 

@@ -18,7 +18,7 @@ from .experiment import (
     _PROBLEMS,
     _SUMMARY_NAME,
     ExperimentSpec,
-    _numbers,
+    _list,
     _override,
     run_experiment,
     sweep,
@@ -185,7 +185,8 @@ def cmd_accelerate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
-    windows, lams = _numbers(args.k_list), _numbers(args.lam_list)
+    # Each entry is read as the text of run's --k or --lambda.
+    windows, lams = _list(str)(args.k_list), _list(str)(args.lam_list)
     cells = sweep(spec, windows, lams, args.out_dir, inputs=[("the spec file", args.spec)])
     ok = [c for c in cells if c.status == "ok"]
     print(f"{len(ok)}/{len(cells)} cells succeeded; summary in {args.out_dir}/{_SUMMARY_NAME}")

@@ -253,7 +253,7 @@ def build_residuals(iterates) -> np.ndarray:
         DimensionMismatch: Iterates of inconsistent dimension.
         NumericalFailure: Non-finite entries.
     """
-    return np.diff(_validated(iterates), axis=0).T
+    return _differenced(_validated(iterates))[:-1].T
 
 
 def _solve_gram(gram: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
@@ -266,14 +266,14 @@ def _solve_gram(gram: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
     ridge is added, raises NumericalFailure; one that does not factor raises
     SingularSystem.
     """
-    if not np.isfinite(gram).all():
-        raise NumericalFailure("residual Gram matrix is not finite: the residuals overflow")
     # The floor overflows with the trace, and an inf ridge times I's zeros is NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         if lam > 0.0:
             lam = max(lam, float(10.0 * np.finfo(np.float64).eps * np.trace(gram)))
         shifted = gram + lam * np.eye(gram.shape[0])
-    if not np.isfinite(shifted).all():
+    if not np.isfinite(shifted).all():  # so is every entry where gram is not finite
+        if not np.isfinite(gram).all():
+            raise NumericalFailure("residual Gram matrix is not finite: the residuals overflow")
         raise NumericalFailure(f"residual Gram matrix is not finite with the ridge {lam:g} added")
     try:
         return refined_spd_solve(shifted, np.ones(gram.shape[0])), lam

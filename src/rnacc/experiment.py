@@ -22,13 +22,14 @@ from .checkpoint import (
     _refuse_overwrite,
     _replacing,
     _require_dirs,
+    _require_makeable,
     _write_table,
     write_checkpoints,
     write_metrics,
 )
 from .checkpoint import _render as _render_g17
 from .core import RnaConfig, WeightTarget, accelerate_checkpoints
-from .errors import InvalidConfig, RnaError, _require_int
+from .errors import InvalidConfig, RnaError
 from .optimizers import OptimizerConfig, _stream, run_with_rna
 from .problems import Problem, make_logistic, make_mlp, make_quadratic
 
@@ -64,9 +65,6 @@ def _list(parse):
     return lambda text: tuple(parse(part.strip()) for part in text.split(",") if part.strip())
 
 
-_numbers = _list(_number)  # as in spec files and the CLI's list flags
-
-
 def _drop(text: str) -> tuple:
     epoch, _, mult = text.partition(":")
     if not mult:
@@ -95,7 +93,7 @@ _KEYS = {
     "optimizer.seed": ("optimizer", "seed", _number),
     "rna.window": ("rna", "window", _number),
     "rna.lambda": ("rna", "lam", _number),
-    "rna.lambda_grid": ("rna", "lam_grid", _optional(_numbers)),
+    "rna.lambda_grid": ("rna", "lam_grid", _optional(_list(_number))),
     "rna.weight_target": ("rna", "weight_target", str),
     "epochs": (None, "epochs", _number),
     "flush_on_drop": (None, "flush_on_drop", _flag),
@@ -151,7 +149,7 @@ class ExperimentSpec:
                 raise InvalidConfig(
                     f"spec key {key!r} is given twice, on lines {linenos[key]} and {lineno}"
                 )
-            pairs[key], linenos[key] = value.strip(), lineno
+            pairs[key], linenos[key] = value, lineno
         first = {"problem": pairs.pop("problem")} if "problem" in pairs else {}
         return _override(cls(), {**first, **pairs})
 
@@ -172,11 +170,14 @@ class ExperimentSpec:
 
 
 def _override(spec: ExperimentSpec, values: dict) -> ExperimentSpec:
-    """``spec`` with each spec key in ``values`` set, in order. Text is parsed with the
-    key's ``_KEYS`` parser (``_number`` for ``problem.*``); other values are taken as
-    given. Another ``problem`` brings its own parameters and step; ``optimizer.seed`` stays.
-    An unknown key raises InvalidConfig, and a rejected value names its key."""
+    """``spec`` with each spec key in ``values`` set, in order. Text is stripped, then
+    parsed with the key's ``_KEYS`` parser (``_number`` for ``problem.*``); other values
+    are taken as given. Another ``problem`` brings its own parameters and step;
+    ``optimizer.seed`` stays. An unknown key raises InvalidConfig, and a rejected value
+    names its key."""
     for key, value in values.items():
+        if isinstance(value, str):
+            value = value.strip()
         if key in _KEYS:
             section, name, parse = _KEYS[key]
         elif key.startswith("problem."):
@@ -303,13 +304,12 @@ _SUMMARY_NAME = "summary.csv"
 def _sweep_cells(spec: ExperimentSpec, windows, lams, out_dir) -> list[tuple[RnaConfig, str]]:
     """Each (window, lambda) cell's config and metrics file path, in sweep order.
 
-    No cells or a bad cell raise InvalidConfig.
+    A cell's config is ``spec``'s with the cell's window and lambda, numbers or their
+    text, set as ``run --k --lambda`` sets them. No cells or a bad cell raise InvalidConfig.
     """
     lams = list(lams)
     cells = [
-        RnaConfig(window=w, lam=l, weight_target=spec.rna.weight_target)
-        for w in windows
-        for l in lams
+        _override(spec, {"rna.window": w, "rna.lambda": l}).rna for w in windows for l in lams
     ]
     if not cells:
         raise InvalidConfig("sweep needs at least one window and one lambda")
@@ -327,25 +327,29 @@ def sweep(spec: ExperimentSpec, windows, lams, out_dir, inputs=()) -> list[Sweep
     objectives, never the extrapolated points. A failing cell is recorded in
     ``summary.csv`` and spares the others.
     ``inputs`` holds ``(label, path)`` pairs of files the sweep must not overwrite,
-    such as its spec file. Bad epochs, problem parameters or cells, two cells sharing
-    a file name, an output on one of ``inputs``, or a spec that sets ``rna.lambda_grid``
-    or ``checkpoints_out``, which a sweep does not use, raise InvalidConfig, and a failed
-    reference optimum NumericalFailure, before ``out_dir`` is made. An ``out_dir`` that
-    is a file, or an output in it that is a directory, raise OSError before the problem is built.
+    such as its spec file. A spec that sets ``rna.lambda_grid`` or ``checkpoints_out``,
+    which a sweep does not use, bad cells, two cells sharing a file name, an output on
+    one of ``inputs``, bad problem parameters or training settings raise InvalidConfig,
+    and a failed reference optimum NumericalFailure, before ``out_dir`` is made. An
+    ``out_dir`` that is empty, lies in a file or is a file, or an output in it that is a
+    directory, raise OSError before the problem is built.
     """
     if spec.rna.lam_grid is not None:
         raise InvalidConfig("rna.lambda_grid: each sweep cell solves at one lambda of the list")
     if spec.checkpoints_out:
         raise InvalidConfig("checkpoints_out: a sweep writes no checkpoint file")
-    _require_int("epochs", spec.epochs)
     cells = _sweep_cells(spec, windows, lams, out_dir)
     summary = os.path.join(out_dir, _SUMMARY_NAME)
     outputs = [(f"cell k={cfg.window} lambda={cfg.lam!r}", path) for cfg, path in cells]
     outputs.append(("the summary", summary))
     _refuse_overwrite(outputs, inputs)
-    if os.path.lexists(out_dir):  # a missing out_dir is made once the problem is built
+    if os.path.lexists(out_dir):
         _require_dirs(outputs)
+    else:  # made once the problem is built and its training settings checked
+        _require_makeable("--out", out_dir)
     problem = build_problem(spec)
+    cfgs = [c for c, _ in cells]
+    stream = _stream(problem, spec.optimizer, cfgs, spec.epochs, spec.flush_on_drop)
     f_star = None if problem.optimum is None else float(problem.f(problem.optimum))
     os.makedirs(out_dir, exist_ok=True)
     # Per cell: its metrics rows, final accelerated objective and error. A training
@@ -354,9 +358,8 @@ def sweep(spec: ExperimentSpec, windows, lams, out_dir, inputs=()) -> list[Sweep
     finals = [None] * len(cells)
     errors = [None] * len(cells)
     final_v = None
-    cfgs = [c for c, _ in cells]
     try:
-        for v, entries in _stream(problem, spec.optimizer, cfgs, spec.epochs, spec.flush_on_drop):
+        for v, entries in stream:
             final_v = v.objective
             for i, a in enumerate(entries):
                 if isinstance(a, RnaError):

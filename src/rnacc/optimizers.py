@@ -111,15 +111,10 @@ def sgd_momentum_epoch(
     theta = np.asarray(theta, dtype=np.float64)
     velocity = np.asarray(velocity, dtype=np.float64)
     eta = learning_rate(cfg, epoch)
+    _require_batches(problem, cfg)
     if cfg.batch_size is None:
         batches = [None]
     else:
-        if problem.batch_grad is None or problem.n_samples is None:
-            raise InvalidConfig(f"{problem.name} offers no mini-batch gradients")
-        if cfg.batch_size > problem.n_samples:
-            raise InvalidConfig(
-                f"batch_size {cfg.batch_size} exceeds n_samples {problem.n_samples}"
-            )
         order = np.random.default_rng([cfg.seed, epoch]).permutation(problem.n_samples)
         batches = [
             order[i : i + cfg.batch_size]
@@ -136,6 +131,16 @@ def sgd_momentum_epoch(
                 f"parameters diverged at epoch {epoch} (norm > {DIVERGENCE_NORM:g})"
             )
     return theta, velocity
+
+
+def _require_batches(problem: Problem, cfg: OptimizerConfig) -> None:
+    """Raise InvalidConfig unless ``problem`` can serve ``cfg``'s mini-batches."""
+    if cfg.batch_size is None:
+        return
+    if problem.batch_grad is None or problem.n_samples is None:
+        raise InvalidConfig(f"{problem.name} offers no mini-batch gradients")
+    if cfg.batch_size > problem.n_samples:
+        raise InvalidConfig(f"batch_size {cfg.batch_size} exceeds n_samples {problem.n_samples}")
 
 
 @dataclass(frozen=True)
@@ -204,12 +209,14 @@ def run_with_rna(
 
 
 def _stream(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop=False, theta0=None):
-    """Train epoch by epoch, extrapolating each epoch for every config in ``rna_cfgs``.
+    """Check the training settings, then return a generator that trains epoch by epoch,
+    extrapolating each epoch for every config in ``rna_cfgs``.
 
-    Yields, per epoch, its :class:`EpochRecord` and one entry per config: its
-    :class:`AccelRecord`, the :class:`RnaError` that ends that config, or None once
-    it has ended. A training error, bad ``epochs`` or ``theta0`` included, is raised
-    after the epochs before it have been yielded. Config i extrapolates the last
+    Bad ``epochs`` or ``theta0``, or a batch size that ``problem`` cannot serve, raise
+    here, before any epoch. The generator yields, per epoch, its :class:`EpochRecord`
+    and one entry per config: its :class:`AccelRecord`, the :class:`RnaError` that ends
+    that config, or None once it has ended. A training error is raised after the epochs
+    before it have been yielded. Config i extrapolates the last
     ``rna_cfgs[i].window + 1`` iterates of a ring that holds the newest
     ``max(window) + 1`` and is cleared at each drop if ``flush_on_drop``. Within an
     epoch each distinct window length is stacked, checked, differenced and its Gram
@@ -222,6 +229,12 @@ def _stream(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop=False, theta0=None
         raise InvalidConfig(f"theta0 has size {theta.size}, problem.dim is {problem.dim}")
     if not np.isfinite(theta).all():
         raise NumericalFailure("theta0 contains NaN or infinite entries")
+    _require_batches(problem, opt_cfg)
+    return _epochs(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop, theta)
+
+
+def _epochs(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop, theta):
+    """:func:`_stream`'s generator, from the checked ``theta0`` as ``theta``."""
     velocity = np.zeros_like(theta)
     drops = {e for e, _ in opt_cfg.schedule} if flush_on_drop else set()
     ring = deque(maxlen=max((c.window for c in rna_cfgs), default=0) + 1)

@@ -89,6 +89,23 @@ def test_flag_reads_like_its_spec_line(flag, text):
     assert _text_or_error(lambda: _spec_from_args(args)) == expected
 
 
+@pytest.mark.parametrize(
+    "flag, key, text",
+    [
+        ("--problem", "problem", " logistic"),
+        ("--problem", "problem", "mlp\t"),
+        ("--out", "metrics_out", " m.csv "),
+        ("--out", "metrics_out", "  "),
+        ("--epochs", "epochs", " 3 "),
+    ],
+)
+def test_padded_flag_reads_like_its_spec_line(flag, key, text):
+    # A spec value is read without the spaces around it, and so is a flag's text.
+    args = build_parser().parse_args(["run", flag, text])
+    expected = ExperimentSpec.from_text(f"{key} = {text}\n").to_text()
+    assert _spec_from_args(args).to_text() == expected
+
+
 def test_accelerate_flag_reads_like_its_spec_value(tmp_path, capsys):
     # A whole float window runs as the integer, warning included; text that is not
     # a number exits 2 naming the spec key.
@@ -1005,6 +1022,89 @@ def test_whole_float_setting_runs_like_the_integer(tmp_path, capsys, problem, ex
         outputs.append(out.read_bytes())
     capsys.readouterr()
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "list_flag, run_flag, text",
+    [("--k-list", "--k", text) for text in ("abc", "2.5", "nan", "inf", "0", "-1")]
+    + [("--lambda-list", "--lambda", text) for text in ("abc", "-1", "nan", "inf")],
+)
+def test_sweep_list_entry_reads_like_its_run_flag(
+    tmp_path, capsys, monkeypatch, list_flag, run_flag, text
+):
+    # Each entry of a list is the text of run's flag; a rejected one gives run's message.
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--epochs", "3", run_flag, text, "--out", "m.csv"]) == 2
+    expected = capsys.readouterr()
+    lists = {"--k-list": "2", "--lambda-list": "1e-8", list_flag: f"4, {text}"}
+    argv = ["sweep", "--epochs", "3", *itertools.chain(*lists.items()), "--out", "sw"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == expected
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (
+            "problem = logistic\nproblem.n_samples = 50\noptimizer.batch_size = 100\n",
+            "batch_size 100 exceeds n_samples 50",
+        ),
+        (
+            "problem = quadratic\noptimizer.batch_size = 10\n",
+            "quadratic(d=20, cond=100, seed=0) offers no mini-batch gradients",
+        ),
+    ],
+    ids=["logistic", "quadratic"],
+)
+def test_sweep_batch_size_the_problem_cannot_serve_exit_2_before_any_work(
+    tmp_path, capsys, monkeypatch, lines, message
+):
+    def never(self):
+        raise AssertionError("the reference optimum was computed")
+
+    monkeypatch.setattr(rnacc.Problem, "optimum", property(never))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.spec").write_text(lines + "epochs = 3\n")
+    assert main(["run", "--spec", "exp.spec", "--out", "m.csv"]) == 2
+    expected = capsys.readouterr()
+    assert expected == ("", f"error: {message}\n")
+    argv = ["sweep", "--spec", "exp.spec", "--k-list", "2", "--lambda-list", "1e-8"]
+    assert main(argv + ["--out", "sw"]) == 2
+    assert capsys.readouterr() == expected
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.spec"]
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        ("afile/sub", "--out afile/sub: afile is not a directory"),
+        ("afile/a/b", "--out afile/a/b: afile is not a directory"),
+        ("", "--out: an empty path names no directory"),
+    ],
+    ids=["in-a-file", "below-a-file", "empty"],
+)
+def test_sweep_out_that_cannot_be_made_exit_4_before_any_work(
+    tmp_path, capsys, monkeypatch, out, message
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the problem was built before --out was checked")
+
+    monkeypatch.setattr("rnacc.experiment.build_problem", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("not a directory\n")
+    argv = ["sweep", "--epochs", "3", "--k-list", "2", "--lambda-list", "1e-8", "--out", out]
+    assert main(argv) == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+def test_sweep_makes_a_nested_missing_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "a" / "b" / "sw"
+    argv = ["sweep", "--epochs", "3", "--k-list", "2", "--lambda-list", "1e-8"]
+    assert main(argv + ["--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out_dir.iterdir()) == ["metrics_k2_lam1e-08.csv", "summary.csv"]
 
 
 # ------------------------------------------------------------- import path

@@ -65,6 +65,19 @@ def test_residuals_equal_scaled_gradients_on_quadratic():
         np.testing.assert_allclose(r[:, k], -eta * g, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "scale, dtype",
+    [(1e-300, np.float64), (1.0, np.float64), (1e300, np.float64), (1.0, np.float32),
+     (1e30, np.float32)],
+)
+def test_residuals_are_the_bits_of_np_diff(scale, dtype):
+    iterates = (np.random.default_rng(5).standard_normal((7, 33)) * scale).astype(dtype)
+    expected = np.diff(iterates.astype(np.float64), axis=0).T
+    residuals = build_residuals(iterates)
+    assert residuals.shape == expected.shape
+    assert residuals.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("row", [0, 3, 6])
 def test_iterate_check_names_the_first_nonfinite_iterate(bad, row):

@@ -28,6 +28,7 @@ from rnacc import (
 )
 from rnacc import optimizers
 from rnacc.checkpoint import _render
+from rnacc.experiment import _override
 
 from oracles import gd_trajectory
 
@@ -579,6 +580,27 @@ def test_sweep_validation(tmp_path):
     with pytest.raises(InvalidConfig, match="does not take parameters"):
         sweep(replace(spec, problem_params={"bogus": 1}), [4], [1e-8], out_dir)
     assert not out_dir.exists()
+
+
+def test_sweep_cells_are_the_configs_run_reads(tmp_path, monkeypatch):
+    # Every rna.* key of the spec reaches each cell, whose window and lambda, numbers
+    # or their text, are set as run's --k and --lambda set them.
+    class Captured(Exception):
+        pass
+
+    def capture(problem, opt_cfg, rna_cfgs, *args):
+        raise Captured(rna_cfgs)
+
+    monkeypatch.setattr("rnacc.experiment._stream", capture)
+    spec = replace(default_spec("quadratic"), epochs=3, rna=RnaConfig(weight_target="oldest"))
+    windows, lams = [2, "4", " 8.0 "], [0, "1e-8", 1e-4]
+    with pytest.raises(Captured) as caught:
+        sweep(spec, windows, lams, tmp_path / "sw")
+    [cfgs] = caught.value.args
+    assert cfgs == [
+        _override(spec, {"rna.window": w, "rna.lambda": l}).rna for w in windows for l in lams
+    ]
+    assert cfgs[-1] == RnaConfig(window=8, lam=1e-4, weight_target="oldest")
 
 
 @pytest.mark.parametrize(
