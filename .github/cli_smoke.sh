@@ -55,6 +55,25 @@ rnacc accelerate "$dir/traj.rnac" --k 4 --out "$dir/missing/o.rnac" || status=$?
 test "$status" -eq 4
 test ! -e "$dir/missing"
 
+# An output path that names no file exits 4 before any work, and nothing is made:
+# one that ends in a separator, and an empty one.
+before=$(ls -A "$dir")
+status=0
+rnacc run --epochs 3 --out "$dir/nd/" || status=$?
+test "$status" -eq 4
+status=0
+rnacc accelerate "$dir/traj.rnac" --k 4 --out '' || status=$?
+test "$status" -eq 4
+test "$(ls -A "$dir")" = "$before"
+
+# A 250-byte output name is written, and a window beyond the epochs uses every
+# iterate held.
+long=$(printf 'L%.0s' $(seq 250))
+rnacc run --epochs 3 --out "$dir/$long"
+test -s "$dir/$long"
+rnacc sweep --epochs 3 --k-list 1e30 --lambda-list 1e-8 --out "$dir/sweep_huge"
+test -s "$dir/sweep_huge/summary.csv"
+
 # An output that is a directory exits 4 before any work, and so does a sweep whose
 # out directory holds a summary.csv directory; nothing is written.
 mkdir "$dir/isdir" "$dir/sw" "$dir/sw/summary.csv"

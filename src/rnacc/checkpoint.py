@@ -18,7 +18,7 @@ without touching the rest of the file. ``read_checkpoints`` checks every
 header of a file or a directory against its file's size before it reads any payload,
 and it checks the format only: the core checks the values.
 
-Every file here is written to ``.<name>.<pid>.tmp`` beside its target and then
+Every file here is written to ``.rnacc-<pid>.tmp`` beside its target and then
 renamed over it, so a reader sees either the old file or the whole new one;
 a directory listing skips names that start with ``.``.
 
@@ -59,12 +59,18 @@ METRIC_COLUMNS = (
 )
 
 
+def _split(path) -> tuple[str, str]:
+    """``path`` as the directory and the name that the writer opens; a name that is
+    empty, ``.`` or ``..`` means the path names no file."""
+    head, name = os.path.split(os.fspath(path))
+    return head or os.curdir, name
+
+
 @contextmanager
 def _replacing(path, mode: str, **kwargs):
-    """Open ``.<name>.<pid>.tmp`` beside ``path`` for writing; on success it replaces
+    """Open ``.rnacc-<pid>.tmp`` beside ``path`` for writing; on success it replaces
     ``path``, on any failure it is removed. Mode ``x`` keeps the umask's file mode."""
-    head, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    tmp = os.path.join(_split(path)[0], f".rnacc-{os.getpid()}.tmp")
     fh = open(tmp, mode.replace("w", "x"), **kwargs)
     try:
         with fh:
@@ -75,49 +81,47 @@ def _replacing(path, mode: str, **kwargs):
         raise
 
 
-def _refuse_overwrite(outputs, inputs=()) -> None:
-    """Raise InvalidConfig, naming both, for the first output that resolves to an input
-    or an earlier output, or lies inside one; each holds ``(label, path)`` pairs, and
-    empty paths, which are not written, are skipped."""
+def _preflight(outputs, inputs=(), make=None) -> None:
+    """Raise, before any work, for the first output that would not be written.
+
+    ``outputs`` and ``inputs`` hold ``(label, path)`` pairs; an input with an empty
+    path is not read. An output that resolves to an input or an earlier output, or lies
+    inside one, raises InvalidConfig naming both. Then an OSError names the first output
+    whose path names no file (it is empty or ends in a separator, ``.`` or ``..``), that
+    is a directory (a link to one is not: the write replaces the link), whose directory
+    is missing or is not one, or whose name is longer than that directory allows.
+    ``make`` is the ``(label, path)`` of the directory holding every output, made if
+    missing: it must not be empty, and its missing parts must fit as names in its
+    nearest existing ancestor, which must be a directory.
+    """
     seen = [(label, path, Path(path).resolve()) for label, path in inputs if path]
     for label, path in outputs:
-        if not path:
-            continue
         mine = Path(path).resolve()
         for other, other_path, theirs in seen:
             if mine == theirs or theirs in mine.parents:
                 how = "is" if mine == theirs else "lies inside"
                 raise InvalidConfig(f"{label} {path} {how} {other} {other_path}")
         seen.append((label, path, mine))
-
-
-def _require_dirs(outputs) -> None:
-    """Raise an OSError naming the first ``(label, path)`` output that cannot be written
-    as a file: one that is a directory, or lies in a missing directory or in a file.
-    A symbolic link to a directory is not one: the write replaces the link."""
+    if make is not None and not make[1]:
+        raise FileNotFoundError(f"{make[0]}: an empty path names no directory")
     for label, path in outputs:
-        if not path:
-            continue
-        out = Path(path)
-        if out.is_dir() and not out.is_symlink():
+        head, name = _split(path)
+        if name in ("", os.curdir, os.pardir):
+            raise IsADirectoryError(f"{label} {os.fspath(path)!r}: the path names no file")
+        if os.path.isdir(path) and not os.path.islink(path):
             raise IsADirectoryError(f"{label} {path}: is a directory")
-        if not out.parent.is_dir():
-            if out.parent.exists():
-                raise NotADirectoryError(f"{label} {path}: {out.parent} is not a directory")
-            raise FileNotFoundError(f"{label} {path}: its directory does not exist")
-
-
-def _require_makeable(label, path) -> None:
-    """Raise an OSError naming ``label`` unless ``os.makedirs`` can make the missing
-    directory ``path``: one that is empty, or whose nearest existing ancestor is not a
-    directory, cannot be made."""
-    if not path:
-        raise FileNotFoundError(f"{label}: an empty path names no directory")
-    for ancestor in Path(path).parents:
-        if ancestor.exists():
-            if not ancestor.is_dir():
-                raise NotADirectoryError(f"{label} {path}: {ancestor} is not a directory")
-            return
+        sizes = [(f"{label} {path}", len(os.fsencode(name)))]  # (who, bytes) per new name
+        while not os.path.lexists(head):  # make's directory, to be made with its parents
+            if make is None:
+                raise FileNotFoundError(f"{label} {path}: its directory does not exist")
+            head, name = _split(head)
+            sizes.append((f"{make[0]} {make[1]}", len(os.fsencode(name))))
+        if not os.path.isdir(head):
+            raise NotADirectoryError(f"{sizes[-1][0]}: {head} is not a directory")
+        limit = os.pathconf(head, "PC_NAME_MAX") if hasattr(os, "pathconf") else 255
+        for where, size in sizes:
+            if size > limit >= 0:
+                raise OSError(f"{where}: file name too long ({size} bytes, at most {limit})")
 
 
 def write_checkpoints(path, iterates, precision: str = "f64") -> None:

@@ -1,7 +1,8 @@
 """Command line entry points: run, accelerate, sweep.
 
-Exit codes are stable: 0 success, 2 usage or configuration error,
-3 numerical failure, 4 file format or I/O error.
+Exit codes are stable: 0 success, 2 usage or configuration error (a
+MemoryError included: the sizes asked for do not fit), 3 numerical
+failure, 4 file format or I/O error.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import _refuse_overwrite, _require_dirs, read_checkpoints, write_checkpoints
+from .checkpoint import _preflight, read_checkpoints, write_checkpoints
 from .core import RnaConfig, _accelerate, _accelerate_settings
 from .errors import FormatError, InvalidConfig, RnaError, WindowTooSmall
 from .experiment import (
@@ -156,8 +157,7 @@ def _read_scores(path) -> np.ndarray:
 def cmd_accelerate(args) -> int:
     # An output inside the input directory would be read back as its newest iterate.
     inputs = [("the input", args.checkpoints), ("--scores", args.scores)]
-    _refuse_overwrite([("--out", args.out)], inputs)
-    _require_dirs([("--out", args.out)])
+    _preflight([("--out", args.out)], inputs)
     settings = {"rna.window": args.k, "rna.lambda": args.lam, "rna.lambda_grid": args.lam_grid}
     cfg = _accelerate_settings(_override(ExperimentSpec(), settings).rna, bool(args.scores))
     scores = _read_scores(args.scores) if args.scores else None
@@ -197,7 +197,7 @@ def cmd_sweep(args) -> int:
         else:
             print(f"  {tag}: FAILED ({cell.error})")
     if not ok:
-        print("every sweep cell failed", file=sys.stderr)
+        print("error: every sweep cell failed", file=sys.stderr)
         return NUMERICAL_EXIT
     return 0
 
@@ -207,9 +207,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RnaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (InvalidConfig, WindowTooSmall)):
+    except (RnaError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        if isinstance(exc, (InvalidConfig, WindowTooSmall, MemoryError)):
             return USAGE_EXIT
         return FORMAT_EXIT if isinstance(exc, (FormatError, OSError)) else NUMERICAL_EXIT
 

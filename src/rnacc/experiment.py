@@ -19,10 +19,8 @@ from dataclasses import dataclass, field, replace
 from .checkpoint import (
     METRIC_COLUMNS,
     _metric_row,
-    _refuse_overwrite,
+    _preflight,
     _replacing,
-    _require_dirs,
-    _require_makeable,
     _write_table,
     write_checkpoints,
     write_metrics,
@@ -245,11 +243,10 @@ def run_experiment(spec: ExperimentSpec, problem: Problem | None = None, inputs=
     Returns (vanilla records, acceleration records, problem). ``inputs`` holds
     ``(label, path)`` pairs of files the run must not overwrite, such as its spec
     file. An output on one of them, or two outputs on one path, raise InvalidConfig,
-    and an output that is a directory or lies in a missing one OSError, before training.
+    and an output that could not be written OSError, before training.
     """
     outputs = [("metrics_out", spec.metrics_out), ("checkpoints_out", spec.checkpoints_out)]
-    _refuse_overwrite(outputs, inputs)
-    _require_dirs(outputs)
+    _preflight([(label, path) for label, path in outputs if path], inputs)
     if problem is None:
         problem = build_problem(spec)
     vanilla, accelerated = run_with_rna(
@@ -331,8 +328,8 @@ def sweep(spec: ExperimentSpec, windows, lams, out_dir, inputs=()) -> list[Sweep
     which a sweep does not use, bad cells, two cells sharing a file name, an output on
     one of ``inputs``, bad problem parameters or training settings raise InvalidConfig,
     and a failed reference optimum NumericalFailure, before ``out_dir`` is made. An
-    ``out_dir`` that is empty, lies in a file or is a file, or an output in it that is a
-    directory, raise OSError before the problem is built.
+    ``out_dir`` that is empty, lies in a file, is a file or has a name too long, or an
+    output in it that is a directory, raise OSError before the problem is built.
     """
     if spec.rna.lam_grid is not None:
         raise InvalidConfig("rna.lambda_grid: each sweep cell solves at one lambda of the list")
@@ -342,11 +339,7 @@ def sweep(spec: ExperimentSpec, windows, lams, out_dir, inputs=()) -> list[Sweep
     summary = os.path.join(out_dir, _SUMMARY_NAME)
     outputs = [(f"cell k={cfg.window} lambda={cfg.lam!r}", path) for cfg, path in cells]
     outputs.append(("the summary", summary))
-    _refuse_overwrite(outputs, inputs)
-    if os.path.lexists(out_dir):
-        _require_dirs(outputs)
-    else:  # made once the problem is built and its training settings checked
-        _require_makeable("--out", out_dir)
+    _preflight(outputs, inputs, make=("--out", out_dir))  # made once the problem is built
     problem = build_problem(spec)
     cfgs = [c for c, _ in cells]
     stream = _stream(problem, spec.optimizer, cfgs, spec.epochs, spec.flush_on_drop)

@@ -218,9 +218,9 @@ def _stream(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop=False, theta0=None
     that config, or None once it has ended. A training error is raised after the epochs
     before it have been yielded. Config i extrapolates the last
     ``rna_cfgs[i].window + 1`` iterates of a ring that holds the newest
-    ``max(window) + 1`` and is cleared at each drop if ``flush_on_drop``. Within an
-    epoch each distinct window length is stacked, checked, differenced and its Gram
-    matrix formed once, and each distinct (length, lam, lam_grid, weight_target) is
+    ``min(max(window), epochs) + 1`` and is cleared at each drop if ``flush_on_drop``.
+    Within an epoch each distinct window length is stacked, checked, differenced and its
+    Gram matrix formed once, and each distinct (length, lam, lam_grid, weight_target) is
     solved and evaluated once; configs that share one share its entry.
     """
     epochs = _require_int("epochs", epochs)
@@ -237,7 +237,7 @@ def _epochs(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop, theta):
     """:func:`_stream`'s generator, from the checked ``theta0`` as ``theta``."""
     velocity = np.zeros_like(theta)
     drops = {e for e, _ in opt_cfg.schedule} if flush_on_drop else set()
-    ring = deque(maxlen=max((c.window for c in rna_cfgs), default=0) + 1)
+    ring = deque(maxlen=min(max((c.window for c in rna_cfgs), default=0), epochs) + 1)
     live = range(len(rna_cfgs))
     for epoch in range(1, epochs + 1):
         theta, velocity = sgd_momentum_epoch(theta, velocity, problem, opt_cfg, epoch)

@@ -1,6 +1,7 @@
 """Binary checkpoint format and the metrics table."""
 
 import csv
+import os
 import tracemalloc
 
 import numpy as np
@@ -137,6 +138,7 @@ def test_write_that_raises_midway_leaves_no_file(tmp_path):
     with pytest.raises(RuntimeError):
         with checkpoint._replacing(path, "wb") as fh:
             fh.write(b"RNAC")
+            assert [p.name for p in tmp_path.iterdir()] == [f".rnacc-{os.getpid()}.tmp"]
             raise RuntimeError("midway")
     assert list(tmp_path.iterdir()) == []
 
@@ -144,7 +146,7 @@ def test_write_that_raises_midway_leaves_no_file(tmp_path):
 def test_directory_listing_skips_dot_files(tmp_path):
     # A writer's temporary file is never read as a checkpoint; a manifest may name one.
     write_checkpoints(tmp_path / "a.rnac", np.ones((1, 2)))
-    (tmp_path / ".a.rnac.123.tmp").write_bytes(b"RNAC")
+    (tmp_path / ".rnacc-123.tmp").write_bytes(b"RNAC")
     write_checkpoints(tmp_path / ".hidden.rnac", np.zeros((1, 2)))
     np.testing.assert_array_equal(read_checkpoints(tmp_path), np.ones((1, 2)))
     (tmp_path / "manifest.txt").write_text("a.rnac\n.hidden.rnac\n")

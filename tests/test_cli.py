@@ -1,14 +1,19 @@
 """Command line behavior: flags, exit codes, file outputs."""
 
+import contextlib
+import io
 import itertools
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 import rnacc
 from rnacc import (
@@ -641,8 +646,21 @@ def test_output_in_a_missing_directory_exit_4_before_any_work(
              "--out", "seq.rnac"],
             "cell k=2 lambda=1e-08 seq.rnac/metrics_k2_lam1e-08.csv: seq.rnac is not a directory",
         ),
+        (["run", "--epochs", "200", "--out", "nd/"], "metrics_out 'nd/': the path names no file"),
+        (
+            ["run", "--epochs", "200", "--out", "isdir/."],
+            "metrics_out 'isdir/.': the path names no file",
+        ),
+        (["accelerate", "seq.rnac", "--out", ""], "--out '': the path names no file"),
+        (
+            ["run", "--epochs", "200", "--out", "N" * 256],
+            f"metrics_out {'N' * 256}: file name too long (256 bytes, at most {{limit}})",
+        ),
     ],
-    ids=["run-out", "accelerate-out", "sweep-summary", "sweep-out-file"],
+    ids=[
+        "run-out", "accelerate-out", "sweep-summary", "sweep-out-file",
+        "trailing-separator", "dot", "empty", "long-name",
+    ],
 )
 def test_output_that_cannot_be_a_file_exit_4_before_any_work(
     tmp_path, capsys, monkeypatch, argv, message
@@ -661,8 +679,20 @@ def test_output_that_cannot_be_a_file_exit_4_before_any_work(
     assert main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+    assert captured.err == f"error: {message.format(limit=limit)}\n"
     assert {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+def test_output_with_a_long_name_is_written(tmp_path, capsys):
+    # 250 bytes of a 255-byte limit: the writer's temporary name is short and fixed.
+    _export_trajectory(tmp_path / "seq.rnac")
+    for argv in (["run", "--epochs", "3"], ["accelerate", str(tmp_path / "seq.rnac")]):
+        out = tmp_path / ("L" * 250)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, "seq.rnac"]
+        out.unlink()
+    capsys.readouterr()
 
 
 def test_output_on_a_link_to_a_directory_replaces_the_link(tmp_path, capsys):
@@ -1081,8 +1111,9 @@ def test_sweep_batch_size_the_problem_cannot_serve_exit_2_before_any_work(
         ("afile/sub", "--out afile/sub: afile is not a directory"),
         ("afile/a/b", "--out afile/a/b: afile is not a directory"),
         ("", "--out: an empty path names no directory"),
+        ("N" * 256, f"--out {'N' * 256}: file name too long (256 bytes, at most {{limit}})"),
     ],
-    ids=["in-a-file", "below-a-file", "empty"],
+    ids=["in-a-file", "below-a-file", "empty", "long-name"],
 )
 def test_sweep_out_that_cannot_be_made_exit_4_before_any_work(
     tmp_path, capsys, monkeypatch, out, message
@@ -1095,7 +1126,8 @@ def test_sweep_out_that_cannot_be_made_exit_4_before_any_work(
     (tmp_path / "afile").write_text("not a directory\n")
     argv = ["sweep", "--epochs", "3", "--k-list", "2", "--lambda-list", "1e-8", "--out", out]
     assert main(argv) == 4
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+    assert capsys.readouterr() == ("", f"error: {message.format(limit=limit)}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
@@ -1105,6 +1137,173 @@ def test_sweep_makes_a_nested_missing_out_dir(tmp_path, capsys):
     assert main(argv + ["--out", str(out_dir)]) == 0
     capsys.readouterr()
     assert sorted(p.name for p in out_dir.iterdir()) == ["metrics_k2_lam1e-08.csv", "summary.csv"]
+
+
+# ---------------------------------------------------- the command-line contract
+
+_TREE_NAMES = ("a", "b", "c")
+_LONG = "L" * 250  # a name the OS accepts, 250 of its 255 bytes
+_TOO_LONG = "N" * 256
+# Settings read from flag text; each is drawn for --k, --lambda or --seed.
+_HOSTILE = ("nan", "inf", "1e30", str(2**63), "-0", " 4 ", "", "2")
+
+
+def _make_tree(root, kinds):
+    """The input trajectory ``traj.rnac``, a directory ``sub`` holding a file, and for
+    each of ``_TREE_NAMES`` its drawn kind of entry."""
+    write_checkpoints(root / "traj.rnac", np.arange(18.0).reshape(6, 3) ** 0.5)
+    (root / "sub").mkdir()
+    (root / "sub" / "in").write_bytes(b"kept\n")
+    for name, kind in zip(_TREE_NAMES, kinds):
+        entry = root / name
+        if kind == "file":
+            entry.write_bytes(b"kept\n")
+        elif kind == "dir":
+            entry.mkdir()
+            (entry / "in").write_bytes(b"kept\n")
+        else:
+            links = {"link-file": "traj.rnac", "link-dir": "sub", "dangling": "gone"}
+            entry.symlink_to(links[kind])
+
+
+def _snapshot(root) -> dict:
+    """Every entry under ``root``, links not followed: a link's target, a file's bytes."""
+    entries = {}
+    for entry in os.scandir(root):
+        if entry.is_symlink():
+            entries[entry.path] = ("link", os.readlink(entry.path))
+        elif entry.is_dir():
+            entries[entry.path] = ("dir",)
+            entries.update(_snapshot(entry.path))
+        else:
+            entries[entry.path] = ("file", Path(entry.path).read_bytes())
+    return entries
+
+
+def _argv(command, out, setting):
+    """``command``'s arguments with ``setting``'s text for its flag: sweep's lists take
+    that of --k and --lambda, and accelerate takes no --seed."""
+    flag, text = setting
+    args = {
+        "run": ["--epochs=3"],
+        "accelerate": ["traj.rnac"],
+        "sweep": ["--epochs=3", "--k-list=2", "--lambda-list=1e-8"],
+    }[command]
+    if command == "sweep" and flag != "seed":
+        flag += "-list"  # given again, it overrides the list above
+    if not (command == "accelerate" and flag == "seed"):
+        args.append(f"--{flag}={text}")
+    return [command, *args, "--out", out]
+
+
+@settings(max_examples=150)
+@given(
+    command=st.sampled_from(["run", "accelerate", "sweep"]),
+    kinds=st.tuples(*[st.sampled_from(["file", "dir", "link-file", "link-dir", "dangling"])] * 3),
+    out=st.sampled_from(["", ".", _LONG, _TOO_LONG])
+    | st.builds(
+        str.__add__,
+        st.sampled_from([*_TREE_NAMES, "sub", "traj.rnac", "new"]),
+        st.sampled_from(["", "/", "/x.out", "/nd/x.out", "/.", "/" + _LONG, "/" + _TOO_LONG]),
+    ),
+    setting=st.tuples(st.sampled_from(["k", "lambda", "seed"]), st.sampled_from(_HOSTILE)),
+)
+@example(command="run", kinds=("file", "dir", "dangling"), out="new/", setting=("k", "2"))
+@example(command="run", kinds=("file", "dir", "dangling"), out=_LONG, setting=("k", "2"))
+@example(command="run", kinds=("file", "dir", "dangling"), out="m.csv", setting=("k", "1e30"))
+@example(command="sweep", kinds=("file", "dir", "dangling"), out="sw", setting=("k", "1e30"))
+@example(command="accelerate", kinds=("file", "dir", "dangling"), out="", setting=("k", "4"))
+@example(command="sweep", kinds=("file", "dir", "dangling"), out=_TOO_LONG, setting=("k", "2"))
+def test_every_command_fails_before_any_work_or_writes_only_its_outputs(
+    command, kinds, out, setting
+):
+    # Over drawn trees of files, directories and links (dangling ones too), output
+    # paths built from them (trailing separators, long names, missing directories, .
+    # and '') and hostile setting text: each command exits 0, 2, 3 or 4, never with a
+    # traceback, and any failure is one error line. Exit 2 or 4 comes before any epoch,
+    # checkpoint payload read or, for 4, problem build, with the tree unchanged; on
+    # success only the declared outputs changed.
+    built = []
+
+    def building(spec):
+        problem = build_problem(spec)
+        built.append(problem)
+        return problem
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch("rnacc.optimizers.sgd_momentum_epoch",
+                       wraps=rnacc.optimizers.sgd_momentum_epoch) as epochs, \
+            mock.patch("rnacc.cli.read_checkpoints", wraps=read_checkpoints) as reads, \
+            mock.patch("rnacc.experiment.build_problem", building):
+        root = Path(tmp).resolve()
+        _make_tree(root, kinds)
+        # A file output replaces its last part, links included; sweep's is a directory.
+        head, name = os.path.split(os.path.join(root, out))
+        target = os.path.join(os.path.realpath(head), name)
+        if command == "sweep":
+            target = os.path.realpath(target)
+        before = _snapshot(root)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        os.chdir(root)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(_argv(command, out, setting))
+        finally:
+            os.chdir(cwd)
+        after = _snapshot(root)
+    err = stderr.getvalue()
+    event(f"{command} exits {code}")
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    if code in (2, 4):
+        assert after == before
+        assert (epochs.call_count, reads.call_count) == (0, 0)
+        assert code == 2 or not built
+    else:
+        changed = {p for p in before.keys() | after.keys() if before.get(p) != after.get(p)}
+        if command == "sweep":  # the directory, what it holds and the parents it made
+            inside = {p for p in changed if p == target or p.startswith(target + os.sep)}
+            assert changed - inside <= {p for p in changed if target.startswith(p + os.sep)}
+        else:
+            assert changed <= {target}
+
+
+def test_huge_window_uses_every_iterate_held(tmp_path, capsys):
+    # A window beyond the epochs extrapolates every iterate, as a window of the epochs does.
+    for k in ("5", "1e30", str(2**63)):
+        assert main(["run", "--epochs", "5", "--k", k, "--out", str(tmp_path / f"{k}.csv")]) == 0
+    assert (tmp_path / "1e30.csv").read_bytes() == (tmp_path / "5.csv").read_bytes()
+    assert (tmp_path / f"{2**63}.csv").read_bytes() == (tmp_path / "5.csv").read_bytes()
+    argv = ["sweep", "--epochs", "5", "--k-list", "1e30", "--lambda-list", "1e-8"]
+    assert main(argv + ["--out", str(tmp_path / "sw")]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="address-space limits as Linux sets them")
+def test_problem_too_large_for_memory_exit_2(tmp_path):
+    # The child alone runs under a 2 GiB address-space limit; a 20000 x 20000 matrix
+    # does not fit in it.
+    import resource
+
+    (tmp_path / "big.spec").write_text("problem.dim = 20000\n")
+    limit = 2 << 30
+    src = Path(rnacc.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "rnacc.cli", "run", "--spec", "big.spec", "--out", "m.csv"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Unable to allocate" in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["big.spec"]
 
 
 # ------------------------------------------------------------- import path
