@@ -30,6 +30,23 @@ rnacc accelerate "$dir/traj" --k 4 --out "$dir/from_dir.rnac"
 rnacc accelerate "$dir/traj.rnac" --k 4 --lambda-grid 1e-8,1e-6 \
   --scores "$dir/scores.txt" --out "$dir/from_grid.rnac"
 
+# Only the window's values are checked: a NaN in the oldest of six checkpoints is
+# ignored by a window of 5 (--k 4), with the bits of the clean directory, and exits 3
+# in a window of 6 (--k 5), writing nothing.
+rnacc accelerate "$dir/nan" --k 4 --out "$dir/from_nan.rnac"
+cmp "$dir/from_dir.rnac" "$dir/from_nan.rnac"
+status=0
+rnacc accelerate "$dir/nan" --k 5 --out "$dir/nan_k5.rnac" || status=$?
+test "$status" -eq 3
+test ! -e "$dir/nan_k5.rnac"
+
+# A FIFO checkpoint path exits 4 without being opened, which would wait for a writer.
+mkfifo "$dir/fifo"
+status=0
+timeout 10 rnacc accelerate "$dir/fifo" --out "$dir/fifo.rnac" || status=$?
+test "$status" -eq 4
+test ! -e "$dir/fifo.rnac"
+
 # An --out inside the input directory, on the input file or on the scores file,
 # exits 2 and changes nothing.
 before=$(cat "$dir/traj.rnac" "$dir"/traj/* "$dir/scores.txt" | sha256sum)

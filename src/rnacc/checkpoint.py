@@ -14,9 +14,10 @@ The payload length must match the header exactly; trailing bytes are an
 error. f64 files round-trip bit-exactly. f32 is offered because deep
 learning checkpoints usually are f32; the math still runs in f64 after
 loading. Iterate-major order lets a reader stream the last K+1 iterates
-without touching the rest of the file. ``read_checkpoints`` checks every
-header of a file or a directory against its file's size before it reads any payload,
-and it checks the format only: the core checks the values.
+without touching the rest of the file, and ``rnacc accelerate`` does: it checks
+every header of a file or a directory against its file's size before it reads any
+payload, then reads the payload of the last K+1 iterates only. The reader checks the
+format only: the core checks the values, of the window only.
 
 Every file here is written to ``.rnacc-<pid>.tmp`` beside its target and then
 renamed over it, so a reader sees either the old file or the whole new one;
@@ -30,6 +31,7 @@ recovers every float64 exactly.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from collections import Counter
 from contextlib import contextmanager
@@ -144,12 +146,26 @@ def write_checkpoints(path, iterates, precision: str = "f64") -> None:
         fh.write(payload.data)  # the array's own buffer, not a bytes copy
 
 
+def _require_regular(label: str, path, directory: bool = False) -> None:
+    """Raise OSError for an input that exists and is not a regular file (nor, with
+    ``directory``, a directory), before it is opened: opening a FIFO for reading waits
+    for a writer. A missing input is left for its ``open`` to report."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        return
+    if not (stat.S_ISREG(mode) or (directory and stat.S_ISDIR(mode))):
+        kind = "neither a regular file nor a directory" if directory else "not a regular file"
+        raise OSError(f"{label} {os.fspath(path)}: {kind}")
+
+
 def _checkpoint_files(path) -> list:
     """``[path]`` for a file, else a directory's files by name, skipping dot-files such
     as a writer's temporary file, or in the order its ``manifest.txt`` (one name per
     line, ``#`` comments) pins; a manifest name that resolves outside the directory, or
     two names that resolve to one file, are a FormatError.
     """
+    _require_regular("the checkpoints", path, directory=True)
     if not os.path.isdir(path):
         return [path]
     root = Path(path)
@@ -216,25 +232,45 @@ def read_checkpoints(path) -> np.ndarray:
     Before any payload is read, a bad header or manifest, a file size that disagrees
     with its header or files that disagree on dim raise FormatError. Each payload then
     lands in its rows of the result as stored: NaN and infinities are left for the
-    core's one value check, :func:`rnacc.as_iterate_matrix`.
+    core's one value check, which looks at the window only.
+    """
+    return _read_tail(path)[0]
+
+
+def _read_tail(path, rows: int | None = None) -> tuple[np.ndarray, int]:
+    """The last ``rows`` iterates of :func:`read_checkpoints` (every one when None),
+    and the number of iterates stored.
+
+    Every header is checked first, as there. Then one float64 matrix of the tail's rows
+    is filled: each file that holds part of the tail is read from its first iterate in
+    the tail, and a file wholly before the tail is not opened again.
     """
     files = _checkpoint_files(path)
     headers = [_read_header(f) for f in files]
     dims = {dim for _, dim, _ in headers}
     if len(dims) != 1:
         raise FormatError(f"{path}: files disagree on dimension: {sorted(dims)}")
-    counts = [count for *_, count in headers]
-    mat = np.empty((sum(counts), dims.pop()))
-    for f, (dtype, *_), rows in zip(files, headers, np.split(mat, np.cumsum(counts)[:-1])):
-        buf = rows if dtype == mat.dtype else np.empty(rows.shape, dtype)  # f64 in place
+    dim, total = dims.pop(), sum(count for *_, count in headers)
+    first = 0 if rows is None else max(total - rows, 0)
+    mat = np.empty((total - first, dim))
+    end = 0
+    for f, (dtype, _, count) in zip(files, headers):
+        start, end = end, end + count  # f's iterates, counted in the whole sequence
+        if end <= first:
+            continue
+        lo = max(first, start)  # f's first iterate in the tail
+        dest = mat[lo - first:end - first]
+        buf = dest if dtype == mat.dtype else np.empty(dest.shape, dtype)  # f64 in place
         with open(f, "rb") as fh:
-            fh.seek(_HEADER.size)
+            fh.seek(_HEADER.size + (lo - start) * dim * dtype.itemsize)
             got = fh.readinto(buf)
-        if got != buf.nbytes:  # the file changed since its header was checked
-            raise FormatError(f"{f}: payload holds {got} bytes, header promises {buf.nbytes}")
-        if buf is not rows:
-            rows[...] = buf
-    return mat
+            if got != buf.nbytes:  # the file changed since its header was checked
+                held = os.fstat(fh.fileno()).st_size - _HEADER.size
+                promised = count * dim * dtype.itemsize
+                raise FormatError(f"{f}: payload holds {held} bytes, header promises {promised}")
+        if buf is not dest:
+            dest[...] = buf
+    return mat, total
 
 
 def _render(value) -> str:

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import _preflight, read_checkpoints, write_checkpoints
+from .checkpoint import _preflight, _read_tail, _require_regular, write_checkpoints
 from .core import RnaConfig, _accelerate, _accelerate_settings
 from .errors import FormatError, InvalidConfig, RnaError, WindowTooSmall
 from .experiment import (
@@ -144,6 +144,7 @@ def cmd_run(args) -> int:
 
 def _read_scores(path) -> np.ndarray:
     """The scores file's values; the one check that they are finite on this path."""
+    _require_regular("--scores", path)
     try:
         with open(path, "r", encoding="ascii") as fh:
             values = np.array([float(line) for line in fh if line.strip()])
@@ -161,10 +162,10 @@ def cmd_accelerate(args) -> int:
     settings = {"rna.window": args.k, "rna.lambda": args.lam, "rna.lambda_grid": args.lam_grid}
     cfg = _accelerate_settings(_override(ExperimentSpec(), settings).rna, bool(args.scores))
     scores = _read_scores(args.scores) if args.scores else None
-    mat = read_checkpoints(args.checkpoints)
-    count = mat.shape[0]
+    # Every header is checked, then only the window's payload is read.
+    mat, count = _read_tail(args.checkpoints, cfg.window + 1)
     # The matrix is rnacc's own: its window becomes the differences, then is dropped.
-    theta_hat, _, coeffs = _accelerate(mat, cfg, scores, overwrite=True)
+    theta_hat, _, coeffs = _accelerate(mat, cfg, scores, overwrite=True, total=count)
     del mat
     if cfg.window + 1 > count:
         print(

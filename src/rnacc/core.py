@@ -17,10 +17,12 @@ keeps ``theta_K``. The Gram matrix is ``D @ D.T`` and the combination is
 anchored at the newest iterate, ``theta_hat = theta_K - P @ D``, where
 ``P`` holds the prefix sums of c (shifted by one for ``LATEST``). Every entry
 point (:func:`rna`, :func:`adaptive_rna`, :func:`accelerate_checkpoints` and the
-training driver) runs one stage first, ``_window``: validate, keep the last K+1
-iterates, difference them and form the Gram matrix. Public functions difference
-into a buffer of their own and never write into a caller's array; ``rnacc
-accelerate`` and the training driver difference the matrix they stacked in place.
+training driver) runs one stage first, ``_window``: keep the last K+1 iterates,
+validate them, difference them and form the Gram matrix. Every iterate's shape is
+checked, but only the window's values: a NaN in an older iterate is ignored. Public
+functions never write into a caller's array: they difference into a buffer of their
+own, or into the stack they made of a list; ``rnacc accelerate`` and the training
+driver difference the matrix they stacked in place.
 Each then solves once at ``lam``, or once per ridge of ``lam_grid`` keeping the
 best-ranked point, over that one Gram matrix.
 
@@ -154,13 +156,21 @@ def as_iterate_matrix(iterates) -> np.ndarray:
     Accepts a 2-D array (rows = iterates, oldest first) or a sequence of
     1-D vectors; a float64 array comes back as is, not copied. Raises
     DimensionMismatch for ragged input and NumericalFailure naming the
-    first iterate (0-based, oldest first) with NaN or infinite entries:
-    the one value check of every path, checkpoint files included.
+    first iterate (0-based, oldest first) with NaN or infinite entries.
     """
+    return _stacked(iterates)
+
+
+def _stacked(iterates, keep: int | None = None, total: int | None = None) -> np.ndarray:
+    """The last ``keep`` iterates (every one when None) as :func:`as_iterate_matrix`
+    stacks them, checking every iterate's shape but only the kept ones' values: the one
+    value check of every path, checkpoint files included. ``total`` is the length of
+    the whole sequence when ``iterates`` holds only its last iterates, so that an error
+    counts iterates in the whole sequence."""
     if isinstance(iterates, np.ndarray) and iterates.ndim == 2:
-        mat = np.asarray(iterates, dtype=np.float64)
+        rows = iterates
     else:
-        rows = [np.asarray(v, dtype=np.float64) for v in iterates]
+        rows = [np.asarray(v) for v in iterates]  # only the kept ones become float64
         if not rows:
             raise WindowTooSmall("empty iterate sequence")
         dims = {r.shape for r in rows}
@@ -168,24 +178,29 @@ def as_iterate_matrix(iterates) -> np.ndarray:
             raise DimensionMismatch(
                 f"iterates must share one dimension, got shapes {sorted(dims)}"
             )
-        mat = np.vstack(rows)
+    first = 0 if keep is None else max(len(rows) - keep, 0)
+    mat = np.asarray(rows[first:] if first else rows, dtype=np.float64)
     if mat.shape[0] == 0:
         raise WindowTooSmall("empty iterate sequence")
     if mat.shape[1] == 0:
         raise DimensionMismatch("iterates must be nonempty vectors")
+    skipped = (len(rows) if total is None else total) - len(mat)
     # A row with a NaN or an infinity has no finite sum; finite values can overflow
     # one, so only the rows whose sum is not finite are checked entry by entry.
     with np.errstate(over="ignore", invalid="ignore"):
         sums = mat.sum(axis=1)
     for bad in np.flatnonzero(~np.isfinite(sums)):
         if not np.isfinite(mat[bad]).all():
-            raise NumericalFailure(f"iterate {bad} of {len(mat)} contains NaN or infinite entries")
+            raise NumericalFailure(
+                f"iterate {skipped + bad} of {skipped + len(mat)} "
+                "contains NaN or infinite entries"
+            )
     return mat
 
 
-def _validated(iterates) -> np.ndarray:
-    """:func:`as_iterate_matrix`, plus the two iterates every stage needs."""
-    mat = as_iterate_matrix(iterates)
+def _validated(iterates, keep: int | None = None, total: int | None = None) -> np.ndarray:
+    """:func:`_stacked`, plus the two iterates every stage needs."""
+    mat = _stacked(iterates, keep, total)
     if mat.shape[0] < 2:
         raise WindowTooSmall(
             f"need at least 2 iterates to extrapolate, got {mat.shape[0]}"
@@ -216,12 +231,18 @@ def _gram(diffs: np.ndarray) -> np.ndarray:
         return d @ d.T
 
 
-def _window(iterates, window: int, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The stage every entry point runs first: validate ``iterates``, keep the last
-    ``window + 1`` and return their :func:`_differenced` rows and :func:`_gram`.
-    ``overwrite`` differences the validated matrix in place, for a caller that owns it
-    and no longer needs it; a list of rows is stacked into a new one."""
-    diffs = _differenced(_validated(iterates)[-(window + 1):], overwrite)
+def _window(
+    iterates, window: int, overwrite: bool = False, total: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stage every entry point runs first: keep the last ``window + 1`` iterates,
+    validate them (every iterate's shape, the kept ones' values) and return their
+    :func:`_differenced` rows and :func:`_gram`. ``overwrite`` differences the kept
+    rows of ``iterates`` in place, for a caller that owns it and no longer needs it; a
+    stack that rnacc made (of a list, or converted to float64) is differenced in place
+    too. ``total`` is as in :func:`_stacked`."""
+    mat = _validated(iterates, window + 1, total)
+    made = not isinstance(iterates, np.ndarray) or not np.may_share_memory(mat, iterates)
+    diffs = _differenced(mat, overwrite or made)
     return diffs, _gram(diffs)
 
 
@@ -456,16 +477,21 @@ def _accelerate_settings(cfg: RnaConfig, has_scores: bool) -> RnaConfig:
     return cfg
 
 
-def _accelerate(iterates, cfg: RnaConfig, scores, overwrite: bool = False):
+def _accelerate(
+    iterates, cfg: RnaConfig, scores, overwrite: bool = False, total: int | None = None
+):
     """:func:`accelerate_checkpoints` on checked settings and finite float64 scores.
 
     With ``overwrite`` the window of ``iterates``, a float64 matrix the caller
     owns and no longer needs, is differenced in place instead of into a copy.
+    ``total`` counts the checkpoints when ``iterates`` holds only the last of them,
+    at least the window's: the scores are counted against it.
     """
-    diffs, gram = _window(iterates, cfg.window, overwrite)
-    if scores is not None and scores.size != len(iterates):
+    diffs, gram = _window(iterates, cfg.window, overwrite, total)
+    count = len(iterates) if total is None else total
+    if scores is not None and scores.size != count:
         raise InvalidConfig(
-            f"{scores.size} scores for {len(iterates)} checkpoints; counts must match"
+            f"{scores.size} scores for {count} checkpoints; counts must match"
         )
     return _extrapolate(
         diffs, gram, cfg,

@@ -21,6 +21,7 @@ from .checkpoint import (
     _metric_row,
     _preflight,
     _replacing,
+    _require_regular,
     _write_table,
     write_checkpoints,
     write_metrics,
@@ -158,6 +159,7 @@ class ExperimentSpec:
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
         """Read a spec file, which is UTF-8 text; an undecodable byte raises InvalidConfig."""
+        _require_regular("the spec file", path)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()

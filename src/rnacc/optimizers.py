@@ -268,8 +268,8 @@ def _window_entries(problem, record, thetas, cfgs) -> list:
     """The entries of ``cfgs``, which all extrapolate ``record``'s epoch from ``thetas``."""
     diffs = gram = None
     if len(thetas) > 1:
-        try:  # the window stacked from the list is ours to difference in place
-            diffs, gram = _window(thetas, len(thetas) - 1, overwrite=True)
+        try:  # the window stacked from the list is differenced in place
+            diffs, gram = _window(thetas, len(thetas) - 1)
         except RnaError as exc:
             return [exc] * len(cfgs)
     points = {}

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rnacc import (
     FormatError,
@@ -534,8 +534,20 @@ def _exit_code(exc: RnaError) -> int:
     return 4 if isinstance(exc, FormatError) else 3
 
 
+def _nan_at(row: int) -> np.ndarray:
+    """6 iterates of 2 values that f32 holds exactly, with a NaN in iterate ``row``."""
+    mat = 1.0 + 2.0 ** -np.arange(1.0, 7.0)[:, None] * np.array([1.0, 3.0])
+    mat[row, 1] = np.nan
+    return mat
+
+
 @settings(max_examples=200)
 @given(_stored_sequences())
+# A NaN outside the K = 3 window: in a file the tail read never opens, and in the part
+# of a file that it skips.
+@example((_nan_at(0), "f32", "split", [1, 3], np.arange(3), 3, 1e-8, None, None))
+@example((_nan_at(1), "f64", "manifest", [1, 3], np.array([2, 0, 1]), 3, 1e-8, _GRID[:3],
+          np.arange(6.0, 0.0, -1.0)))
 def test_c11_every_layout_gives_the_in_memory_bits(case):
     # C11 over drawn inputs: one file, a directory of parts or a directory whose
     # manifest pins a shuffled order, f64 or f32, any window and ridge, with or

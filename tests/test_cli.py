@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -27,7 +28,7 @@ from rnacc import (
     rna,
     write_checkpoints,
 )
-from rnacc.checkpoint import _HEADER
+from rnacc.checkpoint import _HEADER, MAGIC, VERSION, _read_tail
 from rnacc.cli import _spec_from_args, build_parser, main
 
 from oracles import gd_trajectory
@@ -477,13 +478,15 @@ def test_accelerate_single_iterate_prints_one_error_line(tmp_path, capsys):
 @pytest.mark.parametrize("layout", ["f64-file", "f32-dir"])
 @pytest.mark.parametrize("bad", [0, 3, 6])
 def test_accelerate_nan_error_matches_in_memory_path(tmp_path, capsys, layout, bad):
-    # C11 for failures: a NaN in the first, a middle or the last iterate gives
-    # the same exit and message from a file as from the in-memory matrix.
+    # C11 for failures: a NaN in a middle or the last iterate of the K = 4 window gives
+    # the same exit and message from a file as from the in-memory matrix. The first of
+    # the 7 iterates lies outside the window: both paths ignore its NaN, with equal bits.
     _, traj = _export_trajectory(tmp_path / "seq.rnac", steps=6)
     mat = np.array(traj)
     mat[bad, 1] = np.nan
-    with pytest.raises(rnacc.NumericalFailure) as in_memory:
-        rnacc.accelerate_checkpoints(mat, window=4, lam=1e-8)
+    if bad > 0:
+        with pytest.raises(rnacc.NumericalFailure) as in_memory:
+            rnacc.accelerate_checkpoints(mat, window=4, lam=1e-8)
     # The writer refuses NaN, so clean files are written and the NaN is patched in.
     if layout == "f64-file":
         source = patched = tmp_path / "seq.rnac"
@@ -501,8 +504,14 @@ def test_accelerate_nan_error_matches_in_memory_path(tmp_path, capsys, layout, b
     from_disk = read_checkpoints(source)
     assert np.isnan(from_disk[bad, 1]) and np.isfinite(np.delete(from_disk, bad, axis=0)).all()
     out = tmp_path / "o.rnac"
-    assert main(["accelerate", str(source), "--k", "4", "--out", str(out)]) == 3
+    code = main(["accelerate", str(source), "--k", "4", "--out", str(out)])
     captured = capsys.readouterr()
+    if bad == 0:
+        expected, _, _ = rnacc.accelerate_checkpoints(from_disk, window=4, lam=1e-8)
+        assert code == 0
+        assert read_checkpoints(out)[0].tobytes() == expected.tobytes()
+        return
+    assert code == 3
     assert captured.out == ""
     assert captured.err == f"error: {in_memory.value}\n"
     assert f"iterate {bad} of 7 " in captured.err
@@ -616,7 +625,7 @@ def test_output_in_a_missing_directory_exit_4_before_any_work(
         raise AssertionError("work began before every output's directory was checked")
 
     monkeypatch.setattr("rnacc.experiment.run_with_rna", never)
-    monkeypatch.setattr("rnacc.cli.read_checkpoints", never)
+    monkeypatch.setattr("rnacc.cli._read_tail", never)
     monkeypatch.chdir(tmp_path)
     _export_trajectory(tmp_path / "seq.rnac")
     if extra:
@@ -670,7 +679,7 @@ def test_output_that_cannot_be_a_file_exit_4_before_any_work(
 
     for name in ("run_with_rna", "_stream", "build_problem"):
         monkeypatch.setattr(f"rnacc.experiment.{name}", never)
-    monkeypatch.setattr("rnacc.cli.read_checkpoints", never)
+    monkeypatch.setattr("rnacc.cli._read_tail", never)
     monkeypatch.chdir(tmp_path)
     _export_trajectory(tmp_path / "seq.rnac")
     (tmp_path / "isdir").mkdir()
@@ -825,10 +834,10 @@ def test_accelerate_bad_scores_file_exit_2(tmp_path, capsys, bad_line):
 def test_accelerate_checks_settings_before_reading_payloads(
     tmp_path, capsys, monkeypatch, flags, message
 ):
-    def never(path):
-        raise AssertionError("read_checkpoints called before the settings were checked")
+    def never(*args):
+        raise AssertionError("a payload was read before the settings were checked")
 
-    monkeypatch.setattr("rnacc.cli.read_checkpoints", never)
+    monkeypatch.setattr("rnacc.cli._read_tail", never)
     path = tmp_path / "seq.rnac"
     _, traj = _export_trajectory(path)
     (tmp_path / "scores.txt").write_text("1.0\n" * len(traj))
@@ -868,6 +877,180 @@ def test_accelerate_holds_one_float64_matrix(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak <= (count + 2) * d * 8, f"peak {peak / (d * 8):.1f} rows of d float64s"
+
+
+class _CountedReads:
+    """A file whose ``read`` and ``readinto`` add the bytes they return to ``counts``."""
+
+    def __init__(self, fh, counts):
+        self._fh, self._counts = fh, counts
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def read(self, *args):
+        data = self._fh.read(*args)
+        self._counts.append(len(data))
+        return data
+
+    def readinto(self, buf):
+        got = self._fh.readinto(buf)
+        self._counts.append(got)
+        return got
+
+
+def test_memory_and_reads_are_bounded_by_the_window_not_the_count(tmp_path, capsys, monkeypatch):
+    # At K = 10 only the last 11 iterates are held, however many are stored: rnacc
+    # accelerate on 40 one-iterate f32 files and on one 200-iterate f64 file, and rna on
+    # a list of 200 vectors, each peak within K + 3 rows of d float64s. The reader reads
+    # every header and the window's payload, no more.
+    import tracemalloc
+
+    k, d = 10, 30_000
+    seq = np.random.default_rng(12).standard_normal((200, d))
+    parts = tmp_path / "parts"
+    parts.mkdir()
+    for i in range(40):
+        write_checkpoints(parts / f"{i:02d}.rnac", seq[i:i + 1], "f32")
+    write_checkpoints(tmp_path / "seq.rnac", seq, "f64")
+    counts, real_open = [], open
+    monkeypatch.setattr(
+        rnacc.checkpoint, "open",
+        lambda *args, **kwargs: _CountedReads(real_open(*args, **kwargs), counts),
+        raising=False,
+    )
+
+    def peak_of(call):
+        call()  # the first call pays for imports and caches
+        counts.clear()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / (d * 8)
+        finally:
+            tracemalloc.stop()
+
+    cases = [
+        (parts, 40 * _HEADER.size + (k + 1) * d * 4),
+        (tmp_path / "seq.rnac", _HEADER.size + (k + 1) * d * 8),
+    ]
+    for source, most in cases:
+        argv = ["accelerate", str(source), "--k", str(k), "--out", str(tmp_path / "o.rnac")]
+        rows = peak_of(lambda: main(argv))
+        assert rows <= k + 3, f"{source.name}: peak {rows:.1f} rows of d float64s"
+        assert sum(counts) <= most, f"{source.name}: read {sum(counts)} bytes"
+    vectors = list(seq)
+    rows = peak_of(lambda: rna(vectors, RnaConfig(window=k)))
+    assert rows <= k + 3, f"rna: peak {rows:.1f} rows of d float64s"
+    capsys.readouterr()
+
+
+def _write_stored(path, rows, precision) -> None:
+    """``rows`` laid out as ``write_checkpoints`` lays them out, NaN included."""
+    dtype = np.dtype("<f8" if precision == "f64" else "<f4")
+    header = _HEADER.pack(MAGIC, VERSION, dtype.itemsize, rows.shape[1], rows.shape[0])
+    path.write_bytes(header + rows.astype(dtype).tobytes())
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("layout", ["file", "split", "manifest"])
+@pytest.mark.parametrize("bad", [0, 3, 4, 8])
+def test_only_the_window_is_checked_for_nan_on_both_paths(
+    tmp_path, capsys, precision, layout, bad
+):
+    # 9 iterates at K = 4: the window is iterates 4 to 8. Split into files at 3 and 6,
+    # iterate 0 lies in a file wholly before the window and iterate 3 in the part of a
+    # file that the tail read skips. A NaN there is ignored by the file path and the
+    # in-memory path alike, with equal bits; one inside the window exits 3 with the
+    # in-memory message, which counts iterates in the whole sequence.
+    _, traj = _export_trajectory(tmp_path / "clean.rnac", dim=5, steps=8)
+    mat = np.array(traj)
+    if precision == "f32":  # both paths see the values the files hold
+        mat = mat.astype(np.float32).astype(np.float64)
+    mat[bad, 2] = np.nan
+    if layout == "file":
+        source = tmp_path / "seq.rnac"
+        _write_stored(source, mat, precision)
+    else:  # a manifest pins an order that is not the names' order
+        source = tmp_path / "parts"
+        source.mkdir()
+        names = ["b.rnac", "c.rnac", "a.rnac"] if layout == "manifest" else ["a", "b", "c"]
+        for name, rows in zip(names, np.split(mat, [3, 6])):
+            _write_stored(source / name, rows, precision)
+        if layout == "manifest":
+            (source / "manifest.txt").write_text("\n".join(names) + "\n")
+    out = tmp_path / "o.rnac"
+    code = main(["accelerate", str(source), "--k", "4", "--out", str(out)])
+    captured = capsys.readouterr()
+    if bad < 4:
+        theta, _, _ = rnacc.accelerate_checkpoints(mat, window=4, lam=1e-8)
+        write_checkpoints(tmp_path / "expected.rnac", [theta], "f64")
+        assert code == 0, captured.err
+        assert out.read_bytes() == (tmp_path / "expected.rnac").read_bytes()
+    else:
+        with pytest.raises(rnacc.NumericalFailure) as in_memory:
+            rnacc.accelerate_checkpoints(mat, window=4, lam=1e-8)
+        assert code == 3
+        assert captured == ("", f"error: {in_memory.value}\n")
+        assert f"iterate {bad} of 9 " in captured.err
+        assert not out.exists()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "mkfifo") or not hasattr(signal, "SIGALRM"), reason="needs FIFOs and alarms"
+)
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["accelerate", "fifo", "--out", "o.rnac"],
+         "the checkpoints fifo: neither a regular file nor a directory"),
+        (["accelerate", "seq.rnac", "--lambda-grid", "1e-8,1e-6", "--scores", "fifo",
+          "--out", "o.rnac"], "--scores fifo: not a regular file"),
+        (["run", "--spec", "fifo"], "the spec file fifo: not a regular file"),
+        (["sweep", "--spec", "fifo", "--k-list", "2", "--lambda-list", "1e-8"],
+         "the spec file fifo: not a regular file"),
+    ],
+    ids=["checkpoints", "scores", "run-spec", "sweep-spec"],
+)
+def test_fifo_input_exit_4_without_opening_it(tmp_path, capsys, monkeypatch, argv, message):
+    # Opening a FIFO for reading waits for a writer that never comes; the alarm fails
+    # the test instead of hanging it if the FIFO is opened.
+    def opened(signum, frame):
+        raise AssertionError("the FIFO was opened")
+
+    monkeypatch.chdir(tmp_path)
+    _export_trajectory(tmp_path / "seq.rnac")
+    os.mkfifo("fifo")
+    before = sorted(tmp_path.iterdir())
+    previous = signal.signal(signal.SIGALRM, opened)
+    signal.alarm(10)
+    try:
+        code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_output_onto_a_fifo_replaces_it(tmp_path, capsys):
+    # An output is written beside its target and renamed over it, so a FIFO there is
+    # replaced, never opened; one in the output's directory part exits 4.
+    _export_trajectory(tmp_path / "seq.rnac")
+    os.mkfifo(tmp_path / "fifo")
+    argv = ["accelerate", str(tmp_path / "seq.rnac"), "--out"]
+    assert main(argv + [str(tmp_path / "fifo" / "o.rnac")]) == 4
+    assert main(argv + [str(tmp_path / "fifo")]) == 0
+    assert read_checkpoints(tmp_path / "fifo").shape == (1, 4)
+    capsys.readouterr()
 
 
 # ------------------------------------------------------------------- sweep
@@ -1142,6 +1325,8 @@ def test_sweep_makes_a_nested_missing_out_dir(tmp_path, capsys):
 # ---------------------------------------------------- the command-line contract
 
 _TREE_NAMES = ("a", "b", "c")
+_KINDS = ["file", "dir", "link-file", "link-dir", "dangling"]
+_KINDS += ["fifo"] if hasattr(os, "mkfifo") else []
 _LONG = "L" * 250  # a name the OS accepts, 250 of its 255 bytes
 _TOO_LONG = "N" * 256
 # Settings read from flag text; each is drawn for --k, --lambda or --seed.
@@ -1161,6 +1346,8 @@ def _make_tree(root, kinds):
         elif kind == "dir":
             entry.mkdir()
             (entry / "in").write_bytes(b"kept\n")
+        elif kind == "fifo":
+            os.mkfifo(entry)
         else:
             links = {"link-file": "traj.rnac", "link-dir": "sub", "dangling": "gone"}
             entry.symlink_to(links[kind])
@@ -1175,8 +1362,10 @@ def _snapshot(root) -> dict:
         elif entry.is_dir():
             entries[entry.path] = ("dir",)
             entries.update(_snapshot(entry.path))
-        else:
+        elif entry.is_file():
             entries[entry.path] = ("file", Path(entry.path).read_bytes())
+        else:  # a FIFO, not opened: that would wait for a writer
+            entries[entry.path] = ("fifo",)
     return entries
 
 
@@ -1199,7 +1388,7 @@ def _argv(command, out, setting):
 @settings(max_examples=150)
 @given(
     command=st.sampled_from(["run", "accelerate", "sweep"]),
-    kinds=st.tuples(*[st.sampled_from(["file", "dir", "link-file", "link-dir", "dangling"])] * 3),
+    kinds=st.tuples(*[st.sampled_from(_KINDS)] * 3),
     out=st.sampled_from(["", ".", _LONG, _TOO_LONG])
     | st.builds(
         str.__add__,
@@ -1217,7 +1406,7 @@ def _argv(command, out, setting):
 def test_every_command_fails_before_any_work_or_writes_only_its_outputs(
     command, kinds, out, setting
 ):
-    # Over drawn trees of files, directories and links (dangling ones too), output
+    # Over drawn trees of files, directories, links (dangling ones too) and FIFOs, output
     # paths built from them (trailing separators, long names, missing directories, .
     # and '') and hostile setting text: each command exits 0, 2, 3 or 4, never with a
     # traceback, and any failure is one error line. Exit 2 or 4 comes before any epoch,
@@ -1234,7 +1423,7 @@ def test_every_command_fails_before_any_work_or_writes_only_its_outputs(
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch("rnacc.optimizers.sgd_momentum_epoch",
                        wraps=rnacc.optimizers.sgd_momentum_epoch) as epochs, \
-            mock.patch("rnacc.cli.read_checkpoints", wraps=read_checkpoints) as reads, \
+            mock.patch("rnacc.cli._read_tail", wraps=_read_tail) as reads, \
             mock.patch("rnacc.experiment.build_problem", building):
         root = Path(tmp).resolve()
         _make_tree(root, kinds)
