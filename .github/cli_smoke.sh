@@ -47,6 +47,30 @@ timeout 10 rnacc accelerate "$dir/fifo" --out "$dir/fifo.rnac" || status=$?
 test "$status" -eq 4
 test ! -e "$dir/fifo.rnac"
 
+# A manifest.txt that is a directory, or a FIFO, exits 4 without being opened, and so
+# does a manifest name that holds a NUL byte, with one error line; nothing is written.
+for kind in mdir mfifo mnul; do cp -r "$dir/traj" "$dir/$kind"; done
+mkdir "$dir/mdir/manifest.txt"
+mkfifo "$dir/mfifo/manifest.txt"
+printf '0.rnac\nb\0c\n' > "$dir/mnul/manifest.txt"
+for kind in mdir mfifo mnul; do
+  status=0
+  timeout 10 rnacc accelerate "$dir/$kind" --k 4 --out "$dir/$kind.rnac" 2> "$dir/$kind.err" \
+    || status=$?
+  test "$status" -eq 4
+  test "$(wc -l < "$dir/$kind.err")" -eq 1
+  grep -q '^error: ' "$dir/$kind.err"
+  test ! -e "$dir/$kind.rnac"
+done
+
+# A spec whose metrics_out holds a NUL byte exits 4 before any epoch, and writes nothing.
+printf 'epochs = 3\nmetrics_out = %s/m\0.csv\n' "$dir" > "$dir/nul.spec"
+before=$(ls -A "$dir")
+status=0
+rnacc run --spec "$dir/nul.spec" || status=$?
+test "$status" -eq 4
+test "$(ls -A "$dir")" = "$before"
+
 # An --out inside the input directory, on the input file or on the scores file,
 # exits 2 and changes nothing.
 before=$(cat "$dir/traj.rnac" "$dir"/traj/* "$dir/scores.txt" | sha256sum)

@@ -94,8 +94,12 @@ def _preflight(outputs, inputs=(), make=None) -> None:
     is missing or is not one, or whose name is longer than that directory allows.
     ``make`` is the ``(label, path)`` of the directory holding every output, made if
     missing: it must not be empty, and its missing parts must fit as names in its
-    nearest existing ancestor, which must be a directory.
+    nearest existing ancestor, which must be a directory. An output path that holds a
+    NUL byte, which no file name can, raises OSError before any of these checks.
     """
+    for label, path in outputs:
+        if "\0" in os.fspath(path):
+            raise OSError(f"{label} {os.fspath(path)!r}: a path cannot hold a NUL byte")
     seen = [(label, path, Path(path).resolve()) for label, path in inputs if path]
     for label, path in outputs:
         mine = Path(path).resolve()
@@ -159,10 +163,27 @@ def _require_regular(label: str, path, directory: bool = False) -> None:
         raise OSError(f"{label} {os.fspath(path)}: {kind}")
 
 
+def _placed(inside: Path, name: str, file: Path) -> tuple[Path, bool]:
+    """``file.resolve()`` and ``file.is_file()`` for a manifest line ``name`` whose
+    directory resolves to ``inside``. A plain name, one component that is no link, is
+    both with one ``lstat``; any other name, or one that ``lstat`` fails on, goes
+    through ``Path.resolve``."""
+    if name not in (os.curdir, os.pardir) and not set(name) & {os.sep, os.altsep}:
+        place = inside / name
+        try:
+            mode = os.lstat(place).st_mode
+        except OSError:
+            mode = None
+        if mode is not None and not stat.S_ISLNK(mode):
+            return place, stat.S_ISREG(mode)
+    return file.resolve(), file.is_file()
+
+
 def _checkpoint_files(path) -> list:
     """``[path]`` for a file, else a directory's files by name, skipping dot-files such
     as a writer's temporary file, or in the order its ``manifest.txt`` (one name per
-    line, ``#`` comments) pins; a manifest name that resolves outside the directory, or
+    line, ``#`` comments) pins; a manifest that is not a regular file is an OSError,
+    and a manifest name that holds a NUL byte or resolves outside the directory, or
     two names that resolve to one file, are a FormatError.
     """
     _require_regular("the checkpoints", path, directory=True)
@@ -170,7 +191,9 @@ def _checkpoint_files(path) -> list:
         return [path]
     root = Path(path)
     manifest = root / MANIFEST_NAME
-    if manifest.is_file():
+    if os.path.lexists(manifest):  # a dangling link is a manifest too, not a missing one
+        if not manifest.is_file():
+            raise OSError(f"the manifest {manifest}: not a regular file")
         try:
             text = manifest.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
@@ -181,16 +204,20 @@ def _checkpoint_files(path) -> list:
             for line in text.splitlines()
             if line.strip() and not line.strip().startswith("#")
         ]
+        nul = [n for n in names if "\0" in n]
+        if nul:
+            raise FormatError(f"{manifest}: names hold a NUL byte {nul}")
         files = [root / name for name in names]
-        inside, resolved = root.resolve(), [f.resolve() for f in files]
-        outside = [n for n, r in zip(names, resolved) if inside not in r.parents]
+        inside = root.resolve()
+        places = [_placed(inside, name, f) for name, f in zip(names, files)]
+        outside = [n for n, (r, _) in zip(names, places) if inside not in r.parents]
         if outside:
             raise FormatError(f"{path}: manifest names files outside the directory {outside}")
-        counts = Counter(resolved)
-        repeated = sorted({n for n, r in zip(names, resolved) if counts[r] > 1})
+        counts = Counter(r for r, _ in places)
+        repeated = sorted({n for n, (r, _) in zip(names, places) if counts[r] > 1})
         if repeated:
             raise FormatError(f"{path}: manifest names one file more than once {repeated}")
-        missing = [f.name for f in files if not f.is_file()]
+        missing = [f.name for f, (_, regular) in zip(files, places) if not regular]
         if missing:
             raise FormatError(f"{path}: manifest names missing files {missing}")
     else:

@@ -8,6 +8,7 @@ failure, 4 file format or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -203,9 +204,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads every argv with, built once per process: parsing
+    leaves a parser as it was, and each call gets a namespace of its own."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (RnaError, OSError, MemoryError) as exc:

@@ -23,8 +23,8 @@ checked, but only the window's values: a NaN in an older iterate is ignored. Pub
 functions never write into a caller's array: they difference into a buffer of their
 own, or into the stack they made of a list; ``rnacc accelerate`` and the training
 driver difference the matrix they stacked in place.
-Each then solves once at ``lam``, or once per ridge of ``lam_grid`` keeping the
-best-ranked point, over that one Gram matrix.
+Each then solves once at ``lam``, or at every ridge of ``lam_grid``, as one stack of
+systems, keeping the best-ranked point, over that one Gram matrix.
 
 Coefficients may be negative; only their sum is constrained. All
 arithmetic is float64 regardless of how iterates were stored.
@@ -67,6 +67,9 @@ __all__ = [
 # |sum(z)| below this multiple of ||z||_1 means the affine combination
 # is undefined; callers are told to raise lam instead.
 DEGENERATE_SUM_RTOL = 1e-12
+
+# A positive ridge is raised to at least this multiple of the Gram matrix's trace.
+_RIDGE_FLOOR = 10.0 * np.finfo(np.float64).eps
 
 
 class WeightTarget(Enum):
@@ -277,21 +280,29 @@ def build_residuals(iterates) -> np.ndarray:
     return _differenced(_validated(iterates))[:-1].T
 
 
-def _solve_gram(gram: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
-    """Solve (gram + lam*I) z = 1 once; return (z, the ridge that entered the solve).
-
-    A positive lam is floored at ``10 * eps * trace(gram)``, the rounding incurred
-    while forming the Gram matrix, which keeps cond(gram + lam*I) below about
-    4.5e14; lam == 0 is used as given, since a singular Gram matrix is then a
-    caller error by contract. A Gram matrix that overflowed, or overflows once the
-    ridge is added, raises NumericalFailure; one that does not factor raises
-    SingularSystem.
+def _shifted(gram: np.ndarray, lams) -> tuple[list[float], np.ndarray]:
+    """The ridges of ``lams`` as they enter the solve, and ``gram + lam*I`` for each,
+    stacked. A positive lam is floored at ``10 * eps * trace(gram)``, the rounding
+    incurred while forming the Gram matrix, which keeps cond(gram + lam*I) below about
+    4.5e14; lam == 0 is used as given, since a singular Gram matrix is then a caller
+    error by contract.
     """
     # The floor overflows with the trace, and an inf ridge times I's zeros is NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        if lam > 0.0:
-            lam = max(lam, float(10.0 * np.finfo(np.float64).eps * np.trace(gram)))
-        shifted = gram + lam * np.eye(gram.shape[0])
+        floor = float(_RIDGE_FLOOR * gram.trace())
+        used = [max(lam, floor) if lam > 0.0 else lam for lam in lams]
+        return used, gram + np.multiply.outer(used, np.eye(gram.shape[0]))
+
+
+def _solve_gram(gram: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
+    """Solve (gram + lam*I) z = 1 once; return (z, the ridge that entered the solve).
+
+    The ridge is floored as in :func:`_shifted`. A Gram matrix that overflowed, or
+    overflows once the ridge is added, raises NumericalFailure; one that does not
+    factor raises SingularSystem.
+    """
+    used, shifted = _shifted(gram, (lam,))
+    lam, shifted = used[0], shifted[0]
     if not np.isfinite(shifted).all():  # so is every entry where gram is not finite
         if not np.isfinite(gram).all():
             raise NumericalFailure("residual Gram matrix is not finite: the residuals overflow")
@@ -303,6 +314,22 @@ def _solve_gram(gram: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
             "residual Gram matrix is numerically singular"
             + (" at lam=0; use lam > 0" if lam == 0.0 else f" at lam={lam:g}")
         ) from None
+
+
+def _solve_grid(gram: np.ndarray, lams) -> list:
+    """:func:`_solve_gram` at every ridge of ``lams``, solved as one stack.
+
+    Returns one (z, ridge) per ridge, or, when a system of the stack is not finite or
+    does not factor, None per ridge: :func:`_solve_gram` then solves each ridge alone,
+    so that each gets its own result or error.
+    """
+    used, shifted = _shifted(gram, lams)
+    if np.isfinite(shifted).all():
+        try:
+            return list(zip(refined_spd_solve(shifted, np.ones(shifted.shape[:2])), used))
+        except np.linalg.LinAlgError:
+            pass
+    return [None] * len(used)
 
 
 def solve_regularized(residuals: np.ndarray, lam: float) -> np.ndarray:
@@ -424,9 +451,9 @@ def _extrapolate(diffs, gram, config, rank=None, fallback_score=None):
     if rank is None:
         raise InvalidConfig("a lam_grid is ranked by a score; use adaptive_rna, or drop the grid")
     best_lam, best_coeffs, best_score = None, None, fallback_score
-    for lam in config.lam_grid:
+    for lam, solved in zip(config.lam_grid, _solve_grid(gram, config.lam_grid)):
         try:
-            coeffs = normalize(*_solve_gram(gram, lam))
+            coeffs = normalize(*(solved or _solve_gram(gram, lam)))
         except (DegenerateSum, SingularSystem):
             continue
         s = rank(coeffs)
@@ -446,7 +473,8 @@ def adaptive_rna(
     """Grid-search the ridge and keep the best-scoring candidate.
 
     Solves once per entry of ``config.lam_grid`` over one shared Gram
-    matrix, scores each extrapolated point with ``score`` (typically the
+    matrix, all entries as one stack of systems, each with the bits it
+    gets alone, scores each extrapolated point with ``score`` (typically the
     objective or the gradient norm), and compares against the fallback
     candidate: the last iterate itself. The fallback wins ties, so the
     returned score is never worse than ``score(last iterate)``. Grid

@@ -21,6 +21,14 @@ applying them can make the solution far worse.
 once, turns every solve into two matrix-vector products. The
 refinement, not the way each solve is applied, sets the accuracy.
 
+Solves run on stacks: n systems of one size, (n, K, K) with (n, K)
+right-hand sides, share each factorization, inversion, product and
+residual call, so a ridge grid pays numpy's per-call overhead once
+rather than once per ridge. One system is a stack of one. Each system
+keeps its own stopping rule and gets the bits it would get alone: LAPACK
+factors and inverts each matrix of a stack on its own, and a stacked
+product is one BLAS matrix-vector or dot call per system.
+
 All inputs and outputs are float64; the extended precision lives only
 inside the residual accumulation.
 """
@@ -41,59 +49,78 @@ _REFINE_RTOL = 1e-15
 _MAX_REFINE_STEPS = 16
 
 
-def _two_prod(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Error-free transformation: a*b == p + e exactly, elementwise.
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: ``x == hi + lo`` exactly, each half with at most 26 bits."""
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
 
-    Dekker's product with Veltkamp splitting; no FMA required.
+
+def _residual(a, a_split, z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`exact_residual` on columns, z and b of shape (..., K, 1), with ``a``'s
+    :func:`_split`, which a solve makes once.
+
+    Each product a[..., i, j] * z[..., j] is Dekker's error-free ``p + e``, formed
+    elementwise, so no FMA is required. A row's terms are ``b``, then ``-p`` and ``-e``.
     """
-    p = a * b
-    ca = _SPLIT * a
-    a_hi = ca - (ca - a)
-    a_lo = a - a_hi
-    cb = _SPLIT * b
-    b_hi = cb - (cb - b)
-    b_lo = b - b_hi
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return p, e
+    z = z.swapaxes(-1, -2)
+    (a_hi, a_lo), (z_hi, z_lo) = a_split, _split(z)
+    p = a * z
+    e = ((a_hi * z_hi - p) + a_hi * z_lo + a_lo * z_hi) + a_lo * z_lo
+    terms = np.concatenate((b, -p, -e), axis=-1)
+    sums = list(map(math.fsum, terms.reshape(-1, terms.shape[-1]).tolist()))
+    return np.array(sums, dtype=np.float64).reshape(b.shape)
 
 
 def exact_residual(a: np.ndarray, z: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return ``b - a @ z`` with each entry correctly rounded.
+    """Return ``b - a @ z`` with each entry correctly rounded, for one system or a stack.
 
     Every product a[i, j] * z[j] is split into an exact head/tail pair,
     and the row sums (including ``b[i]``) go through ``math.fsum``, which
     sums exactly. The only rounding is the final one per entry, so the
-    result is the float64 nearest to the true residual. The terms go to
-    ``fsum`` as Python floats (``tolist``), which it adds without
-    unpacking numpy scalars.
+    result is the float64 nearest to the true residual. Each row's terms go
+    to ``fsum`` as Python floats, all of them in one ``tolist``, which it
+    adds without unpacking numpy scalars.
     """
-    p, e = _two_prod(a, z[np.newaxis, :])
-    rows = zip(b.tolist(), (-p).tolist(), (-e).tolist())
-    return np.array([math.fsum([bi, *pi, *ei]) for bi, pi, ei in rows], dtype=np.float64)
+    return _residual(a, _split(a), z[..., np.newaxis], b[..., np.newaxis])[..., 0]
+
+
+def _norms(x: np.ndarray) -> list[float]:
+    """The 2-norm of each system's column, as ``np.linalg.norm`` forms it: the square
+    root of a BLAS dot product."""
+    return [math.sqrt(s) for s in (x.swapaxes(-1, -2) @ x).ravel().tolist()]
 
 
 def refined_spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ z = b`` for symmetric positive definite ``a``.
 
-    Cholesky factorization ``a = L L'``, then iterative refinement with
-    exactly rounded residuals. ``L`` is inverted once, and each solve,
-    the first one and every correction, is ``Linv' @ (Linv @ r)``. A
-    correction no smaller than the previous one ends the refinement
-    unapplied.
-    Raises ``np.linalg.LinAlgError`` if the factorization fails (matrix
+    ``a`` and ``b`` are one system, (K, K) and (K,), or a stack of them,
+    (n, K, K) and (n, K); each system of a stack is solved as it would be
+    alone, bit for bit. Cholesky factorization ``a = L L'``, then iterative
+    refinement with exactly rounded residuals. ``L`` is inverted once, and
+    each solve, the first one and every correction, is
+    ``Linv' @ (Linv @ r)``. A correction no smaller than the previous one
+    ends that system's refinement unapplied; the others go on.
+    Raises ``np.linalg.LinAlgError`` if any factorization fails (a matrix
     not numerically positive definite). The caller guarantees that
     ``a`` and ``b`` are finite: neither is checked here.
     """
     linv = np.linalg.inv(np.linalg.cholesky(a))
-    z = linv.T @ (linv @ b)
-    previous = math.inf
+    linv_t, b = linv.swapaxes(-1, -2), b[..., np.newaxis]  # b, z and each step are columns
+    z = linv_t @ (linv @ b)
+    a_split, previous = _split(a), [math.inf] * (b.size // b.shape[-2])
     for _ in range(_MAX_REFINE_STEPS):
-        step = linv.T @ (linv @ exact_residual(a, z, b))
-        size = np.linalg.norm(step)
-        if not size < previous:
+        step = linv_t @ (linv @ _residual(a, a_split, z, b))
+        sizes = _norms(step)
+        shrank = [size < before for size, before in zip(sizes, previous)]
+        if all(shrank):
+            z += step
+        else:  # a stopped system's previous size is NaN, which no size is below
+            np.add(z, step, out=z, where=np.reshape(shrank, (*z.shape[:-2], 1, 1)))
+        previous = [
+            size if ok and not size <= _REFINE_RTOL * norm else math.nan
+            for ok, size, norm in zip(shrank, sizes, _norms(z))
+        ]
+        if all(map(math.isnan, previous)):
             break
-        z = z + step
-        if size <= _REFINE_RTOL * np.linalg.norm(z):
-            break
-        previous = size
-    return z
+    return z[..., 0]

@@ -65,6 +65,39 @@ def test_missing_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_per_process_gives_a_fresh_parsers_outputs(tmp_path, monkeypatch):
+    # main parses every argv with one parser. A call must leave nothing in it that
+    # changes the next: accelerate's defaults, a usage error, then a run whose spec
+    # sets the window that accelerate's --k defaults.
+    _export_trajectory(tmp_path / "seq.rnac")
+    (tmp_path / "exp.spec").write_text(_spec_text("quadratic", "epochs = 3\nrna.window = 3\n"))
+    monkeypatch.chdir(tmp_path)
+
+    def calls(tag):
+        results = []
+        for argv in (
+            ["accelerate", "seq.rnac", "--out", f"{tag}.rnac"],
+            ["accelerate"],
+            ["run", "--spec", "exp.spec", "--out", f"{tag}.csv"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            results.append((code, out.getvalue().replace(tag, "TAG"), err.getvalue()))
+        return results, Path(f"{tag}.rnac").read_bytes(), Path(f"{tag}.csv").read_bytes()
+
+    assert rnacc.cli._parser() is rnacc.cli._parser()
+    cached = calls("cached")
+    with mock.patch("rnacc.cli._parser", build_parser):
+        fresh = calls("fresh")
+    assert [code for code, *_ in cached[0]] == [0, 2, 0]
+    assert cached == fresh
+    assert build_parser() is not build_parser()
+
+
 # Each setting flag of run, and the spec keys that a line sets for it.
 _FLAG_KEYS = {
     "--epochs": ("epochs",),
@@ -1037,6 +1070,78 @@ def test_fifo_input_exit_4_without_opening_it(tmp_path, capsys, monkeypatch, arg
         signal.signal(signal.SIGALRM, previous)
     assert code == 4
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "mkfifo") or not hasattr(signal, "SIGALRM"), reason="needs FIFOs and alarms"
+)
+@pytest.mark.parametrize("kind", ["directory", "fifo", "dangling-link"])
+def test_manifest_that_is_not_a_regular_file_exit_4(tmp_path, capsys, monkeypatch, kind):
+    # A manifest pins the order, so one that is no file is refused, not passed over for
+    # the name order; a FIFO is not opened, which would wait for a writer (the alarm
+    # fails the test instead).
+    def opened(signum, frame):
+        raise AssertionError("the manifest was opened")
+
+    monkeypatch.chdir(tmp_path)
+    _, traj = _export_trajectory(tmp_path / "seq.rnac")
+    os.mkdir("d")
+    write_checkpoints("d/a.rnac", traj[:6])
+    write_checkpoints("d/b.rnac", traj[6:])
+    manifest = Path("d", "manifest.txt")
+    if kind == "directory":
+        manifest.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(manifest)
+    else:
+        manifest.symlink_to("gone.txt")
+    before = sorted(tmp_path.rglob("*"))
+    previous = signal.signal(signal.SIGALRM, opened)
+    signal.alarm(10)
+    try:
+        code = main(["accelerate", "d", "--k", "1", "--out", "o.rnac"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 4
+    assert capsys.readouterr() == ("", "error: the manifest d/manifest.txt: not a regular file\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_nul_byte_in_a_manifest_name_exit_4_before_any_read(tmp_path, capsys, monkeypatch):
+    # No file name holds a NUL byte; resolving one raised ValueError, a traceback.
+    def never(*args, **kwargs):
+        raise AssertionError("a checkpoint was read before the manifest was checked")
+
+    monkeypatch.setattr("rnacc.checkpoint._read_header", never)
+    monkeypatch.chdir(tmp_path)
+    _, traj = _export_trajectory(tmp_path / "seq.rnac")
+    os.mkdir("d")
+    write_checkpoints("d/a.rnac", traj)
+    Path("d", "manifest.txt").write_text("a.rnac\nb\x00c\n")
+    before = {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")}
+    assert main(["accelerate", "d", "--k", "1", "--out", "o.rnac"]) == 4
+    message = "error: d/manifest.txt: names hold a NUL byte ['b\\x00c']\n"
+    assert capsys.readouterr() == ("", message)
+    assert {p: p.is_dir() or p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize("key", ["metrics_out", "checkpoints_out"])
+def test_nul_byte_in_a_spec_output_exit_4_before_any_work(tmp_path, capsys, monkeypatch, key):
+    # A spec line can carry a NUL byte, which argv cannot; resolving the path raised
+    # ValueError, a traceback.
+    def never(*args, **kwargs):
+        raise AssertionError("work began before every output was checked")
+
+    for name in ("run_with_rna", "build_problem"):
+        monkeypatch.setattr(f"rnacc.experiment.{name}", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.spec").write_text(_spec_text("quadratic", f"epochs = 3\n{key} = m\x00.out\n"))
+    before = sorted(tmp_path.iterdir())
+    assert main(["run", "--spec", "exp.spec"]) == 4
+    message = f"error: {key} 'm\\x00.out': a path cannot hold a NUL byte\n"
+    assert capsys.readouterr() == ("", message)
     assert sorted(tmp_path.iterdir()) == before
 
 

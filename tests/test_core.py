@@ -583,14 +583,77 @@ def test_adaptive_every_grid_cell_failing_returns_last_iterate(monkeypatch):
     def always_degenerate(*args, **kwargs):
         raise DegenerateSum("forced")
 
-    # The per-ridge K x K solve is the step every grid cell goes through.
-    monkeypatch.setattr(core, "_solve_gram", always_degenerate)
+    # Normalizing a ridge's solution is the step every grid cell goes through.
+    monkeypatch.setattr(core, "normalize", always_degenerate)
     seq = np.arange(12.0).reshape(4, 3)
     theta_hat, lam_star, coeffs = core.adaptive_rna(
         seq, RnaConfig(window=3, lam_grid=(1e-8, 1e-4)), lambda t: float(t.sum())
     )
     np.testing.assert_array_equal(theta_hat, seq[-1])
     assert lam_star is None and coeffs is None
+
+
+def _ridge_by_ridge(diffs, gram, config, rank, fallback_score):
+    """The grid policy of ``core._extrapolate``, one solve per ridge: the reference."""
+    import rnacc.core as core
+
+    best_lam, best_coeffs, best_score = None, None, fallback_score
+    for lam in config.lam_grid:
+        try:
+            coeffs = core.normalize(*core._solve_gram(gram, lam))
+        except (DegenerateSum, SingularSystem):
+            continue
+        score = rank(coeffs)
+        if score < best_score:
+            best_lam, best_coeffs, best_score = lam, coeffs, score
+    theta = diffs[-1] if best_coeffs is None else core._combine(
+        diffs, best_coeffs.weights, config.weight_target
+    )
+    return theta, best_lam, best_coeffs, best_score
+
+
+@pytest.mark.parametrize("failing", [None, "singular", "degenerate"])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_grid_solved_as_one_stack_equals_ridge_by_ridge(monkeypatch, failing, at):
+    # A ridge whose system does not factor fails the whole stack, which is then solved
+    # ridge by ridge; one whose solution sums to ~0 is skipped after the stack. Either
+    # way (theta_hat, lam_star, coefficients, score) are those of one solve per ridge.
+    import rnacc.core as core
+
+    grid = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
+    problem, traj = _quadratic_trajectory()
+    cfg = RnaConfig(window=8, lam_grid=grid)
+    diffs, gram = core._window(np.array(traj), cfg.window)
+    bad = core._shifted(gram, grid)[1][at]
+    solve, norm = core.refined_spd_solve, core.normalize
+
+    def not_at_bad(a, b):
+        if any(np.array_equal(m, bad) for m in a.reshape(-1, *bad.shape)):
+            raise np.linalg.LinAlgError("forced")
+        return solve(a, b)
+
+    def degenerate_at_bad(z, lam_used=None):
+        if lam_used == core._shifted(gram, grid)[0][at]:
+            raise DegenerateSum("forced")
+        return norm(z, lam_used)
+
+    if failing == "singular":
+        monkeypatch.setattr(core, "refined_spd_solve", not_at_bad)
+    elif failing == "degenerate":
+        monkeypatch.setattr(core, "normalize", degenerate_at_bad)
+    scores = np.array([problem.f(t) for t in traj[-9:]])
+
+    def rank(c):
+        return float(c.weights @ scores[-len(c):])
+
+    got = core._extrapolate(diffs, gram, cfg, rank, float(scores[-1]))
+    want = _ridge_by_ridge(diffs, gram, cfg, rank, float(scores[-1]))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:2] + got[3:] == want[1:2] + want[3:]
+    assert got[2].weights.tobytes() == want[2].weights.tobytes()
+    assert got[2].lam_used == want[2].lam_used
+    if failing:
+        assert got[1] != grid[at]
 
 
 def test_results_never_alias_the_input():

@@ -209,3 +209,50 @@ def test_refinement_that_stops_shrinking_is_not_applied():
     z = refined_spd_solve(a, b)
     assert np.isfinite(z).all()
     assert np.linalg.norm(z - z_ref) <= 1e3 * np.linalg.norm(z_ref)
+
+
+# ------------------------------------------------------------ stacked solves
+
+
+def _assert_stacked_bits(stack):
+    """Each system of ``stack``, six (K x K) systems ``A z = 1``, solved alone has the
+    bits it gets at every place of the stack."""
+    alone = [refined_spd_solve(a, np.ones(len(a))).tobytes() for a in stack]
+    for shift in range(len(stack)):
+        solved = refined_spd_solve(np.roll(stack, shift, axis=0), np.ones(stack.shape[:2]))
+        assert [z.tobytes() for z in np.roll(solved, -shift, axis=0)] == alone
+
+
+_GRID = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+
+
+def test_stacked_solve_keeps_the_bits_on_duplicated_rows():
+    for gram in _duplicated_row_grams():
+        _assert_stacked_bits(core._shifted(gram, _GRID)[1])
+
+
+def test_stacked_solve_keeps_the_bits_on_converging_windows():
+    # 50 windows of linearly converging iterates at d = 100, K from 3 to 20.
+    rng = np.random.default_rng(11)
+    for i in range(50):
+        k = 3 + i % 18
+        rates, theta = rng.uniform(0.5, 0.99, 100), rng.standard_normal(100)
+        window = np.array([theta * rates**t for t in range(k + 1)])
+        _assert_stacked_bits(core._shifted(core._window(window, k)[1], _GRID)[1])
+
+
+def test_stacked_solve_keeps_the_bits_on_a_wide_f32_window():
+    # Shaped like the benchmark's accel-dir-grid input: 12 iterates at d = 2e5, stored
+    # as f32, of a method converging at a rate per coordinate; K = 10 and its grid.
+    rng = np.random.default_rng([1, 2])
+    x_star, error = rng.standard_normal(200_000), rng.standard_normal(200_000)
+    rates = rng.uniform(0.9, 0.999, 200_000)
+    window = np.array([x_star + error * rates**t for t in range(1, 13)], dtype=np.float32)
+    gram = core._window(window.astype(np.float64), 10)[1]
+    _assert_stacked_bits(core._shifted(gram, (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5))[1])
+
+
+def test_stacked_solve_raises_when_any_system_does_not_factor():
+    stack = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    with pytest.raises(np.linalg.LinAlgError):
+        refined_spd_solve(stack, np.ones((2, 2)))
