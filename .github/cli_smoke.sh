@@ -30,6 +30,23 @@ rnacc accelerate "$dir/traj" --k 4 --out "$dir/from_dir.rnac"
 rnacc accelerate "$dir/traj.rnac" --k 4 --lambda-grid 1e-8,1e-6 \
   --scores "$dir/scores.txt" --out "$dir/from_grid.rnac"
 
+# A window near the bottom of the float64 range, solved at lam = 0, exits 0 with
+# nothing on stderr, or 3 with one error line. The same window near the top, ranked
+# over ridges up to 1e300, exits 0 with nothing on stderr: no numpy warning.
+status=0
+rnacc accelerate "$dir/tiny.rnac" --k 10 --lambda 0 --out "$dir/tiny_out.rnac" \
+  2> "$dir/tiny.err" || status=$?
+if [ "$status" -eq 0 ]; then
+  test ! -s "$dir/tiny.err"
+else
+  test "$status" -eq 3
+  test "$(wc -l < "$dir/tiny.err")" -eq 1
+  grep -q '^error: ' "$dir/tiny.err"
+fi
+rnacc accelerate "$dir/huge.rnac" --k 10 --lambda-grid 1e-8,1e290,1e300 \
+  --scores "$dir/huge_scores.txt" --out "$dir/huge_out.rnac" 2> "$dir/huge.err"
+test ! -s "$dir/huge.err"
+
 # Only the window's values are checked: a NaN in the oldest of six checkpoints is
 # ignored by a window of 5 (--k 4), with the bits of the clean directory, and exits 3
 # in a window of 6 (--k 5), writing nothing.

@@ -377,22 +377,25 @@ def normalize(raw_solution, lam_used: float | None = None) -> Coefficients:
 
     Raises:
         DegenerateSum: ``|sum(z)|`` not above ``1e-12 * ||z||_1`` (raise lam).
-        NumericalFailure: Non-finite entries.
+        NumericalFailure: Non-finite entries, or a sum that overflows.
     """
     z = np.asarray(raw_solution, dtype=np.float64).ravel()
     if z.size == 0:
         raise DimensionMismatch("empty raw solution")
     if not np.isfinite(z).all():
         raise NumericalFailure("raw solution contains NaN or infinite entries")
-    total = math.fsum(z)
+    try:  # finite entries can still have sums that overflow
+        total, size = math.fsum(z.tolist()), math.fsum(np.abs(z).tolist())
+    except OverflowError:
+        raise NumericalFailure("raw solution's sums overflow") from None
     # Not "<": a zero z, or one so small that the bound underflows to 0, sums to 0 too.
-    if not abs(total) > DEGENERATE_SUM_RTOL * math.fsum(np.abs(z)):
+    if not abs(total) > DEGENERATE_SUM_RTOL * size:
         raise DegenerateSum(
             f"raw solution sums to {total:.3e}, which is negligible against "
             f"its own magnitude; increase lam"
         )
     c = z / total
-    c[np.argmax(np.abs(c))] -= math.fsum(c) - 1.0
+    c[np.abs(c).argmax()] -= math.fsum(c.tolist()) - 1.0
     return Coefficients(weights=c, lam_used=lam_used, raw_solution=z)
 
 

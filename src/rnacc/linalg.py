@@ -9,7 +9,8 @@ this properly: factorize once, then run iterative refinement in which
 the residual ``b - A z`` is computed *exactly rounded* via error-free
 product transformations and ``math.fsum``. The refined solution is
 accurate to working precision whenever ``cond(A) * eps < 1``, at a cost
-that is invisible next to forming the Gram matrix.
+that is invisible next to forming the Gram matrix. Inputs and outputs are
+float64: only the residual sums carry more precision.
 
 Refinement takes at most ``_MAX_REFINE_STEPS`` (16) corrections. It stops
 once a correction is below ``_REFINE_RTOL`` relative to the solution, and
@@ -17,20 +18,19 @@ it stops without applying a correction that is no smaller than the one
 before it: past ``cond(A) * eps ~ 1`` the corrections stop shrinking, and
 applying them can make the solution far worse.
 
-``np.linalg.cholesky`` factors, and the factor's K x K inverse, formed
-once, turns every solve into two matrix-vector products. The
-refinement, not the way each solve is applied, sets the accuracy.
+Each system is solved in its own unit: times the even power of two that
+brings its largest diagonal entry into [0.5, 2), with z scaled back at the
+end. That scale is exact, and so is its effect on the Cholesky factor, so
+the split, the norms and the stop rule see the same numbers at any scale:
+for a power of two s, c(s R, s^2 lam) has the bits of c(R, lam) wherever
+s^2 R^T R and z stay normal. A stack whose diagonal lies in [2**-128, 2**128]
+is solved as given: scaling it changes bits only past over- or underflow.
 
-Solves run on stacks: n systems of one size, (n, K, K) with (n, K)
-right-hand sides, share each factorization, inversion, product and
-residual call, so a ridge grid pays numpy's per-call overhead once
-rather than once per ridge. One system is a stack of one. Each system
-keeps its own stopping rule and gets the bits it would get alone: LAPACK
-factors and inverts each matrix of a stack on its own, and a stacked
-product is one BLAS matrix-vector or dot call per system.
-
-All inputs and outputs are float64; the extended precision lives only
-inside the residual accumulation.
+Solves run on stacks, n systems of one size, (n, K, K) with (n, K)
+right-hand sides: a ridge grid pays numpy's per-call overhead once, not
+once per ridge. Each system keeps its own stopping rule and the bits it
+gets alone, since LAPACK factors and inverts each matrix of a stack on its
+own and a stacked product is one BLAS matrix-vector or dot call per system.
 """
 
 from __future__ import annotations
@@ -96,15 +96,19 @@ def refined_spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``a`` and ``b`` are one system, (K, K) and (K,), or a stack of them,
     (n, K, K) and (n, K); each system of a stack is solved as it would be
-    alone, bit for bit. Cholesky factorization ``a = L L'``, then iterative
-    refinement with exactly rounded residuals. ``L`` is inverted once, and
-    each solve, the first one and every correction, is
-    ``Linv' @ (Linv @ r)``. A correction no smaller than the previous one
-    ends that system's refinement unapplied; the others go on.
+    alone, bit for bit, in its own power-of-two unit. Cholesky factorization
+    ``a = L L'``, then iterative refinement with exactly rounded residuals.
+    ``L`` is inverted once, and each solve, the first one and every
+    correction, is ``Linv' @ (Linv @ r)``. A correction no smaller than the
+    previous one ends that system's refinement unapplied; the others go on.
     Raises ``np.linalg.LinAlgError`` if any factorization fails (a matrix
     not numerically positive definite). The caller guarantees that
     ``a`` and ``b`` are finite: neither is checked here.
     """
+    entries, s = a.diagonal(0, -2, -1).ravel().tolist(), None
+    if entries and not 2.0**-128 <= min(entries) <= max(entries) <= 2.0**128:
+        s = (np.frexp(a.diagonal(0, -2, -1).max(-1))[1] // 2 * -2)[..., np.newaxis, np.newaxis]
+        a = np.ldexp(a, s)  # each system's largest diagonal entry now lies in [0.5, 2)
     linv = np.linalg.inv(np.linalg.cholesky(a))
     linv_t, b = linv.swapaxes(-1, -2), b[..., np.newaxis]  # b, z and each step are columns
     z = linv_t @ (linv @ b)
@@ -123,4 +127,7 @@ def refined_spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ]
         if all(map(math.isnan, previous)):
             break
-    return z[..., 0]
+    if s is None:
+        return z[..., 0]
+    with np.errstate(over="ignore"):  # normalize reports a z that overflows
+        return np.ldexp(z, s)[..., 0]

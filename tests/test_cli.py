@@ -616,6 +616,51 @@ def test_accelerate_overflowing_ridge_floor_exit_3(tmp_path, capsys):
     assert not (tmp_path / "o.rnac").exists()
 
 
+def _far_window(path, scale):
+    """11 gradient-descent iterates from zero of ``make_quadratic(100, 100.0, seed=2)`` at
+    step 0.1, times ``scale``, as one f64 file; returns the objective of each unscaled one."""
+    problem = make_quadratic(100, 100.0, seed=2)
+    window = gd_trajectory(problem, np.zeros(100), 0.1, 10)
+    write_checkpoints(path, window * scale, "f64")
+    return [problem.f(theta) for theta in window]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_accelerate_window_near_the_smallest_floats_exits_0_or_3(tmp_path, capsys):
+    # Its Gram matrix is subnormal, and at lam = 0 the solve's z can overflow.
+    _far_window(tmp_path / "tiny.rnac", 1e-155)
+    out = tmp_path / "o.rnac"
+    rc = main(
+        ["accelerate", str(tmp_path / "tiny.rnac"), "--k", "10", "--lambda", "0", "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert (rc, err, out.exists()) == (0, "", True) or (
+        rc == 3 and err.startswith("error: ") and err.count("\n") == 1 and not out.exists()
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_accelerate_grid_near_the_largest_floats_is_solved_without_a_warning(tmp_path, capsys):
+    # Shifted Gram entries near 1e300, past what Veltkamp's split takes unscaled.
+    scores = _far_window(tmp_path / "huge.rnac", 1e145)
+    (tmp_path / "scores.txt").write_text("".join(f"{s!r}\n" for s in scores))
+    rc = main(
+        [
+            "accelerate",
+            str(tmp_path / "huge.rnac"),
+            "--k",
+            "10",
+            "--lambda-grid",
+            "1e-8,1e290,1e300",
+            "--scores",
+            str(tmp_path / "scores.txt"),
+            "--out",
+            str(tmp_path / "o.rnac"),
+        ]
+    )
+    assert (rc, capsys.readouterr().err) == (0, "")
+
+
 @pytest.mark.parametrize(
     "target", ["input_file", "inside_input_dir", "below_input_dir", "on_scores"]
 )

@@ -238,6 +238,10 @@ def test_normalize_zero_sum_is_degenerate(z):
 def test_normalize_rejects_nonfinite():
     with pytest.raises(NumericalFailure):
         normalize([np.nan, 1.0])
+    # Finite entries whose sum, or whose sum of magnitudes, overflows.
+    for z in ([1e308, 1e308], [1.5e308, -1e308, 1e308]):
+        with pytest.raises(NumericalFailure, match="overflow"):
+            normalize(z)
     with pytest.raises(DimensionMismatch):
         normalize([])
 

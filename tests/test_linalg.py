@@ -1,19 +1,22 @@
 """The refined solver against brute-force references."""
 
+import itertools
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
-from rnacc import core, default_spec, linalg
+from rnacc import RnaConfig, RnaError, core, default_spec, linalg, make_quadratic, rna
 from rnacc.experiment import build_problem
 from rnacc.linalg import exact_residual, refined_spd_solve
 from rnacc.optimizers import run_with_rna
 
-from oracles import mp_eig_solve, scipy_refined_spd_solve
+from oracles import gd_trajectory, mp_eig_solve, scipy_refined_spd_solve
 
 
 def _random_spd(rng, k, ridge):
@@ -232,13 +235,17 @@ def test_stacked_solve_keeps_the_bits_on_duplicated_rows():
 
 
 def test_stacked_solve_keeps_the_bits_on_converging_windows():
-    # 50 windows of linearly converging iterates at d = 100, K from 3 to 20.
+    # 50 windows of linearly converging iterates at d = 100, K from 3 to 20; then the
+    # same stacks with each system times its own power of two, so that the system
+    # solved unscaled alone, inside the band, is scaled in the stack.
     rng = np.random.default_rng(11)
     for i in range(50):
         k = 3 + i % 18
         rates, theta = rng.uniform(0.5, 0.99, 100), rng.standard_normal(100)
         window = np.array([theta * rates**t for t in range(k + 1)])
-        _assert_stacked_bits(core._shifted(core._window(window, k)[1], _GRID)[1])
+        stack = core._shifted(core._window(window, k)[1], _GRID)[1]
+        _assert_stacked_bits(stack)
+        _assert_stacked_bits(np.ldexp(stack, np.array([0, 300, -300, 900, -900, 1])[:, None, None]))
 
 
 def test_stacked_solve_keeps_the_bits_on_a_wide_f32_window():
@@ -256,3 +263,90 @@ def test_stacked_solve_raises_when_any_system_does_not_factor():
     stack = np.stack([np.eye(2), np.diag([1.0, -1.0])])
     with pytest.raises(np.linalg.LinAlgError):
         refined_spd_solve(stack, np.ones((2, 2)))
+
+
+# ------------------------------------------------------------- power-of-two scales
+
+
+def _solved(r, lam):
+    """``solve_regularized(r, lam)`` and the bits of its normalized weights, or None and
+    the error's type."""
+    try:
+        z = core.solve_regularized(r, lam)
+        return z, core.normalize(z).weights.tobytes()
+    except RnaError as error:
+        return None, type(error)
+
+
+@settings(max_examples=500)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0.0, 1e-14, 1e-10, 1e-4]),
+    st.integers(min_value=-500, max_value=500),
+)
+def test_a_power_of_two_scale_keeps_the_bits(k, seed, rel, exponent):
+    # For s = 2**exponent, c(s R, s^2 lam) has the bits of c(R, lam), and z is s**-2 times
+    # z(R, lam), wherever s^2 R^T R is exactly s^2 times R^T R, with normal entries, and
+    # s**-2 z is exact too and small enough that its sums stay finite. Columns of sizes
+    # down to 1e-6, and 1 to 2k + 1 rows, so that some systems are singular at lam = 0.
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((int(rng.integers(1, 2 * k + 2)), k))
+    r *= np.logspace(0.0, -rng.uniform(0.0, 6.0), k)
+    lam = rel * float(np.trace(r.T @ r))
+    scaled_r, scaled_lam = np.ldexp(r, exponent), math.ldexp(lam, 2 * exponent)
+    gram = scaled_r.T @ scaled_r
+    assume(np.isfinite(gram).all() and np.array_equal(gram, np.ldexp(r.T @ r, 2 * exponent)))
+    assume(((gram == 0.0) | (np.abs(gram) >= 2.0**-1022)).all())
+    assume(math.ldexp(scaled_lam, -2 * exponent) == lam)
+    z, weights = _solved(r, lam)
+    with np.errstate(over="ignore"):
+        expected = None if z is None else np.ldexp(z, -2 * exponent)
+    assume(z is None or np.array_equal(np.ldexp(expected, 2 * exponent), z))
+    assume(z is None or np.abs(expected).max() < 2.0**1000)
+    scaled_z, scaled_weights = _solved(scaled_r, scaled_lam)
+    assert scaled_weights == weights
+    assert z is None or scaled_z.tobytes() == expected.tobytes()
+
+
+def _gd_windows():
+    """11 gradient-descent iterates from zero of ``make_quadratic(100, kappa, seed)``, for
+    kappa 4 and 100, seeds 0-2 and steps 0.1 and 0.01; at kappa 100 a step of 0.1
+    diverges."""
+    return [
+        gd_trajectory(make_quadratic(100, kappa, seed=seed), np.zeros(100), eta, 10)
+        for kappa, seed, eta in itertools.product((4.0, 100.0), range(3), (0.1, 0.01))
+    ]
+
+
+def test_rna_at_any_scale_returns_or_raises_an_rna_error_without_a_warning():
+    # Windows times 10**k, for every even k from -160 to 160, at the ridges 0, 1e-8 and
+    # 1e-10 * 10**2k. At |k| <= 145 the relative ridge succeeds on every window.
+    windows = _gd_windows()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-160, 161, 2):
+            scale = 10.0**k
+            relative = 1e-10 * scale * scale
+            for window, lam in itertools.product(windows, (0.0, 1e-8, relative)):
+                if not math.isfinite(lam):
+                    continue
+                try:
+                    rna(window * scale, RnaConfig(window=10, lam=lam))
+                except RnaError:
+                    assert not (abs(k) <= 145 and lam == relative)
+
+
+def test_solve_at_extreme_scales_against_the_exact_solve():
+    # The windows above times 1e100 and 1e-100, at the ridges 1e-8 (floored at
+    # 10 * eps * trace at 1e100) and 1e-10 * scale**2: each z is within 1e-15 of a
+    # 40-digit solve of the same float64 system, as at scale 1 (at most 1.0e-18
+    # measured; refined unscaled, z was off by up to 2.0e-4 at 1e100).
+    worst = 0.0
+    for scale, window in itertools.product((1e100, 1e-100), _gd_windows()):
+        gram = core._window(window * scale, 10)[1]
+        for lam in (1e-8, 1e-10 * scale * scale):
+            a = core._shifted(gram, (lam,))[1][0]
+            z, z_ref = refined_spd_solve(a, np.ones(10)), mp_eig_solve(a, np.ones(10), dps=40)
+            worst = max(worst, np.abs(z - z_ref).max() / np.abs(z_ref).max())
+    assert worst <= 1e-15
