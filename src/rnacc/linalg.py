@@ -23,8 +23,7 @@ brings its largest diagonal entry into [0.5, 2), with z scaled back at the
 end. That scale is exact, and so is its effect on the Cholesky factor, so
 the split, the norms and the stop rule see the same numbers at any scale:
 for a power of two s, c(s R, s^2 lam) has the bits of c(R, lam) wherever
-s^2 R^T R and z stay normal. A stack whose diagonal lies in [2**-128, 2**128]
-is solved as given: scaling it changes bits only past over- or underflow.
+s^2 R^T R and z stay normal.
 
 Solves run on stacks, n systems of one size, (n, K, K) with (n, K)
 right-hand sides: a ridge grid pays numpy's per-call overhead once, not
@@ -61,13 +60,14 @@ def _residual(a, a_split, z: np.ndarray, b: np.ndarray) -> np.ndarray:
     :func:`_split`, which a solve makes once.
 
     Each product a[..., i, j] * z[..., j] is Dekker's error-free ``p + e``, formed
-    elementwise, so no FMA is required. A row's terms are ``b``, then ``-p`` and ``-e``.
+    elementwise, so no FMA is required. A row's terms are ``b``, then ``-p`` and ``-e``,
+    formed exactly as the split product of ``a`` and ``-z``.
     """
-    z = z.swapaxes(-1, -2)
+    z = -z.swapaxes(-1, -2)
     (a_hi, a_lo), (z_hi, z_lo) = a_split, _split(z)
     p = a * z
     e = ((a_hi * z_hi - p) + a_hi * z_lo + a_lo * z_hi) + a_lo * z_lo
-    terms = np.concatenate((b, -p, -e), axis=-1)
+    terms = np.concatenate((b, p, e), axis=-1)
     sums = list(map(math.fsum, terms.reshape(-1, terms.shape[-1]).tolist()))
     return np.array(sums, dtype=np.float64).reshape(b.shape)
 
@@ -105,10 +105,8 @@ def refined_spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     not numerically positive definite). The caller guarantees that
     ``a`` and ``b`` are finite: neither is checked here.
     """
-    entries, s = a.diagonal(0, -2, -1).ravel().tolist(), None
-    if entries and not 2.0**-128 <= min(entries) <= max(entries) <= 2.0**128:
-        s = (np.frexp(a.diagonal(0, -2, -1).max(-1))[1] // 2 * -2)[..., np.newaxis, np.newaxis]
-        a = np.ldexp(a, s)  # each system's largest diagonal entry now lies in [0.5, 2)
+    s = (np.frexp(a.diagonal(0, -2, -1).max(-1))[1] // 2 * -2)[..., np.newaxis, np.newaxis]
+    a = np.ldexp(a, s)  # each system's largest diagonal entry now lies in [0.5, 2)
     linv = np.linalg.inv(np.linalg.cholesky(a))
     linv_t, b = linv.swapaxes(-1, -2), b[..., np.newaxis]  # b, z and each step are columns
     z = linv_t @ (linv @ b)
@@ -127,7 +125,5 @@ def refined_spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ]
         if all(map(math.isnan, previous)):
             break
-    if s is None:
-        return z[..., 0]
     with np.errstate(over="ignore"):  # normalize reports a z that overflows
         return np.ldexp(z, s)[..., 0]

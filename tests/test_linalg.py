@@ -236,8 +236,8 @@ def test_stacked_solve_keeps_the_bits_on_duplicated_rows():
 
 def test_stacked_solve_keeps_the_bits_on_converging_windows():
     # 50 windows of linearly converging iterates at d = 100, K from 3 to 20; then the
-    # same stacks with each system times its own power of two, so that the system
-    # solved unscaled alone, inside the band, is scaled in the stack.
+    # same stacks with each system times its own power of two, so that each system of
+    # a stack is solved in a unit of its own.
     rng = np.random.default_rng(11)
     for i in range(50):
         k = 3 + i % 18
