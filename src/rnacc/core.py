@@ -23,8 +23,9 @@ checked, but only the window's values: a NaN in an older iterate is ignored. Pub
 functions never write into a caller's array: they difference into a buffer of their
 own, or into the stack they made of a list; ``rnacc accelerate`` and the training
 driver difference the matrix they stacked in place.
-Each then solves once at ``lam``, or at every ridge of ``lam_grid``, as one stack of
-systems, keeping the best-ranked point, over that one Gram matrix.
+Each then solves one stack of systems over that one Gram matrix, ``_solve``: a stack
+of one at ``lam``, or one system per ridge of ``lam_grid``, keeping the best-ranked
+point.
 
 Coefficients may be negative; only their sum is constrained. All
 arithmetic is float64 regardless of how iterates were stored.
@@ -44,6 +45,7 @@ from .errors import (
     DimensionMismatch,
     InvalidConfig,
     NumericalFailure,
+    RnaError,
     SingularSystem,
     WindowTooSmall,
     _require_int,
@@ -230,7 +232,7 @@ def _differenced(window: np.ndarray, overwrite: bool = False) -> np.ndarray:
 def _gram(diffs: np.ndarray) -> np.ndarray:
     """Return ``R^T R`` for a :func:`_differenced` window, formed as ``D @ D.T``."""
     d = diffs[:-1]
-    with np.errstate(over="ignore"):  # _solve_gram reports a Gram matrix that overflowed
+    with np.errstate(over="ignore"):  # _solve reports a Gram matrix that overflowed
         return d @ d.T
 
 
@@ -294,42 +296,31 @@ def _shifted(gram: np.ndarray, lams) -> tuple[list[float], np.ndarray]:
         return used, gram + np.multiply.outer(used, np.eye(gram.shape[0]))
 
 
-def _solve_gram(gram: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
-    """Solve (gram + lam*I) z = 1 once; return (z, the ridge that entered the solve).
+def _solve(gram: np.ndarray, lams) -> list:
+    """Solve (gram + lam*I) z = 1 at every ridge of ``lams`` as one stack of systems.
 
-    The ridge is floored as in :func:`_shifted`. A Gram matrix that overflowed, or
-    overflows once the ridge is added, raises NumericalFailure; one that does not
-    factor raises SingularSystem.
-    """
-    used, shifted = _shifted(gram, (lam,))
-    lam, shifted = used[0], shifted[0]
-    if not np.isfinite(shifted).all():  # so is every entry where gram is not finite
-        if not np.isfinite(gram).all():
-            raise NumericalFailure("residual Gram matrix is not finite: the residuals overflow")
-        raise NumericalFailure(f"residual Gram matrix is not finite with the ridge {lam:g} added")
-    try:
-        return refined_spd_solve(shifted, np.ones(gram.shape[0])), lam
-    except np.linalg.LinAlgError:
-        raise SingularSystem(
-            "residual Gram matrix is numerically singular"
-            + (" at lam=0; use lam > 0" if lam == 0.0 else f" at lam={lam:g}")
-        ) from None
-
-
-def _solve_grid(gram: np.ndarray, lams) -> list:
-    """:func:`_solve_gram` at every ridge of ``lams``, solved as one stack.
-
-    Returns one (z, ridge) per ridge, or, when a system of the stack is not finite or
-    does not factor, None per ridge: :func:`_solve_gram` then solves each ridge alone,
-    so that each gets its own result or error.
+    Returns, per ridge, (z, the ridge that entered the solve) or the RnaError that the
+    ridge raises when solved alone. Ridges are floored as in :func:`_shifted`. A Gram
+    matrix that overflowed, or overflows once the ridge is added, gives NumericalFailure;
+    a system that does not factor gives SingularSystem. A stack that holds either is
+    solved again one ridge at a time, so that each ridge gets its own result or error.
     """
     used, shifted = _shifted(gram, lams)
-    if np.isfinite(shifted).all():
+    if np.isfinite(shifted).all():  # then so is gram
         try:
-            return list(zip(refined_spd_solve(shifted, np.ones(shifted.shape[:2])), used))
+            z = refined_spd_solve(shifted, np.ones(shifted.shape[:2]))
         except np.linalg.LinAlgError:
-            pass
-    return [None] * len(used)
+            if len(used) == 1:
+                at = " at lam=0; use lam > 0" if used[0] == 0.0 else f" at lam={used[0]:g}"
+                return [SingularSystem("residual Gram matrix is numerically singular" + at)]
+        else:
+            return [(z[i], lam) for i, lam in enumerate(used)]  # z[i] is cheaper than iterating z
+    elif len(used) == 1:
+        if not np.isfinite(gram).all():
+            return [NumericalFailure("residual Gram matrix is not finite: the residuals overflow")]
+        msg = f"residual Gram matrix is not finite with the ridge {used[0]:g} added"
+        return [NumericalFailure(msg)]
+    return [_solve(gram, (lam,))[0] for lam in lams]
 
 
 def solve_regularized(residuals: np.ndarray, lam: float) -> np.ndarray:
@@ -349,6 +340,7 @@ def solve_regularized(residuals: np.ndarray, lam: float) -> np.ndarray:
         z of length K.
 
     Raises:
+        DimensionMismatch: ``residuals`` not 2-D, or with no columns.
         SingularSystem: A system that does not factor, even at the floor.
         NumericalFailure: Non-finite entries in ``residuals``, or a Gram
             matrix that overflows.
@@ -357,14 +349,18 @@ def solve_regularized(residuals: np.ndarray, lam: float) -> np.ndarray:
     r = np.asarray(residuals, dtype=np.float64)
     if r.ndim != 2:
         raise DimensionMismatch(f"residual matrix must be 2-D, got ndim={r.ndim}")
+    if r.shape[1] == 0:
+        raise DimensionMismatch("residual matrix has no columns")
     if not np.isfinite(r).all():
         raise NumericalFailure("residual matrix contains NaN or infinite entries")
     if not (lam >= 0.0) or not math.isfinite(lam):
         raise InvalidConfig(f"lam must be finite and >= 0, got {lam}")
-    with np.errstate(over="ignore"):  # reported by _solve_gram
+    with np.errstate(over="ignore"):  # reported by _solve
         gram = r.T @ r
-    z, _ = _solve_gram(gram, float(lam))
-    return z
+    solved = _solve(gram, (float(lam),))[0]
+    if isinstance(solved, RnaError):
+        raise solved
+    return solved[0]
 
 
 def normalize(raw_solution, lam_used: float | None = None) -> Coefficients:
@@ -449,14 +445,19 @@ def _extrapolate(diffs, gram, config, rank=None, fallback_score=None):
     and ``fallback_score`` the last iterate; a grid without ``rank`` raises InvalidConfig.
     """
     if config.lam_grid is None:
-        coeffs = normalize(*_solve_gram(gram, config.lam))
+        solved = _solve(gram, (config.lam,))[0]
+        if isinstance(solved, RnaError):
+            raise solved
+        coeffs = normalize(*solved)
         return _combine(diffs, coeffs.weights, config.weight_target), coeffs.lam_used, coeffs, None
     if rank is None:
         raise InvalidConfig("a lam_grid is ranked by a score; use adaptive_rna, or drop the grid")
     best_lam, best_coeffs, best_score = None, None, fallback_score
-    for lam, solved in zip(config.lam_grid, _solve_grid(gram, config.lam_grid)):
+    for lam, solved in zip(config.lam_grid, _solve(gram, config.lam_grid)):
         try:
-            coeffs = normalize(*(solved or _solve_gram(gram, lam)))
+            if isinstance(solved, RnaError):
+                raise solved
+            coeffs = normalize(*solved)
         except (DegenerateSum, SingularSystem):
             continue
         s = rank(coeffs)

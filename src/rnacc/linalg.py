@@ -105,7 +105,8 @@ def refined_spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     not numerically positive definite). The caller guarantees that
     ``a`` and ``b`` are finite: neither is checked here.
     """
-    s = (np.frexp(a.diagonal(0, -2, -1).max(-1))[1] // 2 * -2)[..., np.newaxis, np.newaxis]
+    e = np.frexp(a.diagonal(0, -2, -1).max(-1, keepdims=True))[1]
+    s = -(e & -2)[..., np.newaxis]  # -2 * floor(e / 2) per system, shaped (..., 1, 1)
     a = np.ldexp(a, s)  # each system's largest diagonal entry now lies in [0.5, 2)
     linv = np.linalg.inv(np.linalg.cholesky(a))
     linv_t, b = linv.swapaxes(-1, -2), b[..., np.newaxis]  # b, z and each step are columns

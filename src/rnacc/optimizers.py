@@ -219,8 +219,9 @@ def _stream(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop=False, theta0=None
     before it have been yielded. Config i extrapolates the last
     ``rna_cfgs[i].window + 1`` iterates of a ring that holds the newest
     ``min(max(window), epochs) + 1`` and is cleared at each drop if ``flush_on_drop``.
-    Within an epoch each distinct window length is stacked, checked, differenced and its
-    Gram matrix formed once, and each distinct (length, lam, lam_grid, weight_target) is
+    Within an epoch one loop visits the live configs by window, holding one window at a
+    time: each distinct window length is stacked, checked, differenced and its Gram
+    matrix formed once, and each distinct (length, lam, lam_grid, weight_target) is
     solved and evaluated once; configs that share one share its entry.
     """
     epochs = _require_int("epochs", epochs)
@@ -251,36 +252,28 @@ def _epochs(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop, theta):
         if epoch in drops:
             ring.clear()
         ring.append(record.theta)
-        by_length: dict[int, list[int]] = {}
-        for i in live:
-            by_length.setdefault(min(len(ring), rna_cfgs[i].window + 1), []).append(i)
-        entries = [None] * len(rna_cfgs)
-        for length, members in by_length.items():
-            thetas = list(ring)[-length:]
-            cfgs = [rna_cfgs[i] for i in members]
-            for i, entry in zip(members, _window_entries(problem, record, thetas, cfgs)):
-                entries[i] = entry
+        entries, points, held = [None] * len(rna_cfgs), {}, 0
+        for i in sorted(live, key=lambda i: rna_cfgs[i].window):  # one window held at a time
+            cfg = rna_cfgs[i]
+            length = min(len(ring), cfg.window + 1)
+            if length != held:
+                held, window = length, (None, None)
+                if length > 1:
+                    try:  # the window stacked from the ring's list is differenced in place
+                        window = _window(list(ring)[-length:], length - 1)
+                    except RnaError as exc:
+                        window = exc
+            key = (length,) if length == 1 else (length, cfg.lam, cfg.lam_grid, cfg.weight_target)
+            if key not in points:
+                try:
+                    if isinstance(window, RnaError):
+                        raise window
+                    points[key] = _extrapolated(problem, record, *window, cfg)
+                except RnaError as exc:
+                    points[key] = exc
+            entries[i] = points[key]
         live = [i for i in live if not isinstance(entries[i], RnaError)]
         yield record, entries
-
-
-def _window_entries(problem, record, thetas, cfgs) -> list:
-    """The entries of ``cfgs``, which all extrapolate ``record``'s epoch from ``thetas``."""
-    diffs = gram = None
-    if len(thetas) > 1:
-        try:  # the window stacked from the list is differenced in place
-            diffs, gram = _window(thetas, len(thetas) - 1)
-        except RnaError as exc:
-            return [exc] * len(cfgs)
-    points = {}
-    keys = [None if diffs is None else (c.lam, c.lam_grid, c.weight_target) for c in cfgs]
-    for key, cfg in zip(keys, cfgs):
-        if key not in points:
-            try:
-                points[key] = _extrapolated(problem, record, diffs, gram, cfg)
-            except RnaError as exc:
-                points[key] = exc
-    return [points[key] for key in keys]
 
 
 def _extrapolated(problem, record, diffs, gram, cfg) -> AccelRecord:

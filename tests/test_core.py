@@ -16,6 +16,7 @@ from rnacc import (
     InvalidConfig,
     NumericalFailure,
     RnaConfig,
+    RnaError,
     SingularSystem,
     WeightTarget,
     WindowTooSmall,
@@ -166,6 +167,8 @@ def test_solve_input_validation():
         solve_regularized(np.ones((3, 2)), -1e-3)
     with pytest.raises(DimensionMismatch):
         solve_regularized(np.ones(3), 1e-8)
+    with pytest.raises(DimensionMismatch, match="no columns"):
+        solve_regularized(np.ones((3, 0)), 1e-8)
 
 
 def test_solve_tries_the_floored_ridge_once(monkeypatch):
@@ -174,7 +177,7 @@ def test_solve_tries_the_floored_ridge_once(monkeypatch):
     tried = []
 
     def not_positive_definite(a, b):
-        tried.append(a[0, 0])
+        tried.append(a[0, 0, 0])  # a stack of one
         raise np.linalg.LinAlgError("forced")
 
     monkeypatch.setattr(core, "refined_spd_solve", not_positive_definite)
@@ -266,6 +269,10 @@ _FLOOR_OVERFLOWS = np.array([[0.0], [1e154], [2e154]])
         lambda: rna(np.array([[0.0], [1e154], [0.0]]), RnaConfig(lam=1.7e308)),
         lambda: adaptive_rna(_FLOOR_OVERFLOWS, RnaConfig(lam_grid=(1e-8,)), lambda t: 0.0),
         lambda: solve_regularized(np.array([[1e154, 1e154]]), 1e-8),
+        # Only the second system of the stack overflows.
+        lambda: adaptive_rna(
+            np.array([[0.0], [1.22e154]]), RnaConfig(1, lam_grid=(1e-8, 1e308)), lambda t: 0.0
+        ),
     ],
     ids=[
         "rna",
@@ -276,6 +283,7 @@ _FLOOR_OVERFLOWS = np.array([[0.0], [1e154], [2e154]])
         "rna_huge_ridge",
         "adaptive_rna_floored_ridge",
         "solve_regularized_floored_ridge",
+        "adaptive_rna_one_ridge_overflows",
     ],
 )
 def test_overflowing_gram_is_a_numerical_failure(entry):
@@ -604,7 +612,10 @@ def _ridge_by_ridge(diffs, gram, config, rank, fallback_score):
     best_lam, best_coeffs, best_score = None, None, fallback_score
     for lam in config.lam_grid:
         try:
-            coeffs = core.normalize(*core._solve_gram(gram, lam))
+            solved = core._solve(gram, (lam,))[0]
+            if isinstance(solved, RnaError):
+                raise solved
+            coeffs = core.normalize(*solved)
         except (DegenerateSum, SingularSystem):
             continue
         score = rank(coeffs)
@@ -616,20 +627,22 @@ def _ridge_by_ridge(diffs, gram, config, rank, fallback_score):
     return theta, best_lam, best_coeffs, best_score
 
 
-@pytest.mark.parametrize("failing", [None, "singular", "degenerate"])
+@pytest.mark.parametrize("failing", [None, "singular", "degenerate", "nonfinite"])
 @pytest.mark.parametrize("at", [0, 2, 4])
 def test_grid_solved_as_one_stack_equals_ridge_by_ridge(monkeypatch, failing, at):
-    # A ridge whose system does not factor fails the whole stack, which is then solved
-    # ridge by ridge; one whose solution sums to ~0 is skipped after the stack. Either
-    # way (theta_hat, lam_star, coefficients, score) are those of one solve per ridge.
+    # A ridge whose system does not factor, or is not finite, fails the whole stack,
+    # which is then solved ridge by ridge; one whose solution sums to ~0 is skipped
+    # after the stack. Either way (theta_hat, lam_star, coefficients, score) are those
+    # of one solve per ridge, and a ridge that is not finite raises its own error.
     import rnacc.core as core
 
     grid = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
     problem, traj = _quadratic_trajectory()
     cfg = RnaConfig(window=8, lam_grid=grid)
     diffs, gram = core._window(np.array(traj), cfg.window)
-    bad = core._shifted(gram, grid)[1][at]
-    solve, norm = core.refined_spd_solve, core.normalize
+    used, shifted = core._shifted(gram, grid)
+    bad = shifted[at]
+    solve, norm, shift = core.refined_spd_solve, core.normalize, core._shifted
 
     def not_at_bad(a, b):
         if any(np.array_equal(m, bad) for m in a.reshape(-1, *bad.shape)):
@@ -637,19 +650,33 @@ def test_grid_solved_as_one_stack_equals_ridge_by_ridge(monkeypatch, failing, at
         return solve(a, b)
 
     def degenerate_at_bad(z, lam_used=None):
-        if lam_used == core._shifted(gram, grid)[0][at]:
+        if lam_used == used[at]:
             raise DegenerateSum("forced")
         return norm(z, lam_used)
+
+    def nonfinite_at_bad(g, lams):
+        ridges, systems = shift(g, lams)
+        systems[np.equal(ridges, used[at]), 0, 0] = np.inf
+        return ridges, systems
 
     if failing == "singular":
         monkeypatch.setattr(core, "refined_spd_solve", not_at_bad)
     elif failing == "degenerate":
         monkeypatch.setattr(core, "normalize", degenerate_at_bad)
+    elif failing == "nonfinite":
+        monkeypatch.setattr(core, "_shifted", nonfinite_at_bad)
     scores = np.array([problem.f(t) for t in traj[-9:]])
 
     def rank(c):
         return float(c.weights @ scores[-len(c):])
 
+    if failing == "nonfinite":
+        message = f"residual Gram matrix is not finite with the ridge {used[at]:g} added"
+        with pytest.raises(NumericalFailure, match=re.escape(message)):
+            core._extrapolate(diffs, gram, cfg, rank, float(scores[-1]))
+        with pytest.raises(NumericalFailure, match=re.escape(message)):
+            _ridge_by_ridge(diffs, gram, cfg, rank, float(scores[-1]))
+        return
     got = core._extrapolate(diffs, gram, cfg, rank, float(scores[-1]))
     want = _ridge_by_ridge(diffs, gram, cfg, rank, float(scores[-1]))
     assert got[0].tobytes() == want[0].tobytes()

@@ -123,9 +123,14 @@ def test_refined_solve_matches_scipy_bits_on_minibatch_logistic():
 
 
 def _solve_grams(solve, systems):
-    """``core._solve_gram`` on each (gram, lam), with ``solve`` as its refined solve."""
-    with mock.patch.object(core, "refined_spd_solve", solve):
-        return [core._solve_gram(gram, lam) for gram, lam in systems]
+    """``core._solve`` on each (gram, lam) alone, with ``solve``, a 2-D solve, as the
+    refined solve of each system of its stack."""
+
+    def each(a, b):
+        return np.array([solve(x, y) for x, y in zip(a, b)])
+
+    with mock.patch.object(core, "refined_spd_solve", each):
+        return [core._solve(gram, (lam,))[0] for gram, lam in systems]
 
 
 # Repeated checkpoints in a window of 11: each one twice, two alternating, and a
@@ -178,7 +183,7 @@ def test_tiny_ridge_is_floored_and_solved_to_working_precision():
     eps = np.finfo(np.float64).eps
     for gram in _duplicated_row_grams():
         trace = float(np.trace(gram))
-        z, lam_used = core._solve_gram(gram, 1e-18 * trace)
+        z, lam_used = core._solve(gram, (1e-18 * trace,))[0]
         assert lam_used == 10.0 * eps * trace
         a = gram + lam_used * np.eye(gram.shape[0])
         z_ref = _mp_lu_solve(a, np.ones(gram.shape[0]))
