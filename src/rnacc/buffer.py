@@ -37,10 +37,12 @@ class SlidingBuffer:
     def push(self, epoch: int, theta) -> None:
         """Append a snapshot, evicting the oldest entry if at capacity.
 
-        Raises DimensionMismatch if ``theta`` does not match the stored
+        Raises InvalidConfig unless ``epoch`` is a whole number,
+        DimensionMismatch if ``theta`` does not match the stored
         dimension and OrderingViolation unless ``epoch`` exceeds the
         last stored tag.
         """
+        epoch = _require_int("epoch", epoch, minimum=None)
         vec = np.array(theta, dtype=np.float64).ravel()
         if self._entries:
             last_epoch, last_vec = self._entries[-1]
@@ -52,7 +54,7 @@ class SlidingBuffer:
                 raise OrderingViolation(
                     f"epoch {epoch} does not follow last stored epoch {last_epoch}"
                 )
-        self._entries.append((int(epoch), vec))
+        self._entries.append((epoch, vec))
 
     def last(self) -> np.ndarray:
         """Copy of the most recent snapshot."""

@@ -119,7 +119,7 @@ class RnaConfig:
         object.__setattr__(self, "window", _require_int("window", self.window))
         if not (self.lam >= 0.0) or not math.isfinite(self.lam):
             raise InvalidConfig(f"lam must be finite and >= 0, got {self.lam}")
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", float(self.lam) + 0.0)  # -0.0 is stored as 0.0
         if self.lam_grid is not None:
             grid = tuple(float(g) for g in self.lam_grid)
             if not grid:

@@ -53,12 +53,12 @@ class FormatError(RnaError):
     """A checkpoint file does not conform to the binary layout."""
 
 
-def _require_int(name: str, value, minimum: int = 1) -> int:
-    """``value`` as an int; InvalidConfig unless a whole number >= ``minimum``."""
+def _require_int(name: str, value, minimum: int | None = 1) -> int:
+    """``value`` as an int; InvalidConfig unless a whole number >= ``minimum`` (if any)."""
     try:
-        if int(value) == value and value >= minimum:
+        if int(value) == value and (minimum is None or value >= minimum):
             return int(value)
     except (TypeError, ValueError, OverflowError):  # NaN, inf, not a number
         pass
-    kind = "positive" if minimum == 1 else "nonnegative"
-    raise InvalidConfig(f"{name} must be a {kind} integer, got {value}")
+    kind = {1: "a positive", 0: "a nonnegative"}.get(minimum, "an")
+    raise InvalidConfig(f"{name} must be {kind} integer, got {value}")

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RnaConfig, _combine, _extrapolate, _window
-from .errors import DegenerateSum, InvalidConfig, NumericalFailure, RnaError, _require_int
+from .errors import DegenerateSum, DimensionMismatch, InvalidConfig, NumericalFailure
+from .errors import RnaError, _require_int
 from .problems import Problem
 
 __all__ = [
@@ -81,14 +82,27 @@ def learning_rate(cfg: OptimizerConfig, epoch: int) -> float:
     return eta
 
 
-def gd_step(theta: np.ndarray, problem: Problem, eta: float) -> np.ndarray:
-    """One plain gradient descent step; exactly one gradient evaluation."""
-    if not eta > 0.0:
-        raise InvalidConfig(f"eta must be positive, got {eta}")
-    g = problem.grad(theta)
+def _gradient(g, theta: np.ndarray) -> np.ndarray:
+    """An oracle's gradient ``g`` at ``theta``, as float64; DimensionMismatch unless it
+    has ``theta``'s shape, NumericalFailure unless it is finite."""
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != theta.shape:
+        raise DimensionMismatch(f"gradient has shape {g.shape}, theta has shape {theta.shape}")
     if not np.isfinite(g).all():
         raise NumericalFailure("gradient contains NaN or infinite entries")
-    return theta - eta * g
+    return g
+
+
+def gd_step(theta: np.ndarray, problem: Problem, eta: float) -> np.ndarray:
+    """One plain gradient descent step; exactly one gradient evaluation. A gradient not
+    shaped like ``theta`` raises DimensionMismatch; a non-finite one, or NaN in the step,
+    NumericalFailure."""
+    if not eta > 0.0:
+        raise InvalidConfig(f"eta must be positive, got {eta}")
+    theta = theta - eta * _gradient(problem.grad(theta), np.asarray(theta))
+    if np.isnan(theta).any():  # NaN that theta held or the oracle wrote into it
+        raise NumericalFailure("parameters contain NaN after the step")
+    return theta
 
 
 def sgd_momentum_epoch(
@@ -122,14 +136,12 @@ def sgd_momentum_epoch(
         ]
     for batch in batches:
         g = problem.grad(theta) if batch is None else problem.batch_grad(theta, batch)
-        if not np.isfinite(g).all():
-            raise NumericalFailure("gradient contains NaN or infinite entries")
-        velocity = cfg.momentum * velocity + (g + cfg.weight_decay * theta)
+        velocity = cfg.momentum * velocity + (_gradient(g, theta) + cfg.weight_decay * theta)
         theta = theta - eta * velocity
-        if np.linalg.norm(theta) > DIVERGENCE_NORM:
-            raise NumericalFailure(
-                f"parameters diverged at epoch {epoch} (norm > {DIVERGENCE_NORM:g})"
-            )
+        norm = np.linalg.norm(theta)
+        if not norm <= DIVERGENCE_NORM:  # NaN too, as from an oracle that writes into theta
+            detail = f"norm > {DIVERGENCE_NORM:g}" if norm > DIVERGENCE_NORM else "norm is NaN"
+            raise NumericalFailure(f"parameters diverged at epoch {epoch} ({detail})")
     return theta, velocity
 
 
@@ -214,11 +226,14 @@ def _stream(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop=False, theta0=None
 
     Bad ``epochs`` or ``theta0``, or a batch size that ``problem`` cannot serve, raise
     here, before any epoch. The generator yields, per epoch, its :class:`EpochRecord`
-    and one entry per config: its :class:`AccelRecord`, the :class:`RnaError` that ends
-    that config, or None once it has ended. A training error is raised after the epochs
-    before it have been yielded. Config i extrapolates the last
-    ``rna_cfgs[i].window + 1`` iterates of a ring that holds the newest
-    ``min(max(window), epochs) + 1`` and is cleared at each drop if ``flush_on_drop``.
+    and one entry per config: its :class:`AccelRecord`, the :class:`RnaError` of its
+    point (a failed solve) that ends that config, or None once it has ended. A training
+    error (a bad gradient, a NaN or diverged theta) is raised after the epochs before it
+    have been yielded. The ring then holds finite d-vectors, so forming a window fails
+    only for an oracle that wrote into a kept iterate, and that is raised too. Config i
+    extrapolates the last ``rna_cfgs[i].window + 1`` iterates of a ring that holds the
+    newest ``min(max(window), epochs) + 1`` and is cleared at each drop if
+    ``flush_on_drop``.
     Within an epoch one loop visits the live configs by window, holding one window at a
     time: each distinct window length is stacked, checked, differenced and its Gram
     matrix formed once, and each distinct (length, lam, lam_grid, weight_target) is
@@ -258,16 +273,11 @@ def _epochs(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop, theta):
             length = min(len(ring), cfg.window + 1)
             if length != held:
                 held, window = length, (None, None)
-                if length > 1:
-                    try:  # the window stacked from the ring's list is differenced in place
-                        window = _window(list(ring)[-length:], length - 1)
-                    except RnaError as exc:
-                        window = exc
+                if length > 1:  # the window stacked from the ring's list is differenced in place
+                    window = _window(list(ring)[-length:], length - 1)
             key = (length,) if length == 1 else (length, cfg.lam, cfg.lam_grid, cfg.weight_target)
             if key not in points:
                 try:
-                    if isinstance(window, RnaError):
-                        raise window
                     points[key] = _extrapolated(problem, record, *window, cfg)
                 except RnaError as exc:
                     points[key] = exc

@@ -37,12 +37,14 @@ class Problem:
         name: Human-readable identifier.
         dim: Parameter count d.
         f: Objective, maps a d-vector to a float.
-        grad: Gradient oracle, maps a d-vector to a d-vector.
+        grad: Gradient oracle, maps a d-vector to a d-vector: an array of
+            theta's shape.
         smoothness: Largest curvature L when known (used for step-size
             defaults), else None.
         n_samples: Data set size for finite-sum objectives, else None.
         batch_grad: Optional ``(theta, indices) -> gradient`` oracle for
-            mini-batches (mean over the batch plus the full regularizer).
+            mini-batches (mean over the batch plus the full regularizer),
+            an array of theta's shape.
         extras: Problem-specific data (design matrix, targets, ...) for
             tests and demos.
 

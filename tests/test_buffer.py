@@ -50,6 +50,19 @@ def test_rejects_dimension_mismatch_and_stale_epochs():
         buf.push(0, np.zeros(2))
 
 
+def test_rejects_tags_that_are_not_whole_numbers():
+    # 1.5 then 1.7 would both be stored as 1, past the ordering test; every integer
+    # tag stays accepted, negative ones too.
+    buf = SlidingBuffer(4)
+    for epoch in (-2, np.int64(0), 1.0):
+        buf.push(epoch, np.zeros(2))
+    for bad in (1.5, 1.7, float("nan"), float("inf"), "3", None):
+        with pytest.raises(InvalidConfig, match="epoch must be an integer"):
+            buf.push(bad, np.zeros(2))
+    assert buf.epochs == [-2, 0, 1]
+    assert all(type(epoch) is int for epoch in buf.epochs)
+
+
 def test_capacity_validation_and_clear():
     with pytest.raises(InvalidConfig):
         SlidingBuffer(0)

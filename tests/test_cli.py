@@ -1341,6 +1341,29 @@ def test_sweep_cli_fractional_window_exit_2(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_a_negative_zero_ridge_is_the_zero_ridge(tmp_path, capsys):
+    # RnaConfig stores -0.0 as 0.0, so no output shows -0 and sweep's ridges 0 and -0
+    # are one ridge, whose two cells would share one metrics file.
+    assert str(RnaConfig(lam=-0.0).lam) == "0.0"
+    metrics = tmp_path / "m.csv"
+    argv = ["run", "--epochs", "4", "--k", "2", "--lambda", "-0.0", "--out", str(metrics)]
+    assert main(argv) == 0
+    used = [line.split(",")[5] for line in metrics.read_text().splitlines()[1:]]
+    assert used[0] == "" and set(used[1:]) == {"0"}
+    path = tmp_path / "seq.rnac"
+    _export_trajectory(path)
+    out = tmp_path / "out.rnac"
+    argv = ["accelerate", str(path), "--k", "2", "--lambda", "-0.0", "--out", str(out)]
+    assert main(argv) == 0
+    assert "lambda: 0.0" in capsys.readouterr().out.splitlines()
+    out_dir = tmp_path / "cells"
+    argv = ["sweep", "--epochs", "4", "--k-list", "2", "--lambda-list", "0,-0.0"]
+    argv += ["--out", str(out_dir)]
+    assert main(argv) == 2
+    assert "metrics_k2_lam0.csv" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("--k-list", "nan"), ("--k-list", "inf")]

@@ -1,10 +1,14 @@
 """Descent steps, the epoch loop, and the offline acceleration driver."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rnacc import (
     DegenerateSum,
+    DimensionMismatch,
     InvalidConfig,
     NumericalFailure,
     OptimizerConfig,
@@ -22,6 +26,7 @@ from rnacc import (
     write_metrics,
 )
 from rnacc import core
+from rnacc.optimizers import _stream
 
 
 def _scalar_bowl():
@@ -327,12 +332,54 @@ def test_run_with_rna_flush_on_drop_restarts_window():
 
 
 def test_run_with_rna_rejects_a_nonfinite_theta0():
-    # A zero gradient would carry the NaN through every epoch without an error.
+    # Named before the first epoch: with a zero gradient only the step's norm test would
+    # catch it otherwise.
     flat = Problem("flat", 3, lambda t: float(np.sum(t)), lambda t: np.zeros(3))
     cfg = OptimizerConfig(eta=0.1, momentum=0.0, weight_decay=0.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(NumericalFailure, match="theta0"):
             run_with_rna(flat, cfg, None, epochs=3, theta0=[bad, 0.0, 0.0])
+
+
+def _writes_nan(theta):
+    theta[0] = np.nan
+    return np.ones(5)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3,), (5, 1), (), "writes NaN into theta"],
+    ids=["shape-3", "shape-5x1", "shape-scalar", "writes-nan"],
+)
+def test_a_bad_gradient_oracle_raises_at_the_step(shape):
+    # On a d = 5 problem, a gradient not shaped like theta raises DimensionMismatch
+    # (shape () would broadcast), and an oracle that writes NaN into theta
+    # NumericalFailure, at the step that calls it: the driver raises it from the
+    # generator at epoch 1 and never stores it as a config's window error.
+    if shape == "writes NaN into theta":
+        oracle, error, text = _writes_nan, NumericalFailure, "NaN"
+    else:
+        oracle, error = (lambda t: np.ones(shape)), DimensionMismatch
+        text = f"gradient has shape {shape}, theta has shape (5,)"
+    p = Problem(
+        "bad-oracle", 5, lambda t: 0.5 * float(np.sum(t * t)), oracle,
+        n_samples=4, batch_grad=lambda t, idx: oracle(t),
+    )
+    full = OptimizerConfig(eta=0.1)
+    configs = [RnaConfig(window=1), RnaConfig(window=2, lam=0.0)]
+    steps = {
+        "gd_step": lambda: gd_step(np.ones(5), p, 0.1),
+        "full batch": lambda: sgd_momentum_epoch(np.ones(5), np.zeros(5), p, full, 1),
+        "batch_grad": lambda: sgd_momentum_epoch(
+            np.ones(5), np.zeros(5), p, replace(full, batch_size=2), 1
+        ),
+        "run, no acceleration": lambda: run_with_rna(p, full, None, epochs=3),
+        "run, accelerated": lambda: run_with_rna(p, full, configs[1], epochs=3),
+        "stream, two configs": lambda: next(_stream(p, full, configs, 3)),
+    }
+    for name, step in steps.items():
+        with pytest.raises(error, match=re.escape(text)):
+            step()
+            pytest.fail(f"{name} raised nothing")
 
 
 def test_run_with_rna_epoch_validation():
