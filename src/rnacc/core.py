@@ -24,8 +24,9 @@ functions never write into a caller's array: they difference into a buffer of th
 own, or into the stack they made of a list; ``rnacc accelerate`` and the training
 driver difference the matrix they stacked in place.
 Each then solves one stack of systems over that one Gram matrix, ``_solve``: a stack
-of one at ``lam``, or one system per ridge of ``lam_grid``, keeping the best-ranked
-point.
+of one at ``lam``, one system per ridge of ``lam_grid``, keeping the best-ranked
+point, or, in the training driver, one system per plain ``lam`` of the configs that
+share the window.
 
 Coefficients may be negative; only their sum is constrained. All
 arithmetic is float64 regardless of how iterates were stored.
@@ -436,16 +437,19 @@ def rna(iterates, config: RnaConfig | None = None) -> tuple[np.ndarray, Coeffici
     return theta_hat, coeffs
 
 
-def _extrapolate(diffs, gram, config, rank=None, fallback_score=None):
+def _extrapolate(diffs, gram, config, rank=None, fallback_score=None, solved=None):
     """Extrapolate a :func:`_differenced` window from its :func:`_gram`, plain or grid.
 
     Returns (theta_hat, lam_star, coefficients, score). Without a grid: one solve at
-    ``config.lam`` whose errors raise, ``lam_star`` its ``lam_used`` and no score. With
-    one: the policy of :func:`adaptive_rna`, ``rank(coefficients)`` scoring each ridge
-    and ``fallback_score`` the last iterate; a grid without ``rank`` raises InvalidConfig.
+    ``config.lam`` whose errors raise, ``lam_star`` its ``lam_used`` and no score;
+    ``solved`` is that ridge's entry of a :func:`_solve` over ``gram`` when the caller
+    solved it in a stack with others. With a grid: the policy of :func:`adaptive_rna`,
+    ``rank(coefficients)`` scoring each ridge and ``fallback_score`` the last iterate;
+    a grid without ``rank`` raises InvalidConfig.
     """
     if config.lam_grid is None:
-        solved = _solve(gram, (config.lam,))[0]
+        if solved is None:
+            solved = _solve(gram, (config.lam,))[0]
         if isinstance(solved, RnaError):
             raise solved
         coeffs = normalize(*solved)

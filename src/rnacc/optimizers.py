@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
-from .core import RnaConfig, _combine, _extrapolate, _window
+from .core import RnaConfig, _combine, _extrapolate, _solve, _window
 from .errors import DegenerateSum, DimensionMismatch, InvalidConfig, NumericalFailure
 from .errors import RnaError, _require_int
 from .problems import Problem
@@ -82,12 +83,19 @@ def learning_rate(cfg: OptimizerConfig, epoch: int) -> float:
     return eta
 
 
-def _gradient(g, theta: np.ndarray) -> np.ndarray:
+def _shaped(g, theta: np.ndarray) -> np.ndarray:
     """An oracle's gradient ``g`` at ``theta``, as float64; DimensionMismatch unless it
-    has ``theta``'s shape, NumericalFailure unless it is finite."""
+    has ``theta``'s shape."""
     g = np.asarray(g, dtype=np.float64)
     if g.shape != theta.shape:
         raise DimensionMismatch(f"gradient has shape {g.shape}, theta has shape {theta.shape}")
+    return g
+
+
+def _gradient(g, theta: np.ndarray) -> np.ndarray:
+    """:func:`_shaped`, and NumericalFailure unless the gradient is finite: the check of
+    every gradient a step takes."""
+    g = _shaped(g, theta)
     if not np.isfinite(g).all():
         raise NumericalFailure("gradient contains NaN or infinite entries")
     return g
@@ -236,8 +244,11 @@ def _stream(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop=False, theta0=None
     ``flush_on_drop``.
     Within an epoch one loop visits the live configs by window, holding one window at a
     time: each distinct window length is stacked, checked, differenced and its Gram
-    matrix formed once, and each distinct (length, lam, lam_grid, weight_target) is
-    solved and evaluated once; configs that share one share its entry.
+    matrix formed once, the distinct plain lams of its configs are solved as one stack,
+    and each distinct (length, lam, lam_grid, weight_target) is extrapolated and
+    evaluated once; configs that share one share its entry. Each recorded point is
+    evaluated by :func:`_evaluated`, in one ``problem.value_and_grad`` call when the
+    problem has one.
     """
     epochs = _require_int("epochs", epochs)
     theta = np.zeros(problem.dim) if theta0 is None else np.array(theta0, float).ravel()
@@ -257,37 +268,57 @@ def _epochs(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop, theta):
     live = range(len(rna_cfgs))
     for epoch in range(1, epochs + 1):
         theta, velocity = sgd_momentum_epoch(theta, velocity, problem, opt_cfg, epoch)
+        objective, grad_norm = _evaluated(problem, theta)
         record = EpochRecord(
             epoch=epoch,
             theta=theta.copy(),
-            objective=float(problem.f(theta)),
-            grad_norm=float(np.linalg.norm(problem.grad(theta))),
+            objective=objective,
+            grad_norm=grad_norm,
             eta=learning_rate(opt_cfg, epoch),
         )
         if epoch in drops:
             ring.clear()
         ring.append(record.theta)
-        entries, points, held = [None] * len(rna_cfgs), {}, 0
-        for i in sorted(live, key=lambda i: rna_cfgs[i].window):  # one window held at a time
-            cfg = rna_cfgs[i]
-            length = min(len(ring), cfg.window + 1)
-            if length != held:
-                held, window = length, (None, None)
-                if length > 1:  # the window stacked from the ring's list is differenced in place
-                    window = _window(list(ring)[-length:], length - 1)
-            key = (length,) if length == 1 else (length, cfg.lam, cfg.lam_grid, cfg.weight_target)
-            if key not in points:
-                try:
-                    points[key] = _extrapolated(problem, record, *window, cfg)
-                except RnaError as exc:
-                    points[key] = exc
-            entries[i] = points[key]
+        entries = [None] * len(rna_cfgs)
+        by_window = sorted(live, key=lambda i: rna_cfgs[i].window)  # one window held at a time
+        for length, group in groupby(by_window, lambda i: min(len(ring), rna_cfgs[i].window + 1)):
+            cfgs = [(i, rna_cfgs[i]) for i in group]
+            window, solved, points = (None, None), {}, {}
+            if length > 1:  # the window stacked from the ring's list is differenced in place
+                window = _window(list(ring)[-length:], length - 1)
+                lams = list(dict.fromkeys(c.lam for _, c in cfgs if c.lam_grid is None))
+                if lams:  # the window's plain ridges, solved as one stack
+                    solved = dict(zip(lams, _solve(window[1], lams)))
+            for i, cfg in cfgs:
+                key = (cfg.lam, cfg.lam_grid, cfg.weight_target) if length > 1 else None
+                if key not in points:
+                    try:
+                        points[key] = _extrapolated(
+                            problem, record, *window, cfg, solved.get(cfg.lam)
+                        )
+                    except RnaError as exc:
+                        points[key] = exc
+                entries[i] = points[key]
         live = [i for i in live if not isinstance(entries[i], RnaError)]
         yield record, entries
 
 
-def _extrapolated(problem, record, diffs, gram, cfg) -> AccelRecord:
-    """``record``'s epoch extrapolated from ``diffs`` and its ``gram`` (None: a copy of it)."""
+def _evaluated(problem, theta, objective=None) -> tuple[float, float]:
+    """The objective and gradient norm recorded at ``theta``: one ``value_and_grad`` call
+    when the problem has one, else ``f`` and ``grad``, and only ``grad`` when the
+    ``objective`` is known. A gradient not shaped like ``theta`` raises DimensionMismatch;
+    non-finite values are recorded as they are."""
+    if objective is None and problem.value_and_grad is not None:
+        objective, g = problem.value_and_grad(theta)
+    else:
+        objective = problem.f(theta) if objective is None else objective
+        g = problem.grad(theta)
+    return float(objective), float(np.linalg.norm(_shaped(g, theta)))
+
+
+def _extrapolated(problem, record, diffs, gram, cfg, solved=None) -> AccelRecord:
+    """``record``'s epoch extrapolated from ``diffs`` and its ``gram`` (None: a copy of it).
+    ``solved`` is as for :func:`_extrapolate`: the entry of ``cfg.lam`` in a stacked solve."""
     theta_hat, coeffs, objective = record.theta, None, None
     if diffs is not None:
         try:  # a grid is ranked by f: its score is the objective, the fallback's the record's
@@ -297,13 +328,15 @@ def _extrapolated(problem, record, diffs, gram, cfg) -> AccelRecord:
                 cfg,
                 lambda c: float(problem.f(_combine(diffs, c.weights, cfg.weight_target))),
                 record.objective,
+                solved,
             )
         except DegenerateSum:
             theta_hat, coeffs = record.theta, None
+    objective, grad_norm = _evaluated(problem, theta_hat, objective)
     return AccelRecord(
         epoch=record.epoch,
         theta=np.array(theta_hat, dtype=np.float64),
-        objective=float(problem.f(theta_hat)) if objective is None else objective,
-        grad_norm=float(np.linalg.norm(problem.grad(theta_hat))),
+        objective=objective,
+        grad_norm=grad_norm,
         lam_used=None if coeffs is None else coeffs.lam_used,
     )

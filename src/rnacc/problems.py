@@ -45,6 +45,10 @@ class Problem:
         batch_grad: Optional ``(theta, indices) -> gradient`` oracle for
             mini-batches (mean over the batch plus the full regularizer),
             an array of theta's shape.
+        value_and_grad: Optional ``theta -> (f(theta), grad(theta))`` oracle
+            that shares the work the two have in common; it must return the
+            bits of ``f`` and ``grad`` called apart. Whoever replaces ``f`` or
+            ``grad`` must replace it too, or set it to None.
         extras: Problem-specific data (design matrix, targets, ...) for
             tests and demos.
 
@@ -64,6 +68,7 @@ class Problem:
         n_samples: int | None = None,
         batch_grad=None,
         extras: dict | None = None,
+        value_and_grad=None,
     ):
         self.name = name
         self.dim = int(dim)
@@ -72,6 +77,7 @@ class Problem:
         self.smoothness = smoothness
         self.n_samples = n_samples
         self.batch_grad = batch_grad
+        self.value_and_grad = value_and_grad
         self.extras = extras or {}
         if callable(optimum):
             self._optimum = None
@@ -116,6 +122,11 @@ def make_quadratic(dim: int, condition: float, seed: int = 0) -> Problem:
     def grad(theta: np.ndarray) -> np.ndarray:
         return mat @ np.asarray(theta, float) - rhs
 
+    def value_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        theta = np.asarray(theta, float)
+        mat_theta = mat @ theta
+        return 0.5 * float(theta @ mat_theta) - float(rhs @ theta), mat_theta - rhs
+
     return Problem(
         name=f"quadratic(d={dim}, cond={condition:g}, seed={seed})",
         dim=dim,
@@ -124,6 +135,7 @@ def make_quadratic(dim: int, condition: float, seed: int = 0) -> Problem:
         optimum=np.linalg.solve(mat, rhs),
         smoothness=float(eigs.max()),
         extras={"matrix": mat, "rhs": rhs, "eigenvalues": eigs},
+        value_and_grad=value_and_grad,
     )
 
 
@@ -224,21 +236,27 @@ def make_logistic(n_samples: int, dim: int, l2: float, seed: int = 0) -> Problem
     gram = x.T @ x if dim <= n_samples else x @ x.T
     smoothness = float(l2 + np.linalg.eigvalsh(gram).max() / (4.0 * n))
 
-    def f(theta: np.ndarray) -> float:
-        margins = labels * (x @ np.asarray(theta, float))
-        return float(np.mean(np.logaddexp(0.0, -margins))) + 0.5 * l2 * float(
-            theta @ theta
-        )
+    def _value(theta, margins):
+        return float(np.mean(np.logaddexp(0.0, -margins))) + 0.5 * l2 * float(theta @ theta)
 
-    def _grad_on(theta, xb, yb):
-        margins = yb * (xb @ theta)
+    def _grad_on(theta, xb, yb, margins=None):
+        margins = yb * (xb @ theta) if margins is None else margins
         return -(xb.T @ (yb * _expit(-margins))) / len(yb) + l2 * theta
+
+    def f(theta: np.ndarray) -> float:
+        theta = np.asarray(theta, float)
+        return _value(theta, labels * (x @ theta))
 
     def grad(theta: np.ndarray) -> np.ndarray:
         return _grad_on(np.asarray(theta, float), x, labels)
 
     def batch_grad(theta: np.ndarray, indices) -> np.ndarray:
         return _grad_on(np.asarray(theta, float), x[indices], labels[indices])
+
+    def value_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        theta = np.asarray(theta, float)
+        margins = labels * (x @ theta)
+        return _value(theta, margins), _grad_on(theta, x, labels, margins)
 
     problem = Problem(
         name=f"logistic(n={n_samples}, d={dim}, l2={l2:g}, seed={seed})",
@@ -250,6 +268,7 @@ def make_logistic(n_samples: int, dim: int, l2: float, seed: int = 0) -> Problem
         n_samples=n_samples,
         batch_grad=batch_grad,
         extras={"features": x, "labels": labels, "planted": planted},
+        value_and_grad=value_and_grad,
     )
     return problem
 
@@ -293,12 +312,14 @@ def make_mlp(d_in: int, hidden: int, n_samples: int, seed: int = 0) -> Problem:
         act = np.tanh(inputs @ w1.T + b1)
         return act, act @ w2 + b2
 
-    def f(theta: np.ndarray) -> float:
-        _, pred = _forward(theta, x)
+    def _value(pred):
         return 0.5 * float(np.mean((pred - y) ** 2))
 
-    def _grad_on(theta, inputs, targets):
-        act, pred = _forward(theta, inputs)
+    def f(theta: np.ndarray) -> float:
+        return _value(_forward(theta, x)[1])
+
+    def _grad_on(theta, inputs, targets, forward=None):
+        act, pred = _forward(theta, inputs) if forward is None else forward
         w2 = split_mlp_params(theta, d_in, hidden)[2]
         dpred = (pred - targets) / len(targets)
         db2 = dpred.sum()
@@ -314,6 +335,11 @@ def make_mlp(d_in: int, hidden: int, n_samples: int, seed: int = 0) -> Problem:
     def batch_grad(theta: np.ndarray, indices) -> np.ndarray:
         return _grad_on(np.asarray(theta, float), x[indices], y[indices])
 
+    def value_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        theta = np.asarray(theta, float)
+        forward = _forward(theta, x)
+        return _value(forward[1]), _grad_on(theta, x, y, forward)
+
     return Problem(
         name=f"mlp(d_in={d_in}, hidden={hidden}, n={n_samples}, seed={seed})",
         dim=dim,
@@ -322,6 +348,7 @@ def make_mlp(d_in: int, hidden: int, n_samples: int, seed: int = 0) -> Problem:
         n_samples=n_samples,
         batch_grad=batch_grad,
         extras={"inputs": x, "targets": y, "d_in": d_in, "hidden": hidden},
+        value_and_grad=value_and_grad,
     )
 
 

@@ -26,7 +26,7 @@ from rnacc import (
     sweep,
     WindowTooSmall,
 )
-from rnacc import optimizers
+from rnacc import core, optimizers
 from rnacc.checkpoint import _render
 from rnacc.experiment import _override
 
@@ -538,6 +538,24 @@ def test_sweep_differences_each_window_and_solves_each_point_once(tmp_path, monk
     cells = sweep(spec, [5, 10, 20], [1e-10, 1e-8, 1e-6, 1e-4], tmp_path)
     assert all(c.status == "ok" for c in cells)
     assert counts == {"_window": 57, "_extrapolate": 228, "_extrapolated": 229}
+
+
+def test_sweep_solves_each_windows_plain_ridges_as_one_stack(tmp_path, monkeypatch):
+    # On the spec above each of the 57 windows solves its 4 ridges in one call to
+    # _solve, 228 systems in all, where one call per point made 228 stacks of one.
+    stacks = []
+    solve = core._solve
+
+    def counted(gram, lams):
+        stacks.append(len(lams))
+        return solve(gram, lams)
+
+    monkeypatch.setattr(core, "_solve", counted)
+    monkeypatch.setattr(optimizers, "_solve", counted)
+    spec = replace(default_spec("quadratic", seed=0), epochs=25)
+    cells = sweep(spec, [5, 10, 20], [1e-10, 1e-8, 1e-6, 1e-4], tmp_path)
+    assert all(c.status == "ok" for c in cells)
+    assert (len(stacks), sum(stacks)) == (57, 228)
 
 
 def _sweep_peak_bytes(spec, out_dir) -> int:

@@ -1,5 +1,6 @@
 """Descent steps, the epoch loop, and the offline acceleration driver."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -235,10 +236,12 @@ def test_run_with_rna_grid_evaluates_f_once_per_ridge():
     # With a grid each extrapolated epoch evaluates f at its 6 ranked points and
     # nowhere else: the fallback's score is the epoch's recorded objective, and the
     # winner's objective is its ranking score. Training takes one f per epoch, and
-    # epoch 1, with no window yet, one more for its copy.
+    # epoch 1, with no window yet, one more for its copy. Objectives are counted
+    # through f and value_and_grad alike.
     p = make_logistic(100, 10, 1e-3, seed=2)
-    f, calls = p.f, []
+    f, value_and_grad, calls = p.f, p.value_and_grad, []
     p.f = lambda theta: calls.append(1) or f(theta)
+    p.value_and_grad = lambda theta: calls.append(1) or value_and_grad(theta)
     cfg = OptimizerConfig(eta=2.0, momentum=0.0, weight_decay=0.0)
     rna_cfg = RnaConfig(window=5, lam_grid=(1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2))
     run_with_rna(p, cfg, rna_cfg, epochs=20)
@@ -380,6 +383,76 @@ def test_a_bad_gradient_oracle_raises_at_the_step(shape):
         with pytest.raises(error, match=re.escape(text)):
             step()
             pytest.fail(f"{name} raised nothing")
+
+
+def test_a_metric_gradient_not_shaped_like_theta_raises():
+    # Mini-batch training never calls the full gradient, so only the recorded grad_norm
+    # sees it: shape (3,) on a d = 5 problem raises there, where it was recorded as the
+    # norm sqrt(3). The vanilla record calls grad; with value_and_grad the grid's
+    # recorded points still call it, since their objective is known.
+    text = "gradient has shape (3,), theta has shape (5,)"
+    cfg = OptimizerConfig(eta=0.1, batch_size=2)
+    p = Problem(
+        "bad-metric", 5, lambda t: 0.5 * float(t @ t), lambda t: np.ones(3),
+        n_samples=4, batch_grad=lambda t, idx: t,
+    )
+    for rna_cfg in (None, RnaConfig(window=2)):
+        with pytest.raises(DimensionMismatch, match=re.escape(text)):
+            run_with_rna(p, cfg, rna_cfg, epochs=3, theta0=np.ones(5))
+    p.value_and_grad = lambda t: (p.f(t), t.copy())
+    run_with_rna(p, cfg, RnaConfig(window=2), epochs=3, theta0=np.ones(5))
+    with pytest.raises(DimensionMismatch, match=re.escape(text)):
+        run_with_rna(p, cfg, RnaConfig(window=2, lam_grid=(1e-8,)), epochs=3, theta0=np.ones(5))
+
+
+def test_a_metric_that_is_not_finite_is_recorded():
+    # Only a step's gradient must be finite: an objective or full gradient that
+    # overflows at the recorded points is recorded as it is.
+    p = Problem(
+        "inf-metric", 3, lambda t: math.inf, lambda t: np.array([np.inf, 0.0, np.nan]),
+        n_samples=4, batch_grad=lambda t, idx: t,
+    )
+    cfg = OptimizerConfig(eta=0.1, batch_size=2)
+    vanilla, accel = run_with_rna(p, cfg, RnaConfig(window=2), epochs=4, theta0=np.ones(3))
+    for r in vanilla + accel:
+        assert r.objective == math.inf and math.isnan(r.grad_norm)
+
+
+def _record_bytes(records) -> list:
+    return [
+        (r.theta.tobytes(), repr(r.objective), repr(r.grad_norm), getattr(r, "lam_used", None))
+        for r in records
+    ]
+
+
+@pytest.mark.parametrize("which", ["quadratic", "logistic", "mlp"])
+def test_records_do_not_depend_on_value_and_grad(which):
+    # The same problem with and without value_and_grad trains, extrapolates and
+    # records the same bits, plain, with a grid and in a stream of several configs.
+    make = {
+        "quadratic": lambda: (make_quadratic(10, 40.0, seed=3), OptimizerConfig(eta=0.02)),
+        "logistic": lambda: (
+            make_logistic(80, 10, 1e-3, seed=3), OptimizerConfig(eta=1.0, batch_size=20)
+        ),
+        "mlp": lambda: (make_mlp(4, 3, 30, seed=3), OptimizerConfig(eta=0.2, batch_size=10)),
+    }[which]
+    configs = [
+        RnaConfig(window=3, lam=1e-8),
+        RnaConfig(window=5, lam=0.0, weight_target="oldest"),
+        RnaConfig(window=4, lam_grid=(1e-10, 1e-6, 1e-2)),
+    ]
+    runs = []
+    for fused in (True, False):
+        p, cfg = make()
+        if not fused:
+            p.value_and_grad = None
+        records = []
+        for record, entries in _stream(p, cfg, configs, 12):
+            records.append(record)
+            records += [e for e in entries if e is not None and not isinstance(e, Exception)]
+        runs.append(_record_bytes(records))
+    assert len(runs[0]) >= 12 + 2 * 11  # the plain and the grid configs record every epoch
+    assert runs[0] == runs[1]
 
 
 def test_run_with_rna_epoch_validation():

@@ -292,3 +292,32 @@ def test_problem_lazy_optimum_is_cached():
     assert p.optimum is not None
     assert p.optimum is not None
     assert len(calls) == 1
+
+
+# ------------------------------------------------------------ value_and_grad
+
+
+def _built_ins():
+    return [
+        make_quadratic(12, 30.0, seed=1),
+        make_logistic(90, 8, 1e-3, seed=4),
+        make_mlp(5, 4, 40, seed=2),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["quadratic", "logistic", "mlp"])
+def test_value_and_grad_has_the_bits_of_f_and_grad(index):
+    # At zero, at drawn points and, for logistic, where the margins overflow exp:
+    # the shared A @ theta, margins or forward pass change no bit.
+    p = _built_ins()[index]
+    rng = np.random.default_rng(index)
+    points = [np.zeros(p.dim)] + [rng.standard_normal(p.dim) * s for s in (0.1, 1.0, 10.0)]
+    if p.name.startswith("logistic"):
+        x, labels = p.extras["features"], p.extras["labels"]
+        huge = 1e3 * rng.standard_normal(p.dim)
+        assert np.abs(labels * (x @ huge)).max() > 710  # exp(710) overflows
+        points.append(huge)
+    for theta in points:
+        value, g = p.value_and_grad(theta)
+        assert repr(value) == repr(p.f(theta))
+        assert g.dtype == np.float64 and g.tobytes() == p.grad(theta).tobytes()
