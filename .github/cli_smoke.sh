@@ -30,6 +30,15 @@ rnacc accelerate "$dir/traj" --k 4 --out "$dir/from_dir.rnac"
 rnacc accelerate "$dir/traj.rnac" --k 4 --lambda-grid 1e-8,1e-6 \
   --scores "$dir/scores.txt" --out "$dir/from_grid.rnac"
 
+# A temporary file that a killed run with rnacc's pid left beside the output blocks no
+# write and is left as it was: exec runs rnacc with the pid of the subshell that made it.
+mkdir "$dir/stale"
+( printf 'stale' > "$dir/stale/.rnacc-$BASHPID.tmp"
+  exec rnacc accelerate "$dir/traj.rnac" --k 4 --out "$dir/stale/x.rnac" )
+cmp "$dir/from_file.rnac" "$dir/stale/x.rnac"
+test "$(ls -A "$dir/stale" | wc -l)" -eq 2
+test "$(cat "$dir"/stale/.rnacc-*.tmp)" = stale
+
 # A window near the bottom of the float64 range, solved at lam = 0, exits 0 with
 # nothing on stderr, or 3 with one error line. The same window near the top, ranked
 # over ridges up to 1e300, exits 0 with nothing on stderr: no numpy warning.

@@ -19,9 +19,9 @@ every header of a file or a directory against its file's size before it reads an
 payload, then reads the payload of the last K+1 iterates only. The reader checks the
 format only: the core checks the values, of the window only.
 
-Every file here is written to ``.rnacc-<pid>.tmp`` beside its target and then
-renamed over it, so a reader sees either the old file or the whole new one;
-a directory listing skips names that start with ``.``.
+Every file here is written to a new ``.rnacc-<pid>-<n>.tmp`` beside its target, n
+from a process-wide counter, and then renamed over it, so a reader sees either the
+old file or the whole new one; a directory listing skips names that start with ``.``.
 
 Metric tables are plain comma-separated text with a header row; scalars
 are rendered with 17 significant digits so that parsing the file back
@@ -30,6 +30,7 @@ recovers every float64 exactly.
 
 from __future__ import annotations
 
+import itertools
 import os
 import stat
 import struct
@@ -50,6 +51,7 @@ _DTYPES = {8: np.dtype("<f8"), 4: np.dtype("<f4")}
 _WIDTHS = {"f64": 8, "f32": 4}
 
 MANIFEST_NAME = "manifest.txt"
+_NAMES = itertools.count()  # n of the writers' temporary files, .rnacc-<pid>-<n>.tmp
 
 METRIC_COLUMNS = (
     "epoch",
@@ -70,10 +72,19 @@ def _split(path) -> tuple[str, str]:
 
 @contextmanager
 def _replacing(path, mode: str, **kwargs):
-    """Open ``.rnacc-<pid>.tmp`` beside ``path`` for writing; on success it replaces
-    ``path``, on any failure it is removed. Mode ``x`` keeps the umask's file mode."""
-    tmp = os.path.join(_split(path)[0], f".rnacc-{os.getpid()}.tmp")
-    fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    """Open a new ``.rnacc-<pid>-<n>.tmp`` beside ``path`` for writing; on success it
+    replaces ``path``, on any failure it is removed. n comes from a process-wide counter,
+    so two writes of one process never share a name; a name that exists (a killed run's
+    file, say) is left alone and the next n taken, at most 100 times. Mode ``x`` keeps
+    the umask's file mode and makes sure the file is this call's own."""
+    for tries_left in reversed(range(100)):
+        tmp = os.path.join(_split(path)[0], f".rnacc-{os.getpid()}-{next(_NAMES)}.tmp")
+        try:
+            fh = open(tmp, mode.replace("w", "x"), **kwargs)
+            break
+        except FileExistsError:
+            if not tries_left:
+                raise
     try:
         with fh:
             yield fh
@@ -199,11 +210,7 @@ def _checkpoint_files(path) -> list:
         except UnicodeDecodeError as exc:
             msg = f"{manifest}: not UTF-8 text ({exc.reason} at byte {exc.start})"
             raise FormatError(msg) from None
-        names = [
-            line.strip()
-            for line in text.splitlines()
-            if line.strip() and not line.strip().startswith("#")
-        ]
+        names = [n for n in map(str.strip, text.splitlines()) if n and not n.startswith("#")]
         nul = [n for n in names if "\0" in n]
         if nul:
             raise FormatError(f"{manifest}: names hold a NUL byte {nul}")
@@ -221,11 +228,8 @@ def _checkpoint_files(path) -> list:
         if missing:
             raise FormatError(f"{path}: manifest names missing files {missing}")
     else:
-        files = sorted(
-            p
-            for p in root.iterdir()
-            if p.is_file() and p.name != MANIFEST_NAME and not p.name.startswith(".")
-        )
+        listed = (p for p in root.iterdir() if not p.name.startswith("."))  # so no temporary file
+        files = sorted(p for p in listed if p.name != MANIFEST_NAME and p.is_file())
     if not files:
         raise FormatError(f"{path}: no checkpoint files found")
     return files

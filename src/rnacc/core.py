@@ -17,16 +17,15 @@ keeps ``theta_K``. The Gram matrix is ``D @ D.T`` and the combination is
 anchored at the newest iterate, ``theta_hat = theta_K - P @ D``, where
 ``P`` holds the prefix sums of c (shifted by one for ``LATEST``). Every entry
 point (:func:`rna`, :func:`adaptive_rna`, :func:`accelerate_checkpoints` and the
-training driver) runs one stage first, ``_window``: keep the last K+1 iterates,
-validate them, difference them and form the Gram matrix. Every iterate's shape is
-checked, but only the window's values: a NaN in an older iterate is ignored. Public
+training driver) runs the same three stages. ``_window`` keeps the last K+1 iterates,
+validates them, differences them and forms the Gram matrix; every iterate's shape is
+checked, but only the window's values. One ``_solve`` call then solves the window's
+ridges over that Gram matrix as one stack: ``lam``, the ridges of ``lam_grid``, or,
+in the training driver, every ridge of the configs that share the window. Last,
+``_extrapolate`` normalizes, ranks and combines each config's own entries. Public
 functions never write into a caller's array: they difference into a buffer of their
 own, or into the stack they made of a list; ``rnacc accelerate`` and the training
 driver difference the matrix they stacked in place.
-Each then solves one stack of systems over that one Gram matrix, ``_solve``: a stack
-of one at ``lam``, one system per ridge of ``lam_grid``, keeping the best-ranked
-point, or, in the training driver, one system per plain ``lam`` of the configs that
-share the window.
 
 Coefficients may be negative; only their sum is constrained. All
 arithmetic is float64 regardless of how iterates were stored.
@@ -230,11 +229,11 @@ def _differenced(window: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return out
 
 
-def _gram(diffs: np.ndarray) -> np.ndarray:
-    """Return ``R^T R`` for a :func:`_differenced` window, formed as ``D @ D.T``."""
-    d = diffs[:-1]
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """Return ``R^T R`` for the residual rows ``D = R^T``, formed as ``D @ D.T``: the one
+    Gram product, of a :func:`_differenced` window's first K rows or of ``R.T``."""
     with np.errstate(over="ignore"):  # _solve reports a Gram matrix that overflowed
-        return d @ d.T
+        return rows @ rows.T
 
 
 def _window(
@@ -249,7 +248,7 @@ def _window(
     mat = _validated(iterates, window + 1, total)
     made = not isinstance(iterates, np.ndarray) or not np.may_share_memory(mat, iterates)
     diffs = _differenced(mat, overwrite or made)
-    return diffs, _gram(diffs)
+    return diffs, _gram(diffs[:-1])
 
 
 def _combine(diffs: np.ndarray, weights: np.ndarray, target: WeightTarget) -> np.ndarray:
@@ -356,9 +355,7 @@ def solve_regularized(residuals: np.ndarray, lam: float) -> np.ndarray:
         raise NumericalFailure("residual matrix contains NaN or infinite entries")
     if not (lam >= 0.0) or not math.isfinite(lam):
         raise InvalidConfig(f"lam must be finite and >= 0, got {lam}")
-    with np.errstate(over="ignore"):  # reported by _solve
-        gram = r.T @ r
-    solved = _solve(gram, (float(lam),))[0]
+    solved = _solve(_gram(r.T), (float(lam),))[0]
     if isinstance(solved, RnaError):
         raise solved
     return solved[0]
@@ -433,35 +430,39 @@ def rna(iterates, config: RnaConfig | None = None) -> tuple[np.ndarray, Coeffici
         (theta_hat, coefficients).
     """
     cfg = config if config is not None else RnaConfig()
-    theta_hat, _, coeffs, _ = _extrapolate(*_window(iterates, cfg.window), cfg)
+    diffs, gram = _window(iterates, cfg.window)
+    if cfg.lam_grid is not None:
+        raise InvalidConfig("a lam_grid is ranked by a score; use adaptive_rna, or drop the grid")
+    theta_hat, _, coeffs, _ = _extrapolate(diffs, cfg, _solve(gram, (cfg.lam,)))
     return theta_hat, coeffs
 
 
-def _extrapolate(diffs, gram, config, rank=None, fallback_score=None, solved=None):
-    """Extrapolate a :func:`_differenced` window from its :func:`_gram`, plain or grid.
+def _ridges(config: RnaConfig) -> tuple[float, ...]:
+    """The ridges that ``config`` solves: its grid, or its one ``lam``."""
+    return config.lam_grid or (config.lam,)
 
-    Returns (theta_hat, lam_star, coefficients, score). Without a grid: one solve at
-    ``config.lam`` whose errors raise, ``lam_star`` its ``lam_used`` and no score;
-    ``solved`` is that ridge's entry of a :func:`_solve` over ``gram`` when the caller
-    solved it in a stack with others. With a grid: the policy of :func:`adaptive_rna`,
-    ``rank(coefficients)`` scoring each ridge and ``fallback_score`` the last iterate;
-    a grid without ``rank`` raises InvalidConfig.
+
+def _extrapolate(diffs, config, entries, rank=None, fallback_score=None):
+    """Extrapolate a :func:`_differenced` window, plain or grid, from ``entries``: the
+    :func:`_solve` entries of ``config``'s :func:`_ridges`, in order, over its Gram matrix.
+
+    Returns (theta_hat, lam_star, coefficients, score). Without a grid: the one entry,
+    whose error raises, ``lam_star`` its ``lam_used`` and no score. With a grid: the
+    policy of :func:`adaptive_rna`, ``rank(coefficients)`` scoring each ridge and
+    ``fallback_score`` the last iterate.
     """
     if config.lam_grid is None:
-        if solved is None:
-            solved = _solve(gram, (config.lam,))[0]
-        if isinstance(solved, RnaError):
-            raise solved
-        coeffs = normalize(*solved)
+        (entry,) = entries
+        if isinstance(entry, RnaError):
+            raise entry
+        coeffs = normalize(*entry)
         return _combine(diffs, coeffs.weights, config.weight_target), coeffs.lam_used, coeffs, None
-    if rank is None:
-        raise InvalidConfig("a lam_grid is ranked by a score; use adaptive_rna, or drop the grid")
     best_lam, best_coeffs, best_score = None, None, fallback_score
-    for lam, solved in zip(config.lam_grid, _solve(gram, config.lam_grid)):
+    for lam, entry in zip(config.lam_grid, entries):
         try:
-            if isinstance(solved, RnaError):
-                raise solved
-            coeffs = normalize(*solved)
+            if isinstance(entry, RnaError):
+                raise entry
+            coeffs = normalize(*entry)
         except (DegenerateSum, SingularSystem):
             continue
         s = rank(coeffs)
@@ -498,7 +499,7 @@ def adaptive_rna(
         raise InvalidConfig("adaptive_rna requires a config with lam_grid set")
     diffs, gram = _window(iterates, config.window)
     return _extrapolate(
-        diffs, gram, config,
+        diffs, config, _solve(gram, config.lam_grid),
         lambda c: float(score(_combine(diffs, c.weights, config.weight_target))),
         float(score(diffs[-1].copy())),
     )[:3]
@@ -524,13 +525,12 @@ def _accelerate(
     at least the window's: the scores are counted against it.
     """
     diffs, gram = _window(iterates, cfg.window, overwrite, total)
-    count = len(iterates) if total is None else total
-    if scores is not None and scores.size != count:
-        raise InvalidConfig(
-            f"{scores.size} scores for {count} checkpoints; counts must match"
-        )
+    if scores is not None:
+        count = len(iterates) if total is None else total
+        if scores.size != count:
+            raise InvalidConfig(f"{scores.size} scores for {count} checkpoints; counts must match")
     return _extrapolate(
-        diffs, gram, cfg,
+        diffs, cfg, _solve(gram, _ridges(cfg)),
         lambda c: float(c.weights @ scores[-len(c):]),  # c weights the last len(c) iterates
         None if scores is None else float(scores[-1]),
     )[:3]

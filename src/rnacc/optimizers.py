@@ -17,7 +17,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .core import RnaConfig, _combine, _extrapolate, _solve, _window
+from .core import RnaConfig, _combine, _extrapolate, _ridges, _solve, _window
 from .errors import DegenerateSum, DimensionMismatch, InvalidConfig, NumericalFailure
 from .errors import RnaError, _require_int
 from .problems import Problem
@@ -244,11 +244,11 @@ def _stream(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop=False, theta0=None
     ``flush_on_drop``.
     Within an epoch one loop visits the live configs by window, holding one window at a
     time: each distinct window length is stacked, checked, differenced and its Gram
-    matrix formed once, the distinct plain lams of its configs are solved as one stack,
-    and each distinct (length, lam, lam_grid, weight_target) is extrapolated and
-    evaluated once; configs that share one share its entry. Each recorded point is
-    evaluated by :func:`_evaluated`, in one ``problem.value_and_grad`` call when the
-    problem has one.
+    matrix formed once, the distinct ridges of its configs (plain lams and grid ridges
+    alike) are solved in one ``_solve`` call, and each distinct (length, lam, lam_grid,
+    weight_target) is extrapolated from its own entries and evaluated once; configs
+    that share one share its entry. Each recorded point is evaluated by
+    :func:`_evaluated`, in one ``problem.value_and_grad`` call when the problem has one.
     """
     epochs = _require_int("epochs", epochs)
     theta = np.zeros(problem.dim) if theta0 is None else np.array(theta0, float).ravel()
@@ -283,19 +283,17 @@ def _epochs(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop, theta):
         by_window = sorted(live, key=lambda i: rna_cfgs[i].window)  # one window held at a time
         for length, group in groupby(by_window, lambda i: min(len(ring), rna_cfgs[i].window + 1)):
             cfgs = [(i, rna_cfgs[i]) for i in group]
-            window, solved, points = (None, None), {}, {}
+            points = {}
             if length > 1:  # the window stacked from the ring's list is differenced in place
-                window = _window(list(ring)[-length:], length - 1)
-                lams = list(dict.fromkeys(c.lam for _, c in cfgs if c.lam_grid is None))
-                if lams:  # the window's plain ridges, solved as one stack
-                    solved = dict(zip(lams, _solve(window[1], lams)))
+                diffs, gram = _window(list(ring)[-length:], length - 1)
+                lams = list(dict.fromkeys(lam for _, c in cfgs for lam in _ridges(c)))
+                solved = dict(zip(lams, _solve(gram, lams)))  # every ridge, one stack
             for i, cfg in cfgs:
                 key = (cfg.lam, cfg.lam_grid, cfg.weight_target) if length > 1 else None
                 if key not in points:
+                    own = (diffs, [solved[lam] for lam in _ridges(cfg)]) if length > 1 else ()
                     try:
-                        points[key] = _extrapolated(
-                            problem, record, *window, cfg, solved.get(cfg.lam)
-                        )
+                        points[key] = _extrapolated(problem, record, cfg, *own)
                     except RnaError as exc:
                         points[key] = exc
                 entries[i] = points[key]
@@ -316,19 +314,16 @@ def _evaluated(problem, theta, objective=None) -> tuple[float, float]:
     return float(objective), float(np.linalg.norm(_shaped(g, theta)))
 
 
-def _extrapolated(problem, record, diffs, gram, cfg, solved=None) -> AccelRecord:
-    """``record``'s epoch extrapolated from ``diffs`` and its ``gram`` (None: a copy of it).
-    ``solved`` is as for :func:`_extrapolate`: the entry of ``cfg.lam`` in a stacked solve."""
+def _extrapolated(problem, record, cfg, diffs=None, entries=None) -> AccelRecord:
+    """``record``'s epoch extrapolated from ``diffs`` and ``entries``, as for
+    :func:`_extrapolate` (without ``diffs``, a copy of it)."""
     theta_hat, coeffs, objective = record.theta, None, None
     if diffs is not None:
         try:  # a grid is ranked by f: its score is the objective, the fallback's the record's
             theta_hat, _, coeffs, objective = _extrapolate(
-                diffs,
-                gram,
-                cfg,
+                diffs, cfg, entries,
                 lambda c: float(problem.f(_combine(diffs, c.weights, cfg.weight_target))),
                 record.objective,
-                solved,
             )
         except DegenerateSum:
             theta_hat, coeffs = record.theta, None

@@ -2,7 +2,9 @@
 
 import csv
 import os
+import re
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -138,9 +140,37 @@ def test_write_that_raises_midway_leaves_no_file(tmp_path):
     with pytest.raises(RuntimeError):
         with checkpoint._replacing(path, "wb") as fh:
             fh.write(b"RNAC")
-            assert [p.name for p in tmp_path.iterdir()] == [f".rnacc-{os.getpid()}.tmp"]
+            [name] = [p.name for p in tmp_path.iterdir()]
+            assert re.fullmatch(rf"\.rnacc-{os.getpid()}-\d+\.tmp", name)
             raise RuntimeError("midway")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_stale_temporary_file_is_left_alone(tmp_path):
+    # A killed run with this process's pid left its temporary file behind: under the old
+    # name, and under the name this process's next write would take. Neither blocks it.
+    pid = os.getpid()
+    stale = {f".rnacc-{pid}.tmp": b"old", f".rnacc-{pid}-{next(checkpoint._NAMES) + 1}.tmp": b"new"}
+    for name, data in stale.items():
+        (tmp_path / name).write_bytes(data)
+    write_checkpoints(tmp_path / "a.rnac", np.ones((2, 3)))
+    np.testing.assert_array_equal(read_checkpoints(tmp_path / "a.rnac"), np.ones((2, 3)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*stale, "a.rnac"])
+    assert all((tmp_path / name).read_bytes() == data for name, data in stale.items())
+
+
+def test_threads_writing_into_one_directory_do_not_collide(tmp_path):
+    def write(thread):
+        for i in range(50):
+            write_checkpoints(tmp_path / f"{thread}-{i}.rnac", np.full((1, 3), 100.0 * thread + i))
+
+    with ThreadPoolExecutor(2) as pool:
+        list(pool.map(write, range(2)))
+    assert len(list(tmp_path.iterdir())) == 100
+    for thread in range(2):
+        for i in range(50):
+            got = read_checkpoints(tmp_path / f"{thread}-{i}.rnac")
+            np.testing.assert_array_equal(got, np.full((1, 3), 100.0 * thread + i))
 
 
 def test_directory_listing_skips_dot_files(tmp_path):

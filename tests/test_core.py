@@ -1,5 +1,6 @@
 """Extrapolation pipeline: spec'd examples, invariants, property tests."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -673,11 +674,11 @@ def test_grid_solved_as_one_stack_equals_ridge_by_ridge(monkeypatch, failing, at
     if failing == "nonfinite":
         message = f"residual Gram matrix is not finite with the ridge {used[at]:g} added"
         with pytest.raises(NumericalFailure, match=re.escape(message)):
-            core._extrapolate(diffs, gram, cfg, rank, float(scores[-1]))
+            core._extrapolate(diffs, cfg, core._solve(gram, grid), rank, float(scores[-1]))
         with pytest.raises(NumericalFailure, match=re.escape(message)):
             _ridge_by_ridge(diffs, gram, cfg, rank, float(scores[-1]))
         return
-    got = core._extrapolate(diffs, gram, cfg, rank, float(scores[-1]))
+    got = core._extrapolate(diffs, cfg, core._solve(gram, grid), rank, float(scores[-1]))
     want = _ridge_by_ridge(diffs, gram, cfg, rank, float(scores[-1]))
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:2] + got[3:] == want[1:2] + want[3:]
@@ -742,3 +743,89 @@ def test_config_validation():
 def test_coefficients_container():
     c = Coefficients(np.array([0.5, 0.5]), 1e-8, np.array([2.0, 2.0]))
     assert len(c) == 2
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-30, 1e-8])
+def test_step_api_gives_rnas_bits_on_gd_windows(lam):
+    # build_residuals, solve_regularized, normalize and extrapolate, called one after
+    # another, give rna's z and theta_hat bit for bit at K = 2..20, or its error: at
+    # lam = 0 the Gram matrix of a window past K = 7 or so is singular.
+    problem = make_quadratic(30, 100.0, seed=5)
+    traj = gd_trajectory(problem, np.ones(30), 1.0 / problem.smoothness, 40)
+    solved = 0
+    for end, k in itertools.product((21, 41), range(2, 21)):
+        w = traj[end - k - 1 : end]
+        try:
+            theta_hat, coeffs = rna(w, RnaConfig(window=k, lam=lam))
+        except RnaError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                normalize(solve_regularized(build_residuals(w), lam))
+            continue
+        z = solve_regularized(build_residuals(w), lam)
+        assert z.tobytes() == coeffs.raw_solution.tobytes(), (end, k)
+        assert extrapolate(w, normalize(z)).tobytes() == theta_hat.tobytes(), (end, k)
+        solved += 1
+    assert solved >= 10 and (lam == 0.0 or solved == 38)
+
+
+def test_accelerate_checkpoints_reads_an_iterator():
+    # Without scores nothing counts the iterates, so an iterator is read once, as by rna.
+    problem, traj = _quadratic_trajectory()
+    its = list(traj)
+    theta_hat, lam_star, coeffs = accelerate_checkpoints(iter(its), 3, 1e-8)
+    want, want_coeffs = rna(its, RnaConfig(3, 1e-8))
+    assert theta_hat.tobytes() == want.tobytes()
+    assert coeffs.weights.tobytes() == want_coeffs.weights.tobytes()
+    assert lam_star == want_coeffs.lam_used
+
+
+def test_every_path_solves_its_window_in_one_call(tmp_path, monkeypatch):
+    # One _solve call per window, over all of its config's ridges, on every path:
+    # rna, adaptive_rna, accelerate_checkpoints, rnacc accelerate, and each epoch of a
+    # rnacc run --lambda-grid once its window holds two iterates.
+    import rnacc.core as core
+    import rnacc.optimizers as optimizers
+    from rnacc import write_checkpoints
+    from rnacc.cli import main
+
+    stacks, solve = [], core._solve
+
+    def counted(gram, lams):
+        stacks.append(len(lams))
+        return solve(gram, lams)
+
+    monkeypatch.setattr(core, "_solve", counted)
+    monkeypatch.setattr(optimizers, "_solve", counted)
+    problem, traj = _quadratic_trajectory()
+    grid = (1e-10, 1e-8, 1e-6)
+    scores = [problem.f(t) for t in traj]
+    write_checkpoints(tmp_path / "traj.rnac", traj)
+    (tmp_path / "scores.txt").write_text("".join(f"{s!r}\n" for s in scores))
+    accelerate = ["accelerate", str(tmp_path / "traj.rnac"), "--k", "5"]
+    grid_flags = ["--lambda-grid", "1e-10,1e-8,1e-6", "--scores", str(tmp_path / "scores.txt")]
+    run = ["run", "--problem", "logistic", "--epochs", "6", "--k", "4"]
+    calls = {
+        "rna": (lambda: rna(traj, RnaConfig(window=5)), [1]),
+        "adaptive_rna": (
+            lambda: adaptive_rna(traj, RnaConfig(window=5, lam_grid=grid), problem.f), [3]
+        ),
+        "accelerate_checkpoints": (lambda: accelerate_checkpoints(traj, 5, 1e-8), [1]),
+        "accelerate_checkpoints, grid": (
+            lambda: accelerate_checkpoints(traj, 5, 1e-8, grid, scores), [3]
+        ),
+        "rnacc accelerate": (
+            lambda: main([*accelerate, "--out", str(tmp_path / "o.rnac")]), [1]
+        ),
+        "rnacc accelerate, grid": (
+            lambda: main([*accelerate, *grid_flags, "--out", str(tmp_path / "g.rnac")]), [3]
+        ),
+        "rnacc run --lambda-grid": (
+            lambda: main([*run, "--lambda-grid", "1e-10,1e-6", "--out", str(tmp_path / "m.csv")]),
+            [2] * 5,
+        ),
+    }
+    for name, (call, want) in calls.items():
+        stacks.clear()
+        call()
+        assert stacks == want, name
+    assert all((tmp_path / name).stat().st_size for name in ("o.rnac", "g.rnac", "m.csv"))

@@ -26,7 +26,7 @@ from rnacc import (
     sgd_momentum_epoch,
     write_metrics,
 )
-from rnacc import core
+from rnacc import core, optimizers
 from rnacc.optimizers import _stream
 
 
@@ -259,7 +259,7 @@ def test_run_with_rna_records_the_ridge_that_entered_the_solve():
         if a.lam_used is None:
             continue
         window = np.vstack([v.theta for v in vanilla[max(0, t - 5) : t + 1]])
-        gram = core._gram(core._differenced(window))
+        gram = core._gram(core._differenced(window)[:-1])
         assert a.lam_used == 10.0 * np.finfo(np.float64).eps * float(np.trace(gram))
         extrapolated += 1
     assert extrapolated >= 10
@@ -462,3 +462,28 @@ def test_run_with_rna_epoch_validation():
         run_with_rna(p, cfg, None, epochs=0)
     with pytest.raises(InvalidConfig):
         run_with_rna(p, cfg, None, epochs=3, theta0=np.zeros(5))
+
+
+def test_a_windows_plain_and_grid_ridges_are_one_stack(monkeypatch):
+    # Configs that share a window solve every ridge they need, plain lams and grid ridges
+    # alike, in one _solve call per epoch, a shared ridge once; each config records the
+    # bits of its own run.
+    p = make_logistic(80, 10, 1e-3, seed=4)
+    cfg = OptimizerConfig(eta=1.0, batch_size=20, seed=1)
+    configs = [
+        RnaConfig(window=4, lam=1e-8),
+        RnaConfig(window=4, lam_grid=(1e-10, 1e-8, 1e-6)),
+        RnaConfig(window=4, lam=0.0, weight_target="oldest"),
+    ]
+    alone = [run_with_rna(p, cfg, rna_cfg, epochs=10)[1] for rna_cfg in configs]
+    stacks, solve = [], core._solve
+
+    def counted(gram, lams):
+        stacks.append(sorted(lams))
+        return solve(gram, lams)
+
+    monkeypatch.setattr(optimizers, "_solve", counted)
+    streamed = [entries for _, entries in _stream(p, cfg, configs, 10)]
+    assert stacks == [[0.0, 1e-10, 1e-8, 1e-6]] * 9
+    for i, records in enumerate(alone):
+        assert _record_bytes([entries[i] for entries in streamed]) == _record_bytes(records)
