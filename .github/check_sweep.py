@@ -2,7 +2,7 @@
 
     python .github/check_sweep.py DIR
 
-Runs three sweeps through the console script, each into DIR/<name>/sweep, then
+Runs four sweeps through the console script, each into DIR/<name>/sweep, then
 ``rnacc run`` with the same settings and each cell's ``--k`` and ``--lambda``
 into DIR/<name>/run_k{K}_lam{lambda}.csv:
 
@@ -12,9 +12,11 @@ into DIR/<name>/run_k{K}_lam{lambda}.csv:
   at epochs 5 and 9 with ``flush_on_drop = true``, so each window restarts at a
   drop; ``--k-list 2,4,20 --lambda-list 1e-10,1e-6``.
 - ``fallback``: DIR/unflushed.spec, the same 12-d problem trained for 20 epochs
-  without the flush; ``--k-list 4,16 --lambda-list 0,1e-10,1e-6``. From epoch 13
-  a window of 17 iterates has 16 residuals in 12 dimensions, so the cell k=16
+  without the flush; ``--k-list 4,16 --lambda-list 0,1e-10,1e-6``. At epoch 16 a
+  window of 16 iterates has 15 residuals in 12 dimensions, so the cell k=16
   lambda=0 fails as singular, and its window's other ridges are solved one by one.
+- ``longest-dead``: the same spec with ``--k-list 4,16 --lambda-list 0``. Once
+  k=16 lambda=0 fails, no cell of the longest window is left, and k=4 goes on alone.
 
 The sweep trains once for all cells. An ok cell's file must equal its run's, which
 exits 0; a failed cell's summary error must be the message of its run, which exits
@@ -94,5 +96,9 @@ cells += check(
 cells += check(
     os.path.join(root, "fallback"), ["--spec", specs["unflushed"]], ("4", "16"),
     ("0", "1e-10", "1e-6"), failing={("16", "0")},
+)
+cells += check(
+    os.path.join(root, "longest-dead"), ["--spec", specs["unflushed"]], ("4", "16"), ("0",),
+    failing={("16", "0")},
 )
 print(f"{cells} sweep cells equal their runs")

@@ -12,7 +12,7 @@ from collections import deque
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, OrderingViolation, _require_int
+from .errors import DimensionMismatch, InvalidConfig, OrderingViolation, _read, _require_int
 
 
 class SlidingBuffer:
@@ -20,7 +20,8 @@ class SlidingBuffer:
 
     def __init__(self, capacity: int):
         capacity = _require_int("capacity", capacity)
-        self._entries: deque[tuple[int, np.ndarray]] = deque(maxlen=capacity)
+        entries = _read("capacity", capacity, lambda c: deque(maxlen=c), "fit in a C ssize_t")
+        self._entries: deque[tuple[int, np.ndarray]] = entries
 
     @property
     def capacity(self) -> int:

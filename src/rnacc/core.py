@@ -18,14 +18,14 @@ anchored at the newest iterate, ``theta_hat = theta_K - P @ D``, where
 ``P`` holds the prefix sums of c (shifted by one for ``LATEST``). Every entry
 point (:func:`rna`, :func:`adaptive_rna`, :func:`accelerate_checkpoints` and the
 training driver) runs the same three stages. ``_window`` keeps the last K+1 iterates,
-validates them, differences them and forms the Gram matrix; every iterate's shape is
-checked, but only the window's values. One ``_solve`` call then solves the window's
-ridges over that Gram matrix as one stack: ``lam``, the ridges of ``lam_grid``, or,
-in the training driver, every ridge of the configs that share the window. Last,
-``_extrapolate`` normalizes, ranks and combines each config's own entries. Public
-functions never write into a caller's array: they difference into a buffer of their
-own, or into the stack they made of a list; ``rnacc accelerate`` and the training
-driver difference the matrix they stacked in place.
+validates them (every iterate's shape, only the window's values) and differences them;
+the driver runs it once per epoch, and a shorter window is a suffix of its rows. One
+``_solve`` call then solves the window's ridges over its ``_gram`` as one stack: ``lam``,
+the ridges of ``lam_grid``, or, in the training driver, every ridge of the configs that
+share the window. Last, ``_extrapolate`` normalizes, ranks and combines each config's
+own entries. Public functions never write into a caller's array: they difference into a
+buffer of their own, or into the stack they made of a list; ``rnacc accelerate`` and the
+training driver difference the matrix they stacked in place.
 
 Coefficients may be negative; only their sum is constrained. All
 arithmetic is float64 regardless of how iterates were stored.
@@ -48,6 +48,7 @@ from .errors import (
     RnaError,
     SingularSystem,
     WindowTooSmall,
+    _read,
     _require_int,
 )
 from .linalg import refined_spd_solve
@@ -117,11 +118,11 @@ class RnaConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "window", _require_int("window", self.window))
-        if not (self.lam >= 0.0) or not math.isfinite(self.lam):
+        if not _read("lam", self.lam, lambda v: v >= 0.0 and math.isfinite(v), "be a float"):
             raise InvalidConfig(f"lam must be finite and >= 0, got {self.lam}")
         object.__setattr__(self, "lam", float(self.lam) + 0.0)  # -0.0 is stored as 0.0
         if self.lam_grid is not None:
-            grid = tuple(float(g) for g in self.lam_grid)
+            grid = _read("lam_grid", self.lam_grid, lambda g: tuple(map(float, g)), "hold numbers")
             if not grid:
                 raise InvalidConfig("lam_grid must be nonempty when given")
             if any(not (g > 0.0) or not math.isfinite(g) for g in grid):
@@ -159,9 +160,9 @@ def as_iterate_matrix(iterates) -> np.ndarray:
     """Validate and stack iterates into an (m, d) float64 matrix.
 
     Accepts a 2-D array (rows = iterates, oldest first) or a sequence of
-    1-D vectors; a float64 array comes back as is, not copied. Raises
-    DimensionMismatch for ragged input and NumericalFailure naming the
-    first iterate (0-based, oldest first) with NaN or infinite entries.
+    1-D vectors; a float64 array comes back as is, not copied. Raises DimensionMismatch
+    for ragged input or an array that is not 2-D and NumericalFailure naming the first
+    iterate (0-based, oldest first) with NaN or infinite entries.
     """
     return _stacked(iterates)
 
@@ -172,14 +173,14 @@ def _stacked(iterates, keep: int | None = None, total: int | None = None) -> np.
     value check of every path, checkpoint files included. ``total`` is the length of
     the whole sequence when ``iterates`` holds only its last iterates, so that an error
     counts iterates in the whole sequence."""
-    if isinstance(iterates, np.ndarray) and iterates.ndim == 2:
+    if isinstance(iterates, (np.ndarray, np.generic)):  # a numpy scalar too: it has no rows
+        if iterates.ndim != 2:
+            raise DimensionMismatch(f"an iterate array must be 2-D, got shape {iterates.shape}")
         rows = iterates
     else:
         rows = [np.asarray(v) for v in iterates]  # only the kept ones become float64
-        if not rows:
-            raise WindowTooSmall("empty iterate sequence")
         dims = {r.shape for r in rows}
-        if len(dims) != 1 or rows[0].ndim != 1:
+        if len(dims) > 1 or any(len(shape) != 1 for shape in dims):  # none: WindowTooSmall below
             raise DimensionMismatch(
                 f"iterates must share one dimension, got shapes {sorted(dims)}"
             )
@@ -200,16 +201,6 @@ def _stacked(iterates, keep: int | None = None, total: int | None = None) -> np.
                 f"iterate {skipped + bad} of {skipped + len(mat)} "
                 "contains NaN or infinite entries"
             )
-    return mat
-
-
-def _validated(iterates, keep: int | None = None, total: int | None = None) -> np.ndarray:
-    """:func:`_stacked`, plus the two iterates every stage needs."""
-    mat = _stacked(iterates, keep, total)
-    if mat.shape[0] < 2:
-        raise WindowTooSmall(
-            f"need at least 2 iterates to extrapolate, got {mat.shape[0]}"
-        )
     return mat
 
 
@@ -237,18 +228,19 @@ def _gram(rows: np.ndarray) -> np.ndarray:
 
 
 def _window(
-    iterates, window: int, overwrite: bool = False, total: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The stage every entry point runs first: keep the last ``window + 1`` iterates,
-    validate them (every iterate's shape, the kept ones' values) and return their
-    :func:`_differenced` rows and :func:`_gram`. ``overwrite`` differences the kept
-    rows of ``iterates`` in place, for a caller that owns it and no longer needs it; a
-    stack that rnacc made (of a list, or converted to float64) is differenced in place
-    too. ``total`` is as in :func:`_stacked`."""
-    mat = _validated(iterates, window + 1, total)
+    iterates, window: int | None, overwrite: bool = False, total: int | None = None
+) -> np.ndarray:
+    """The stage every entry point runs first: keep the last ``window + 1`` iterates
+    (every one when ``window`` is None), validate them (every iterate's shape, the kept
+    ones' values, at least two of them) and return their :func:`_differenced` rows.
+    ``overwrite`` differences the kept rows of ``iterates`` in place, for a caller that
+    owns it and no longer needs it; a stack that rnacc made (of a list, or converted to
+    float64) is differenced in place too. ``total`` is as in :func:`_stacked`."""
+    mat = _stacked(iterates, None if window is None else window + 1, total)
+    if mat.shape[0] < 2:
+        raise WindowTooSmall(f"need at least 2 iterates to extrapolate, got {mat.shape[0]}")
     made = not isinstance(iterates, np.ndarray) or not np.may_share_memory(mat, iterates)
-    diffs = _differenced(mat, overwrite or made)
-    return diffs, _gram(diffs[:-1])
+    return _differenced(mat, overwrite or made)
 
 
 def _combine(diffs: np.ndarray, weights: np.ndarray, target: WeightTarget) -> np.ndarray:
@@ -279,7 +271,7 @@ def build_residuals(iterates) -> np.ndarray:
         DimensionMismatch: Iterates of inconsistent dimension.
         NumericalFailure: Non-finite entries.
     """
-    return _differenced(_validated(iterates))[:-1].T
+    return _window(iterates, None)[:-1].T
 
 
 def _shifted(gram: np.ndarray, lams) -> tuple[list[float], np.ndarray]:
@@ -430,10 +422,10 @@ def rna(iterates, config: RnaConfig | None = None) -> tuple[np.ndarray, Coeffici
         (theta_hat, coefficients).
     """
     cfg = config if config is not None else RnaConfig()
-    diffs, gram = _window(iterates, cfg.window)
+    diffs = _window(iterates, cfg.window)
     if cfg.lam_grid is not None:
         raise InvalidConfig("a lam_grid is ranked by a score; use adaptive_rna, or drop the grid")
-    theta_hat, _, coeffs, _ = _extrapolate(diffs, cfg, _solve(gram, (cfg.lam,)))
+    theta_hat, _, coeffs, _ = _extrapolate(diffs, cfg, _solve(_gram(diffs[:-1]), (cfg.lam,)))
     return theta_hat, coeffs
 
 
@@ -497,9 +489,9 @@ def adaptive_rna(
     """
     if config.lam_grid is None:
         raise InvalidConfig("adaptive_rna requires a config with lam_grid set")
-    diffs, gram = _window(iterates, config.window)
+    diffs = _window(iterates, config.window)
     return _extrapolate(
-        diffs, config, _solve(gram, config.lam_grid),
+        diffs, config, _solve(_gram(diffs[:-1]), config.lam_grid),
         lambda c: float(score(_combine(diffs, c.weights, config.weight_target))),
         float(score(diffs[-1].copy())),
     )[:3]
@@ -524,13 +516,13 @@ def _accelerate(
     ``total`` counts the checkpoints when ``iterates`` holds only the last of them,
     at least the window's: the scores are counted against it.
     """
-    diffs, gram = _window(iterates, cfg.window, overwrite, total)
+    diffs = _window(iterates, cfg.window, overwrite, total)
     if scores is not None:
         count = len(iterates) if total is None else total
         if scores.size != count:
             raise InvalidConfig(f"{scores.size} scores for {count} checkpoints; counts must match")
     return _extrapolate(
-        diffs, cfg, _solve(gram, _ridges(cfg)),
+        diffs, cfg, _solve(_gram(diffs[:-1]), _ridges(cfg)),
         lambda c: float(c.weights @ scores[-len(c):]),  # c weights the last len(c) iterates
         None if scores is None else float(scores[-1]),
     )[:3]

@@ -53,12 +53,17 @@ class FormatError(RnaError):
     """A checkpoint file does not conform to the binary layout."""
 
 
+def _read(name: str, value, read, requirement: str):
+    """``read(value)``, or InvalidConfig if it raises TypeError, ValueError or OverflowError."""
+    try:
+        return read(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidConfig(f"{name} must {requirement}, got {value!r}") from None
+
+
 def _require_int(name: str, value, minimum: int | None = 1) -> int:
     """``value`` as an int; InvalidConfig unless a whole number >= ``minimum`` (if any)."""
-    try:
-        if int(value) == value and (minimum is None or value >= minimum):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):  # NaN, inf, not a number
-        pass
-    kind = {1: "a positive", 0: "a nonnegative"}.get(minimum, "an")
-    raise InvalidConfig(f"{name} must be {kind} integer, got {value}")
+    need = "be " + {1: "a positive", 0: "a nonnegative"}.get(minimum, "an") + " integer"
+    if not _read(name, value, lambda v: int(v) == v and (minimum is None or v >= minimum), need):
+        raise InvalidConfig(f"{name} must {need}, got {value!r}")  # NaN and inf: _read raises
+    return int(value)

@@ -318,15 +318,15 @@ def _sweep_cells(spec: ExperimentSpec, windows, lams, out_dir) -> list[tuple[Rna
 def sweep(spec: ExperimentSpec, windows, lams, out_dir, inputs=()) -> list[SweepCell]:
     """Train once, extrapolating each epoch for all (window, lambda) cells as it ends.
 
-    Cells share what they have in common: per epoch, each distinct window is differenced
-    and its Gram matrix formed once, its cells' lambdas are solved in one ``_solve`` call
-    (one stack per window, as on every path), each distinct (window, lambda) point is
-    evaluated once (f and its gradient in one ``value_and_grad`` call where the problem
-    has one), and only the last ``max(windows) + 1`` iterates are held, never the whole
-    vanilla trace. Each cell writes the ``metrics_k{K}_lam{lambda:g}.csv`` that
-    :func:`run_experiment` would, byte for byte; a cell keeps its metrics rows and final
-    objectives, never the extrapolated points. A failing cell is recorded in
-    ``summary.csv`` and spares the others.
+    Cells share what they have in common: per epoch, the longest live window is
+    differenced once and a shorter one is a suffix of it, each window forms its Gram
+    matrix once and solves its cells' lambdas in one ``_solve`` call, each distinct
+    (window, lambda) point is evaluated once (f and its gradient in one ``value_and_grad``
+    call where the problem has one), and only the last ``max(windows) + 1`` iterates are
+    held, never the whole vanilla trace. Each cell writes the
+    ``metrics_k{K}_lam{lambda:g}.csv`` that :func:`run_experiment` would, byte for byte;
+    a cell keeps its metrics rows and final objectives, never the extrapolated points. A
+    failing cell is recorded in ``summary.csv`` and spares the others.
     ``inputs`` holds ``(label, path)`` pairs of files the sweep must not overwrite,
     such as its spec file. A spec that sets ``rna.lambda_grid`` or ``checkpoints_out``,
     which a sweep does not use, bad cells, two cells sharing a file name, an output on

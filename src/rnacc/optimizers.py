@@ -17,9 +17,9 @@ from itertools import groupby
 
 import numpy as np
 
-from .core import RnaConfig, _combine, _extrapolate, _ridges, _solve, _window
+from .core import RnaConfig, _combine, _extrapolate, _gram, _ridges, _solve, _window
 from .errors import DegenerateSum, DimensionMismatch, InvalidConfig, NumericalFailure
-from .errors import RnaError, _require_int
+from .errors import RnaError, _read, _require_int
 from .problems import Problem
 
 __all__ = [
@@ -55,15 +55,17 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
+        if not _read("eta", self.eta, lambda v: v > 0.0 and math.isfinite(v), "be a float"):
             raise InvalidConfig(f"eta must be positive and finite, got {self.eta}")
-        if not (0.0 <= self.momentum < 1.0):
+        if not _read("momentum", self.momentum, lambda v: 0.0 <= v < 1.0, "be a float"):
             raise InvalidConfig(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not (self.weight_decay >= 0.0 and math.isfinite(self.weight_decay)):
-            raise InvalidConfig(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        sched = tuple(
-            (_require_int("schedule epoch", e, minimum=0), float(m)) for e, m in self.schedule
+        decay = self.weight_decay
+        if not _read("weight_decay", decay, lambda v: v >= 0.0 and math.isfinite(v), "be a float"):
+            raise InvalidConfig(f"weight_decay must be finite and >= 0, got {decay}")
+        pairs = _read(
+            "schedule", self.schedule, lambda s: [(e, float(m)) for e, m in s], "hold number pairs"
         )
+        sched = tuple((_require_int("schedule epoch", e, minimum=0), m) for e, m in pairs)
         if not all(m > 0.0 and math.isfinite(m) for _, m in sched):
             raise InvalidConfig("schedule multipliers must be finite and positive")
         if any(b[0] <= a[0] for a, b in zip(sched, sched[1:])):
@@ -241,14 +243,12 @@ def _stream(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop=False, theta0=None
     only for an oracle that wrote into a kept iterate, and that is raised too. Config i
     extrapolates the last ``rna_cfgs[i].window + 1`` iterates of a ring that holds the
     newest ``min(max(window), epochs) + 1`` and is cleared at each drop if
-    ``flush_on_drop``.
-    Within an epoch one loop visits the live configs by window, holding one window at a
-    time: each distinct window length is stacked, checked, differenced and its Gram
-    matrix formed once, the distinct ridges of its configs (plain lams and grid ridges
-    alike) are solved in one ``_solve`` call, and each distinct (length, lam, lam_grid,
-    weight_target) is extrapolated from its own entries and evaluated once; configs
-    that share one share its entry. Each recorded point is evaluated by
-    :func:`_evaluated`, in one ``problem.value_and_grad`` call when the problem has one.
+    ``flush_on_drop``. Per epoch the longest window a live config reads is stacked,
+    checked and differenced once, and a shorter one is a suffix of it. Each window
+    length forms its Gram matrix once and solves its configs' ridges, plain and grid
+    alike, in one ``_solve`` call. Each distinct (length, lam, lam_grid, weight_target)
+    is extrapolated from its own entries and evaluated once by :func:`_evaluated` (one
+    ``problem.value_and_grad`` call when the problem has one), and its configs share it.
     """
     epochs = _require_int("epochs", epochs)
     theta = np.zeros(problem.dim) if theta0 is None else np.array(theta0, float).ravel()
@@ -280,14 +280,16 @@ def _epochs(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop, theta):
             ring.clear()
         ring.append(record.theta)
         entries = [None] * len(rna_cfgs)
-        by_window = sorted(live, key=lambda i: rna_cfgs[i].window)  # one window held at a time
+        by_window = sorted(live, key=lambda i: rna_cfgs[i].window)  # the longest live one last
+        if len(ring) > 1 and by_window:
+            window = _window(ring, rna_cfgs[by_window[-1]].window)
         for length, group in groupby(by_window, lambda i: min(len(ring), rna_cfgs[i].window + 1)):
             cfgs = [(i, rna_cfgs[i]) for i in group]
             points = {}
-            if length > 1:  # the window stacked from the ring's list is differenced in place
-                diffs, gram = _window(list(ring)[-length:], length - 1)
+            if length > 1:  # a shorter window is a suffix of the longest one
+                diffs = window[-length:]
                 lams = list(dict.fromkeys(lam for _, c in cfgs for lam in _ridges(c)))
-                solved = dict(zip(lams, _solve(gram, lams)))  # every ridge, one stack
+                solved = dict(zip(lams, _solve(_gram(diffs[:-1]), lams)))  # every ridge, one stack
             for i, cfg in cfgs:
                 key = (cfg.lam, cfg.lam_grid, cfg.weight_target) if length > 1 else None
                 if key not in points:

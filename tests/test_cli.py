@@ -1229,6 +1229,32 @@ def test_sweep_cli_happy_path(tmp_path, capsys):
     assert (out_dir / "summary.csv").is_file()
 
 
+def test_sweep_whose_longest_window_has_no_live_cell(tmp_path, capsys, monkeypatch):
+    # 12-d mini-batch logistic training for 20 epochs: at epoch 16 the window of 16
+    # iterates has 15 residuals in 12 dimensions, k=16 lambda=0 fails as singular and
+    # only k=4 stays live. Its file is still run --k 4 --lambda 0's, and each later epoch
+    # stacks and differences only the 5 iterates that cell reads, not the whole ring.
+    monkeypatch.chdir(tmp_path)
+    Path("exp.spec").write_text(
+        "problem = logistic\nproblem.n_samples = 120\nproblem.dim = 12\nproblem.seed = 5\n"
+        "optimizer.eta = 1.0\noptimizer.momentum = 0.9\noptimizer.schedule = 5:0.1,9:0.1\n"
+        "optimizer.batch_size = 16\noptimizer.seed = 3\nepochs = 20\n"
+    )
+    windows, window = [], rnacc.optimizers._window
+    monkeypatch.setattr(
+        rnacc.optimizers, "_window", lambda *args: windows.append(window(*args)) or windows[-1]
+    )
+    argv = ["sweep", "--spec", "exp.spec", "--k-list", "4,16", "--lambda-list", "0", "--out", "sw"]
+    assert main(argv) == 0
+    assert [len(w) for w in windows] == list(range(2, 17)) + [5] * 4  # epochs 2 to 20
+    summary = [row.split(",") for row in Path("sw/summary.csv").read_text().splitlines()]
+    assert [row[:3] for row in summary[1:]] == [["4", "0.0", "ok"], ["16", "0.0", "failed"]]
+    assert summary[2][-1] == "residual Gram matrix is numerically singular at lam=0; use lam > 0"
+    assert main(["run", "--spec", "exp.spec", "--k", "4", "--lambda", "0", "--out", "run.csv"]) == 0
+    assert Path("sw/metrics_k4_lam0.csv").read_bytes() == Path("run.csv").read_bytes()
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "spec_name", ["summary.csv", "metrics_k5_lam1e-08.csv"], ids=["summary", "cell"]
 )

@@ -14,11 +14,14 @@ from rnacc import (
     Coefficients,
     DegenerateSum,
     DimensionMismatch,
+    ExperimentSpec,
     InvalidConfig,
     NumericalFailure,
+    OptimizerConfig,
     RnaConfig,
     RnaError,
     SingularSystem,
+    SlidingBuffer,
     WeightTarget,
     WindowTooSmall,
     accelerate_checkpoints,
@@ -122,6 +125,16 @@ def test_residuals_rejects_short_ragged_and_nonfinite():
         build_residuals(np.empty((0, 3)))
     with pytest.raises(DimensionMismatch):
         build_residuals(np.empty((3, 0)))
+
+
+@pytest.mark.parametrize(
+    "iterates", [np.arange(4.0), np.ones((3, 2, 2)), np.float64(1.0)], ids=["1d", "3d", "scalar"]
+)
+def test_an_iterate_array_that_is_not_2d_is_a_dimension_mismatch(iterates):
+    shape = re.escape(f"got shape {np.shape(iterates)}")
+    for call in (rna, as_iterate_matrix, build_residuals, lambda a: extrapolate(a, [1.0])):
+        with pytest.raises(DimensionMismatch, match=shape):
+            call(iterates)
 
 
 # -------------------------------------------------------------------- solve
@@ -640,7 +653,8 @@ def test_grid_solved_as_one_stack_equals_ridge_by_ridge(monkeypatch, failing, at
     grid = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
     problem, traj = _quadratic_trajectory()
     cfg = RnaConfig(window=8, lam_grid=grid)
-    diffs, gram = core._window(np.array(traj), cfg.window)
+    diffs = core._window(np.array(traj), cfg.window)
+    gram = core._gram(diffs[:-1])
     used, shifted = core._shifted(gram, grid)
     bad = shifted[at]
     solve, norm, shift = core.refined_spd_solve, core.normalize, core._shifted
@@ -738,6 +752,43 @@ def test_config_validation():
     cfg = RnaConfig(weight_target="oldest")
     assert cfg.weight_target is WeightTarget.OLDEST
     assert RnaConfig().window == 10 and RnaConfig().lam == 1e-8
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: RnaConfig(lam="1e-8"), "lam"),
+        (lambda: RnaConfig(lam=None), "lam"),
+        (lambda: RnaConfig(lam=10**400), "lam"),
+        (lambda: RnaConfig(lam_grid=("abc",)), "lam_grid"),
+        (lambda: RnaConfig(lam_grid=1e-8), "lam_grid"),
+        (lambda: OptimizerConfig(eta="0.1"), "eta"),
+        (lambda: OptimizerConfig(eta=0.1, momentum="0.5"), "momentum"),
+        (lambda: OptimizerConfig(eta=0.1, weight_decay=None), "weight_decay"),
+        (lambda: OptimizerConfig(eta=0.1, schedule=((1, "x"),)), "schedule"),
+        (lambda: OptimizerConfig(eta=0.1, schedule=((1,),)), "schedule"),
+        (lambda: OptimizerConfig(eta=0.1, schedule=5), "schedule"),
+        (lambda: SlidingBuffer(2**63), "capacity"),
+    ],
+    ids=[
+        "lam-str", "lam-none", "lam-huge", "grid-str", "grid-scalar", "eta-str",
+        "momentum-str", "decay-none", "schedule-str", "schedule-single", "schedule-scalar",
+        "capacity-huge",
+    ],
+)
+def test_a_value_of_the_wrong_kind_is_an_invalid_config_naming_its_field(make, field):
+    with pytest.raises(InvalidConfig, match=f"^{field} must "):
+        make()
+
+
+def test_config_values_keep_their_kind_and_rendering():
+    # What the constructors accepted before they checked kinds, they still store as given.
+    assert RnaConfig(lam_grid=("1e-8", 1)).lam_grid == (1e-8, 1.0)
+    opt = OptimizerConfig(eta=1, schedule=iter([(3, "0.5")]))
+    assert type(opt.eta) is int and opt.schedule == ((3, 0.5),)
+    spec = ExperimentSpec(optimizer=opt)
+    assert "optimizer.eta = 1\n" in spec.to_text()
+    assert "optimizer.schedule = 3:0.5\n" in spec.to_text()
 
 
 def test_coefficients_container():

@@ -522,10 +522,11 @@ def test_every_sweep_cell_equals_its_own_run(case):
 
 def test_sweep_differences_each_window_and_solves_each_point_once(tmp_path, monkeypatch):
     # Per epoch t, windows K in (5, 10, 20) start at max(0, t - K): one window for
-    # t <= 5, two for t <= 10, three after, 57 over 25 epochs rather than 72; each goes
-    # through the window stage once (differences and Gram matrix), then is solved once
-    # per ridge, 228 times rather than 288. Epoch 1 is one shared copy.
-    counts = {"_window": 0, "_extrapolate": 0, "_extrapolated": 0}
+    # t <= 5, two for t <= 10, three after, 57 over 25 epochs rather than 72. Each epoch
+    # from the second goes through the window stage once, 24 times, and each shorter
+    # window is a suffix of its differences; each window forms its Gram matrix once and
+    # is solved once per ridge, 228 times rather than 288. Epoch 1 is one shared copy.
+    counts = {"_window": 0, "_gram": 0, "_extrapolate": 0, "_extrapolated": 0}
     for name in counts:
         wrapped = getattr(optimizers, name)
 
@@ -537,7 +538,7 @@ def test_sweep_differences_each_window_and_solves_each_point_once(tmp_path, monk
     spec = replace(default_spec("quadratic", seed=0), epochs=25)
     cells = sweep(spec, [5, 10, 20], [1e-10, 1e-8, 1e-6, 1e-4], tmp_path)
     assert all(c.status == "ok" for c in cells)
-    assert counts == {"_window": 57, "_extrapolate": 228, "_extrapolated": 229}
+    assert counts == {"_window": 24, "_gram": 57, "_extrapolate": 228, "_extrapolated": 229}
 
 
 def test_sweep_solves_each_windows_plain_ridges_as_one_stack(tmp_path, monkeypatch):

@@ -249,7 +249,7 @@ def test_stacked_solve_keeps_the_bits_on_converging_windows():
         k = 3 + i % 18
         rates, theta = rng.uniform(0.5, 0.99, 100), rng.standard_normal(100)
         window = np.array([theta * rates**t for t in range(k + 1)])
-        stack = core._shifted(core._window(window, k)[1], _GRID)[1]
+        stack = core._shifted(core._gram(core._window(window, k)[:-1]), _GRID)[1]
         _assert_stacked_bits(stack)
         _assert_stacked_bits(np.ldexp(stack, np.array([0, 300, -300, 900, -900, 1])[:, None, None]))
 
@@ -261,7 +261,7 @@ def test_stacked_solve_keeps_the_bits_on_a_wide_f32_window():
     x_star, error = rng.standard_normal(200_000), rng.standard_normal(200_000)
     rates = rng.uniform(0.9, 0.999, 200_000)
     window = np.array([x_star + error * rates**t for t in range(1, 13)], dtype=np.float32)
-    gram = core._window(window.astype(np.float64), 10)[1]
+    gram = core._gram(core._window(window.astype(np.float64), 10)[:-1])
     _assert_stacked_bits(core._shifted(gram, (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5))[1])
 
 
@@ -350,7 +350,7 @@ def test_solve_at_extreme_scales_against_the_exact_solve():
     # measured; refined unscaled, z was off by up to 2.0e-4 at 1e100).
     worst = 0.0
     for scale, window in itertools.product((1e100, 1e-100), _gd_windows()):
-        gram = core._window(window * scale, 10)[1]
+        gram = core._gram(core._window(window * scale, 10)[:-1])
         for lam in (1e-8, 1e-10 * scale * scale):
             a = core._shifted(gram, (lam,))[1][0]
             z, z_ref = refined_spd_solve(a, np.ones(10)), mp_eig_solve(a, np.ones(10), dps=40)
