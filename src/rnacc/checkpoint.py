@@ -114,8 +114,9 @@ def _preflight(outputs, inputs=(), make=None) -> None:
     seen = [(label, path, Path(path).resolve()) for label, path in inputs if path]
     for label, path in outputs:
         mine = Path(path).resolve()
+        ancestors = set(mine.parents)
         for other, other_path, theirs in seen:
-            if mine == theirs or theirs in mine.parents:
+            if mine == theirs or theirs in ancestors:
                 how = "is" if mine == theirs else "lies inside"
                 raise InvalidConfig(f"{label} {path} {how} {other} {other_path}")
         seen.append((label, path, mine))

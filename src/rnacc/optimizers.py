@@ -235,7 +235,8 @@ def _stream(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop=False, theta0=None
     extrapolating each epoch for every config in ``rna_cfgs``.
 
     Bad ``epochs`` or ``theta0``, or a batch size that ``problem`` cannot serve, raise
-    here, before any epoch. The generator yields, per epoch, its :class:`EpochRecord`
+    here, before any epoch, and so does a ring too long for a C ssize_t. The generator
+    yields, per epoch, its :class:`EpochRecord`
     and one entry per config: its :class:`AccelRecord`, the :class:`RnaError` of its
     point (a failed solve) that ends that config, or None once it has ended. A training
     error (a bad gradient, a NaN or diverged theta) is raised after the epochs before it
@@ -257,14 +258,17 @@ def _stream(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop=False, theta0=None
     if not np.isfinite(theta).all():
         raise NumericalFailure("theta0 contains NaN or infinite entries")
     _require_batches(problem, opt_cfg)
-    return _epochs(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop, theta)
+    window = min(max((c.window for c in rna_cfgs), default=0), epochs)
+    need = "be below the largest C ssize_t"
+    ring = _read("window (K, at most the epochs)", window, lambda w: deque(maxlen=w + 1), need)
+    return _epochs(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop, theta, ring)
 
 
-def _epochs(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop, theta):
-    """:func:`_stream`'s generator, from the checked ``theta0`` as ``theta``."""
+def _epochs(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop, theta, ring):
+    """:func:`_stream`'s generator, from the checked ``theta0`` as ``theta`` and the
+    empty ``ring``."""
     velocity = np.zeros_like(theta)
     drops = {e for e, _ in opt_cfg.schedule} if flush_on_drop else set()
-    ring = deque(maxlen=min(max((c.window for c in rna_cfgs), default=0), epochs) + 1)
     live = range(len(rna_cfgs))
     for epoch in range(1, epochs + 1):
         theta, velocity = sgd_momentum_epoch(theta, velocity, problem, opt_cfg, epoch)

@@ -8,7 +8,8 @@ relative to the smoothness constant, as on separable data without l2,
 raises NumericalFailure instead of returning a false optimum), and a
 small tanh network trained by mean squared error (no optimum attached;
 smooth enough for clean finite-difference checks). Constructors are
-deterministic in their seed.
+deterministic in their seed, and each builds its oracles from one loss's
+forward pass, value and gradient.
 """
 
 from __future__ import annotations
@@ -97,6 +98,43 @@ class Problem:
         return f"Problem({self.name!r}, dim={self.dim})"
 
 
+def _oracles(forward, value, gradient, samples=()) -> dict:
+    """A loss's oracles, as :class:`Problem` keyword arguments.
+
+    ``forward(theta, *samples)`` is the pass the loss's value and gradient share,
+    ``value(theta, state)`` the objective and ``gradient(theta, state, *samples)`` its
+    gradient, given that pass's ``state``. Each of ``f``, ``grad`` and ``value_and_grad``
+    makes the pass once, so ``value_and_grad`` has the bits of ``f`` and ``grad``. With
+    ``samples``, arrays whose rows are the n data points of a finite sum, the result
+    also holds ``n_samples`` and ``batch_grad``, the same gradient on the rows
+    ``indices``.
+    """
+
+    def grad_on(theta, rows):
+        theta = np.asarray(theta, float)
+        return gradient(theta, forward(theta, *rows), *rows)
+
+    def f(theta: np.ndarray) -> float:
+        theta = np.asarray(theta, float)
+        return value(theta, forward(theta, *samples))
+
+    def grad(theta: np.ndarray) -> np.ndarray:
+        return grad_on(theta, samples)
+
+    def batch_grad(theta: np.ndarray, indices) -> np.ndarray:
+        return grad_on(theta, [rows[indices] for rows in samples])
+
+    def value_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        theta = np.asarray(theta, float)
+        state = forward(theta, *samples)
+        return value(theta, state), gradient(theta, state, *samples)
+
+    oracles = {"f": f, "grad": grad, "value_and_grad": value_and_grad}
+    if samples:
+        oracles.update(n_samples=len(samples[0]), batch_grad=batch_grad)
+    return oracles
+
+
 def make_quadratic(dim: int, condition: float, seed: int = 0) -> Problem:
     """Random strongly convex quadratic ``f(x) = x'Ax/2 - b'x``.
 
@@ -115,27 +153,17 @@ def make_quadratic(dim: int, condition: float, seed: int = 0) -> Problem:
     mat = 0.5 * (mat + mat.T)
     rhs = rng.standard_normal(dim)
 
-    def f(theta: np.ndarray) -> float:
-        theta = np.asarray(theta, float)
-        return 0.5 * float(theta @ (mat @ theta)) - float(rhs @ theta)
-
-    def grad(theta: np.ndarray) -> np.ndarray:
-        return mat @ np.asarray(theta, float) - rhs
-
-    def value_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        theta = np.asarray(theta, float)
-        mat_theta = mat @ theta
-        return 0.5 * float(theta @ mat_theta) - float(rhs @ theta), mat_theta - rhs
-
     return Problem(
         name=f"quadratic(d={dim}, cond={condition:g}, seed={seed})",
         dim=dim,
-        f=f,
-        grad=grad,
         optimum=np.linalg.solve(mat, rhs),
         smoothness=float(eigs.max()),
         extras={"matrix": mat, "rhs": rhs, "eigenvalues": eigs},
-        value_and_grad=value_and_grad,
+        **_oracles(
+            lambda theta: mat @ theta,
+            lambda theta, mat_theta: 0.5 * float(theta @ mat_theta) - float(rhs @ theta),
+            lambda theta, mat_theta: mat_theta - rhs,
+        ),
     )
 
 
@@ -236,39 +264,22 @@ def make_logistic(n_samples: int, dim: int, l2: float, seed: int = 0) -> Problem
     gram = x.T @ x if dim <= n_samples else x @ x.T
     smoothness = float(l2 + np.linalg.eigvalsh(gram).max() / (4.0 * n))
 
-    def _value(theta, margins):
-        return float(np.mean(np.logaddexp(0.0, -margins))) + 0.5 * l2 * float(theta @ theta)
+    def margins(theta, xb, yb):
+        return yb * (xb @ theta)
 
-    def _grad_on(theta, xb, yb, margins=None):
-        margins = yb * (xb @ theta) if margins is None else margins
-        return -(xb.T @ (yb * _expit(-margins))) / len(yb) + l2 * theta
+    def value(theta, m):
+        return float(np.mean(np.logaddexp(0.0, -m))) + 0.5 * l2 * float(theta @ theta)
 
-    def f(theta: np.ndarray) -> float:
-        theta = np.asarray(theta, float)
-        return _value(theta, labels * (x @ theta))
-
-    def grad(theta: np.ndarray) -> np.ndarray:
-        return _grad_on(np.asarray(theta, float), x, labels)
-
-    def batch_grad(theta: np.ndarray, indices) -> np.ndarray:
-        return _grad_on(np.asarray(theta, float), x[indices], labels[indices])
-
-    def value_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        theta = np.asarray(theta, float)
-        margins = labels * (x @ theta)
-        return _value(theta, margins), _grad_on(theta, x, labels, margins)
+    def gradient(theta, m, xb, yb):
+        return -(xb.T @ (yb * _expit(-m))) / len(yb) + l2 * theta
 
     problem = Problem(
         name=f"logistic(n={n_samples}, d={dim}, l2={l2:g}, seed={seed})",
         dim=dim,
-        f=f,
-        grad=grad,
         optimum=lambda: _logistic_reference(problem, l2),
         smoothness=smoothness,
-        n_samples=n_samples,
-        batch_grad=batch_grad,
         extras={"features": x, "labels": labels, "planted": planted},
-        value_and_grad=value_and_grad,
+        **_oracles(margins, value, gradient, (x, labels)),
     )
     return problem
 
@@ -307,21 +318,18 @@ def make_mlp(d_in: int, hidden: int, n_samples: int, seed: int = 0) -> Problem:
     y = y - y.mean()
     dim = hidden * d_in + 2 * hidden + 1
 
-    def _forward(theta, inputs):
+    def forward(theta, inputs, targets):
         w1, b1, w2, b2 = split_mlp_params(theta, d_in, hidden)
         act = np.tanh(inputs @ w1.T + b1)
-        return act, act @ w2 + b2
+        return act, act @ w2 + b2 - targets
 
-    def _value(pred):
-        return 0.5 * float(np.mean((pred - y) ** 2))
+    def value(theta, state):
+        return 0.5 * float(np.mean(state[1] ** 2))
 
-    def f(theta: np.ndarray) -> float:
-        return _value(_forward(theta, x)[1])
-
-    def _grad_on(theta, inputs, targets, forward=None):
-        act, pred = _forward(theta, inputs) if forward is None else forward
+    def gradient(theta, state, inputs, targets):
+        act, residual = state
         w2 = split_mlp_params(theta, d_in, hidden)[2]
-        dpred = (pred - targets) / len(targets)
+        dpred = residual / len(targets)
         db2 = dpred.sum()
         dw2 = act.T @ dpred
         dact = np.outer(dpred, w2) * (1.0 - act**2)
@@ -329,26 +337,11 @@ def make_mlp(d_in: int, hidden: int, n_samples: int, seed: int = 0) -> Problem:
         db1 = dact.sum(axis=0)
         return np.concatenate([dw1.ravel(), db1, dw2, [db2]])
 
-    def grad(theta: np.ndarray) -> np.ndarray:
-        return _grad_on(np.asarray(theta, float), x, y)
-
-    def batch_grad(theta: np.ndarray, indices) -> np.ndarray:
-        return _grad_on(np.asarray(theta, float), x[indices], y[indices])
-
-    def value_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        theta = np.asarray(theta, float)
-        forward = _forward(theta, x)
-        return _value(forward[1]), _grad_on(theta, x, y, forward)
-
     return Problem(
         name=f"mlp(d_in={d_in}, hidden={hidden}, n={n_samples}, seed={seed})",
         dim=dim,
-        f=f,
-        grad=grad,
-        n_samples=n_samples,
-        batch_grad=batch_grad,
         extras={"inputs": x, "targets": y, "d_in": d_in, "hidden": hidden},
-        value_and_grad=value_and_grad,
+        **_oracles(forward, value, gradient, (x, y)),
     )
 
 

@@ -1670,6 +1670,23 @@ def test_huge_window_uses_every_iterate_held(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_window_past_a_c_ssize_t_exit_2_before_any_write(tmp_path, capsys, command):
+    # With 1e19 epochs a window of K = 1e19 holds 1e19 + 1 iterates, more than a deque
+    # can: InvalidConfig names the window before any epoch, and nothing is written.
+    argv = {
+        "run": ["run", "--epochs", "1e19", "--k", "1e19", "--out", str(tmp_path / "m.csv")],
+        "sweep": ["sweep", "--epochs", "1e19", "--k-list", "1e19", "--lambda-list", "1e-8",
+                  "--out", str(tmp_path / "sw")],
+    }[command]
+    with mock.patch("rnacc.optimizers.sgd_momentum_epoch") as epochs:
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: window (K, at most the epochs) must be below the largest")
+    assert "Traceback" not in err and epochs.call_count == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="address-space limits as Linux sets them")
 def test_problem_too_large_for_memory_exit_2(tmp_path):
     # The child alone runs under a 2 GiB address-space limit; a 20000 x 20000 matrix

@@ -308,7 +308,8 @@ def _built_ins():
 @pytest.mark.parametrize("index", range(3), ids=["quadratic", "logistic", "mlp"])
 def test_value_and_grad_has_the_bits_of_f_and_grad(index):
     # At zero, at drawn points and, for logistic, where the margins overflow exp:
-    # the shared A @ theta, margins or forward pass change no bit.
+    # the shared A @ theta, margins or forward pass change no bit, and a batch of every
+    # sample has the bits of the full gradient.
     p = _built_ins()[index]
     rng = np.random.default_rng(index)
     points = [np.zeros(p.dim)] + [rng.standard_normal(p.dim) * s for s in (0.1, 1.0, 10.0)]
@@ -321,3 +322,5 @@ def test_value_and_grad_has_the_bits_of_f_and_grad(index):
         value, g = p.value_and_grad(theta)
         assert repr(value) == repr(p.f(theta))
         assert g.dtype == np.float64 and g.tobytes() == p.grad(theta).tobytes()
+        if not p.name.startswith("quadratic"):  # logistic and mlp are finite sums
+            assert p.batch_grad(theta, np.arange(p.n_samples)).tobytes() == g.tobytes()
