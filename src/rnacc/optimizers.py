@@ -183,7 +183,7 @@ class AccelRecord:
     ``lam_used`` is the ridge that entered the solve,
     :attr:`Coefficients.lam_used`, with or without a grid. It is None when
     the entry is a plain copy of the iterate (window not yet filled, solve
-    failed, or adaptive fallback).
+    failed, or adaptive fallback), with the iterate's own objective and grad_norm.
     """
 
     epoch: int
@@ -249,7 +249,8 @@ def _stream(problem, opt_cfg, rna_cfgs, epochs, flush_on_drop=False, theta0=None
     length forms its Gram matrix once and solves its configs' ridges, plain and grid
     alike, in one ``_solve`` call. Each distinct (length, lam, lam_grid, weight_target)
     is extrapolated from its own entries and evaluated once by :func:`_evaluated` (one
-    ``problem.value_and_grad`` call when the problem has one), and its configs share it.
+    ``problem.value_and_grad`` call when the problem has one), and its configs share it;
+    the iterate itself stands in with its record's objective and gradient norm, bit for bit.
     """
     epochs = _require_int("epochs", epochs)
     theta = np.zeros(problem.dim) if theta0 is None else np.array(theta0, float).ravel()
@@ -322,8 +323,10 @@ def _evaluated(problem, theta, objective=None) -> tuple[float, float]:
 
 def _extrapolated(problem, record, cfg, diffs=None, entries=None) -> AccelRecord:
     """``record``'s epoch extrapolated from ``diffs`` and ``entries``, as for
-    :func:`_extrapolate` (without ``diffs``, a copy of it)."""
-    theta_hat, coeffs, objective = record.theta, None, None
+    :func:`_extrapolate`, and evaluated once. Where the point is the iterate itself (no
+    ``diffs``, a DegenerateSum, or a grid's fallback), a copy of its theta stands in,
+    with the record's own objective and gradient norm, bit for bit, and no oracle call."""
+    theta_hat = coeffs = None
     if diffs is not None:
         try:  # a grid is ranked by f: its score is the objective, the fallback's the record's
             theta_hat, _, coeffs, objective = _extrapolate(
@@ -332,12 +335,9 @@ def _extrapolated(problem, record, cfg, diffs=None, entries=None) -> AccelRecord
                 record.objective,
             )
         except DegenerateSum:
-            theta_hat, coeffs = record.theta, None
+            pass
+    if coeffs is None:  # the fallback's theta_hat is already a copy of the iterate
+        theta = record.theta.copy() if theta_hat is None else theta_hat
+        return AccelRecord(record.epoch, theta, record.objective, record.grad_norm, None)
     objective, grad_norm = _evaluated(problem, theta_hat, objective)
-    return AccelRecord(
-        epoch=record.epoch,
-        theta=np.array(theta_hat, dtype=np.float64),
-        objective=objective,
-        grad_norm=grad_norm,
-        lam_used=None if coeffs is None else coeffs.lam_used,
-    )
+    return AccelRecord(record.epoch, theta_hat, objective, grad_norm, coeffs.lam_used)

@@ -48,7 +48,8 @@ class Problem:
             an array of theta's shape.
         value_and_grad: Optional ``theta -> (f(theta), grad(theta))`` oracle
             that shares the work the two have in common; it must return the
-            bits of ``f`` and ``grad`` called apart. Whoever replaces ``f`` or
+            bits of ``f`` and ``grad`` called apart, as the training driver
+            relies on it to record each point once. Whoever replaces ``f`` or
             ``grad`` must replace it too, or set it to None.
         extras: Problem-specific data (design matrix, targets, ...) for
             tests and demos.

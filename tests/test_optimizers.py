@@ -236,8 +236,8 @@ def test_run_with_rna_grid_evaluates_f_once_per_ridge():
     # With a grid each extrapolated epoch evaluates f at its 6 ranked points and
     # nowhere else: the fallback's score is the epoch's recorded objective, and the
     # winner's objective is its ranking score. Training takes one f per epoch, and
-    # epoch 1, with no window yet, one more for its copy. Objectives are counted
-    # through f and value_and_grad alike.
+    # epoch 1, with no window yet, none more: its stand-in is the recorded iterate.
+    # Objectives are counted through f and value_and_grad alike.
     p = make_logistic(100, 10, 1e-3, seed=2)
     f, value_and_grad, calls = p.f, p.value_and_grad, []
     p.f = lambda theta: calls.append(1) or f(theta)
@@ -245,7 +245,7 @@ def test_run_with_rna_grid_evaluates_f_once_per_ridge():
     cfg = OptimizerConfig(eta=2.0, momentum=0.0, weight_decay=0.0)
     rna_cfg = RnaConfig(window=5, lam_grid=(1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2))
     run_with_rna(p, cfg, rna_cfg, epochs=20)
-    assert len(calls) == 20 + 1 + 6 * 19
+    assert len(calls) == 20 + 6 * 19
 
 
 def test_run_with_rna_records_the_ridge_that_entered_the_solve():
@@ -320,6 +320,44 @@ def test_run_with_rna_degenerate_sum_keeps_the_iterate(tmp_path, monkeypatch):
     assert row[0] == "4" and row[3] == row[1] and row[5] == ""
 
 
+@pytest.mark.parametrize("case", ["epoch 1", "after a flush", "DegenerateSum", "grid fallback"])
+def test_a_kept_iterate_stands_in_without_an_oracle_call(case, monkeypatch):
+    # Where the accelerated point is the iterate itself, its record is a copy of the
+    # iterate's theta with the objective and gradient norm of the epoch's one
+    # evaluation: no oracle sees the iterate again. The grid keeps the iterate on
+    # epochs 1 to 6 and 9 of this run; the drop at epoch 5 flushes only if asked to.
+    p = make_mlp(6, 5, 60, seed=1)
+    cfg = OptimizerConfig(
+        eta=0.2, momentum=0.9, weight_decay=1e-5, batch_size=20, seed=2, schedule=((5, 0.1),)
+    )
+    rna_cfg = RnaConfig(window=4, lam_grid=(1e-30, 1e-8, 1e-2))
+    if case != "grid fallback":
+        rna_cfg = RnaConfig(window=4, lam=1e-8)
+    epoch = {"epoch 1": 1, "after a flush": 5, "DegenerateSum": 4, "grid fallback": 4}[case]
+    if case == "DegenerateSum":
+        def degenerate(diffs, *args):
+            if len(diffs) == 4:  # epoch 4 extrapolates from epochs 1..4
+                raise DegenerateSum("forced")
+            return core._extrapolate(diffs, *args)
+
+        monkeypatch.setattr(optimizers, "_extrapolate", degenerate)
+    calls = []
+    for name in ("f", "grad", "value_and_grad"):
+        oracle = getattr(p, name)
+        setattr(p, name, lambda t, n=name, o=oracle: calls.append((n, t.tobytes())) or o(t))
+    stream = _stream(p, cfg, [rna_cfg], 8, flush_on_drop=case == "after a flush")
+    for record, (entry,) in stream:
+        if record.epoch == epoch:
+            break
+        calls.clear()
+    assert entry.theta.tobytes() == record.theta.tobytes()
+    assert (entry.epoch, entry.objective, entry.grad_norm, entry.lam_used) == (
+        epoch, record.objective, record.grad_norm, None
+    )
+    assert not np.shares_memory(entry.theta, record.theta)
+    assert [n for n, t in calls if t == record.theta.tobytes()] == ["value_and_grad"]
+
+
 def test_run_with_rna_flush_on_drop_restarts_window():
     p = make_quadratic(6, 30.0, seed=5)
     cfg = OptimizerConfig(
@@ -388,8 +426,10 @@ def test_a_bad_gradient_oracle_raises_at_the_step(shape):
 def test_a_metric_gradient_not_shaped_like_theta_raises():
     # Mini-batch training never calls the full gradient, so only the recorded grad_norm
     # sees it: shape (3,) on a d = 5 problem raises there, where it was recorded as the
-    # norm sqrt(3). The vanilla record calls grad; with value_and_grad the grid's
-    # recorded points still call it, since their objective is known.
+    # norm sqrt(3). The vanilla record calls grad; with value_and_grad a grid's
+    # extrapolated point still calls it, since its objective is known, and a kept
+    # iterate calls nothing. Grid (1e-8,) keeps the iterate on every epoch of this run
+    # (checked to 60 epochs); grid (1.0,) picks its ridge at epoch 3.
     text = "gradient has shape (3,), theta has shape (5,)"
     cfg = OptimizerConfig(eta=0.1, batch_size=2)
     p = Problem(
@@ -400,9 +440,14 @@ def test_a_metric_gradient_not_shaped_like_theta_raises():
         with pytest.raises(DimensionMismatch, match=re.escape(text)):
             run_with_rna(p, cfg, rna_cfg, epochs=3, theta0=np.ones(5))
     p.value_and_grad = lambda t: (p.f(t), t.copy())
+    grad, calls = p.grad, []
+    p.grad = lambda t: calls.append(1) or grad(t)
     run_with_rna(p, cfg, RnaConfig(window=2), epochs=3, theta0=np.ones(5))
+    kept = RnaConfig(window=2, lam_grid=(1e-8,))
+    _, accel = run_with_rna(p, cfg, kept, epochs=3, theta0=np.ones(5))
+    assert [a.lam_used for a in accel] == [None] * 3 and calls == []
     with pytest.raises(DimensionMismatch, match=re.escape(text)):
-        run_with_rna(p, cfg, RnaConfig(window=2, lam_grid=(1e-8,)), epochs=3, theta0=np.ones(5))
+        run_with_rna(p, cfg, RnaConfig(window=2, lam_grid=(1.0,)), epochs=3, theta0=np.ones(5))
 
 
 def test_a_metric_that_is_not_finite_is_recorded():
@@ -428,7 +473,8 @@ def _record_bytes(records) -> list:
 @pytest.mark.parametrize("which", ["quadratic", "logistic", "mlp"])
 def test_records_do_not_depend_on_value_and_grad(which):
     # The same problem with and without value_and_grad trains, extrapolates and
-    # records the same bits, plain, with a grid and in a stream of several configs.
+    # records the same bits, plain, with a grid and in a stream of several configs,
+    # and with a drop that flushes the window, so the stand-in after it is compared too.
     make = {
         "quadratic": lambda: (make_quadratic(10, 40.0, seed=3), OptimizerConfig(eta=0.02)),
         "logistic": lambda: (
@@ -441,18 +487,23 @@ def test_records_do_not_depend_on_value_and_grad(which):
         RnaConfig(window=5, lam=0.0, weight_target="oldest"),
         RnaConfig(window=4, lam_grid=(1e-10, 1e-6, 1e-2)),
     ]
-    runs = []
-    for fused in (True, False):
-        p, cfg = make()
-        if not fused:
-            p.value_and_grad = None
-        records = []
-        for record, entries in _stream(p, cfg, configs, 12):
-            records.append(record)
-            records += [e for e in entries if e is not None and not isinstance(e, Exception)]
-        runs.append(_record_bytes(records))
-    assert len(runs[0]) >= 12 + 2 * 11  # the plain and the grid configs record every epoch
-    assert runs[0] == runs[1]
+    for flush in (False, True):
+        runs = []
+        for fused in (True, False):
+            p, cfg = make()
+            if not fused:
+                p.value_and_grad = None
+            if flush:
+                cfg = replace(cfg, schedule=((6, 0.1),))
+            records = []
+            for record, entries in _stream(p, cfg, configs, 12, flush_on_drop=flush):
+                records.append(record)
+                records += [e for e in entries if e is not None and not isinstance(e, Exception)]
+            runs.append(_record_bytes(records))
+        assert len(runs[0]) >= 12 + 2 * 11  # the plain and the grid configs record every epoch
+        assert runs[0] == runs[1]
+    flushed = [r for r in records if r.epoch == 6][1:]  # the stand-ins after the drop
+    assert len(flushed) >= 2 and {r.lam_used for r in flushed} == {None}
 
 
 def test_run_with_rna_epoch_validation():
