@@ -4,7 +4,7 @@
 #     bash .github/cli_smoke.sh DIR
 #
 # DIR is an existing, empty directory. It receives the inputs of write_trajectory.py
-# and the three accelerate outputs that check_c11.py compares. Exits nonzero at the
+# and the seven accelerate outputs that check_c11.py compares. Exits nonzero at the
 # first command that fails or check that does not hold.
 set -euo pipefail
 dir=$1
@@ -29,6 +29,12 @@ rnacc accelerate "$dir/traj.rnac" --k 4 --out "$dir/from_file.rnac"
 rnacc accelerate "$dir/traj" --k 4 --out "$dir/from_dir.rnac"
 rnacc accelerate "$dir/traj.rnac" --k 4 --lambda-grid 1e-8,1e-6 \
   --scores "$dir/scores.txt" --out "$dir/from_grid.rnac"
+# The same, past one block of columns: d = B + 1, read, checked and combined by block.
+rnacc accelerate "$dir/wide.rnac" --k 4 --out "$dir/wide_file.rnac"
+rnacc accelerate "$dir/wide" --k 4 --out "$dir/wide_dir.rnac"
+wide_grid=(--lambda-grid 1e-8,1e-6 --scores "$dir/wide_scores.txt")
+rnacc accelerate "$dir/wide.rnac" --k 4 "${wide_grid[@]}" --out "$dir/wide_file_grid.rnac"
+rnacc accelerate "$dir/wide" --k 4 "${wide_grid[@]}" --out "$dir/wide_dir_grid.rnac"
 
 # A temporary file that a killed run with rnacc's pid left beside the output blocks no
 # write and is left as it was: exec runs rnacc with the pid of the subshell that made it.

@@ -7,6 +7,11 @@ it as six one-iterate f32 files, 0.rnac to 5.rnac. DIR/nan/ holds the same
 six files, but with a NaN in the oldest, 0.rnac. DIR/scores.txt holds the
 objective of each iterate, one per line, for ``--scores``.
 
+DIR/wide.rnac holds 6 gradient-descent iterates of d = B + 1, B the columns of the
+core's blocks, as one f64 file, and DIR/wide/ holds them as six one-iterate f32 files;
+DIR/wide_scores.txt holds the objective of each iterate. A window that wide is read,
+checked, solved and combined a block at a time.
+
 DIR/tiny.rnac and DIR/huge.rnac hold one 11-iterate window near each end of the
 float64 range: gradient descent from zero on ``make_quadratic(100, 100.0, seed=2)``
 at step 0.1, times 1e-155 and times 1e145, as one f64 file each. DIR/huge_scores.txt
@@ -20,6 +25,7 @@ import sys
 import numpy as np
 
 import rnacc
+from rnacc.core import _BLOCK
 
 out = sys.argv[1]
 p = rnacc.make_quadratic(4, 10.0, seed=1)
@@ -46,3 +52,15 @@ rnacc.write_checkpoints(os.path.join(out, "tiny.rnac"), np.array(window) * 1e-15
 rnacc.write_checkpoints(os.path.join(out, "huge.rnac"), np.array(window) * 1e145, "f64")
 with open(os.path.join(out, "huge_scores.txt"), "w", encoding="ascii") as fh:
     fh.write("".join(f"{q.f(theta)!r}\n" for theta in window))
+
+# A diagonal quadratic's gradient costs O(d), so the wide window is cheap to make.
+h = np.random.default_rng(4).uniform(1.0, 100.0, _BLOCK + 1)
+wide = [np.ones(_BLOCK + 1)]
+for _ in range(5):
+    wide.append(wide[-1] - h * wide[-1] / h.max())
+rnacc.write_checkpoints(os.path.join(out, "wide.rnac"), wide, "f64")
+os.makedirs(os.path.join(out, "wide"))
+for i, theta in enumerate(wide):
+    rnacc.write_checkpoints(os.path.join(out, "wide", f"{i}.rnac"), [theta], "f32")
+with open(os.path.join(out, "wide_scores.txt"), "w", encoding="ascii") as fh:
+    fh.write("".join(f"{0.5 * float(np.dot(h * theta, theta))!r}\n" for theta in wide))

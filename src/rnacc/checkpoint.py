@@ -16,7 +16,10 @@ learning checkpoints usually are f32; the math still runs in f64 after
 loading. Iterate-major order lets a reader stream the last K+1 iterates
 without touching the rest of the file, and ``rnacc accelerate`` does: it checks
 every header of a file or a directory against its file's size before it reads any
-payload, then reads the payload of the last K+1 iterates only. The reader checks the
+payload, then reads the payload of the last K+1 iterates only, a block of columns
+at a time (a seek and a read per iterate and block). A window of one block, at most
+2**15 columns, is read once; a wider one twice, once for the Gram matrix and once for
+the combination, whose blocks are written as they are formed. The reader checks the
 format only: the core checks the values, of the window only.
 
 Every file here is written to a new ``.rnacc-<pid>-<n>.tmp`` beside its target, n
@@ -157,9 +160,17 @@ def write_checkpoints(path, iterates, precision: str = "f64") -> None:
     except FloatingPointError:  # only f32 can overflow
         top = np.finfo(dtype).max
         raise NumericalFailure(f"{path}: iterates exceed f32's range of +-{top:.8g}") from None
+    _write_blocks(path, mat.shape[0], mat.shape[1], [payload], dtype)
+
+
+def _write_blocks(path, count: int, dim: int, blocks, dtype=_DTYPES[8]) -> None:
+    """Write a checkpoint file of ``count`` iterates of ``dim`` scalars of ``dtype``
+    whose payload is the arrays of ``blocks``, in order. An error raised while
+    ``blocks`` is consumed leaves ``path`` as it was."""
     with _replacing(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, dtype.itemsize, mat.shape[1], mat.shape[0]))
-        fh.write(payload.data)  # the array's own buffer, not a bytes copy
+        fh.write(_HEADER.pack(MAGIC, VERSION, dtype.itemsize, dim, count))
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype).data)  # its own buffer, not a bytes copy
 
 
 def _require_regular(label: str, path, directory: bool = False) -> None:
@@ -266,16 +277,25 @@ def read_checkpoints(path) -> np.ndarray:
     lands in its rows of the result as stored: NaN and infinities are left for the
     core's one value check, which looks at the window only.
     """
-    return _read_tail(path)[0]
+    with _read_tail(path) as (read, dim, total):
+        mat = np.empty((total, dim))
+        read(slice(0, dim), mat)
+    return mat
 
 
-def _read_tail(path, rows: int | None = None) -> tuple[np.ndarray, int]:
-    """The last ``rows`` iterates of :func:`read_checkpoints` (every one when None),
-    and the number of iterates stored.
+@contextmanager
+def _read_tail(path, rows: int | None = None):
+    """The last ``rows`` iterates of :func:`read_checkpoints` (every one when None), to
+    be read a block of columns at a time: yields ``(read, dim, total)``, with ``total``
+    the number of iterates stored.
 
-    Every header is checked first, as there. Then one float64 matrix of the tail's rows
-    is filled: each file that holds part of the tail is read from its first iterate in
-    the tail, and a file wholly before the tail is not opened again.
+    Every header is checked first, as there. ``read(cols, out)`` then fills ``out``,
+    one float64 row per iterate of the tail, with the columns ``cols`` (a slice) of
+    each: a file that holds part of the tail is read from its first iterate in the
+    tail, and a file wholly before the tail is not opened again. A read of every column
+    reads each file once; a read of fewer holds its files open until the block reads end,
+    at most one per iterate of the tail. A file cut since its header was checked raises
+    FormatError.
     """
     files = _checkpoint_files(path)
     headers = [_read_header(f) for f in files]
@@ -284,25 +304,42 @@ def _read_tail(path, rows: int | None = None) -> tuple[np.ndarray, int]:
         raise FormatError(f"{path}: files disagree on dimension: {sorted(dims)}")
     dim, total = dims.pop(), sum(count for *_, count in headers)
     first = 0 if rows is None else max(total - rows, 0)
-    mat = np.empty((total - first, dim))
-    end = 0
+    parts, end = [], 0
     for f, (dtype, _, count) in zip(files, headers):
         start, end = end, end + count  # f's iterates, counted in the whole sequence
-        if end <= first:
-            continue
-        lo = max(first, start)  # f's first iterate in the tail
-        dest = mat[lo - first:end - first]
-        buf = dest if dtype == mat.dtype else np.empty(dest.shape, dtype)  # f64 in place
-        with open(f, "rb") as fh:
-            fh.seek(_HEADER.size + (lo - start) * dim * dtype.itemsize)
-            got = fh.readinto(buf)
-            if got != buf.nbytes:  # the file changed since its header was checked
-                held = os.fstat(fh.fileno()).st_size - _HEADER.size
-                promised = count * dim * dtype.itemsize
-                raise FormatError(f"{f}: payload holds {held} bytes, header promises {promised}")
-        if buf is not dest:
-            dest[...] = buf
-    return mat, total
+        if end > first:  # f's iterates from lo on are in the tail
+            lo = max(first, start)
+            parts.append((f, dtype, count, lo - start, slice(lo - first, end - first)))
+    held = [None] * len(parts)  # each part's open file, until it is read for the last time
+
+    def read(cols: slice, out: np.ndarray) -> None:
+        for n, (f, dtype, count, skip, at) in enumerate(parts):
+            if held[n] is None:
+                held[n] = open(f, "rb")
+            fh, dest = held[n], out[at]
+            # f32 goes through a scratch row; f64 lands in place, its rows of every
+            # column in one span.
+            scratch = None if dtype == out.dtype else np.empty(out.shape[1], dtype)
+            whole = scratch is None and out.shape[1] == dim
+            for i, span in enumerate([dest] if whole else dest):
+                fh.seek(_HEADER.size + ((skip + i) * dim + cols.start) * dtype.itemsize)
+                buf = span if scratch is None else scratch
+                if fh.readinto(buf) != buf.nbytes:  # f changed since its header was checked
+                    size = os.fstat(fh.fileno()).st_size - _HEADER.size
+                    promised = count * dim * dtype.itemsize
+                    msg = f"{f}: payload holds {size} bytes, header promises {promised}"
+                    raise FormatError(msg)
+                if buf is not span:
+                    span[...] = buf
+            if out.shape[1] == dim:  # every column is read: f is done
+                fh.close()
+                held[n] = None
+
+    try:
+        yield read, dim, total
+    finally:
+        for fh in filter(None, held):
+            fh.close()
 
 
 def _render(value) -> str:

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import _preflight, _read_tail, _require_regular, write_checkpoints
+from .checkpoint import _preflight, _read_tail, _require_regular, _write_blocks
 from .core import RnaConfig, _accelerate, _accelerate_settings
 from .errors import FormatError, InvalidConfig, RnaError, WindowTooSmall
 from .experiment import (
@@ -163,18 +163,18 @@ def cmd_accelerate(args) -> int:
     settings = {"rna.window": args.k, "rna.lambda": args.lam, "rna.lambda_grid": args.lam_grid}
     cfg = _accelerate_settings(_override(ExperimentSpec(), settings).rna, bool(args.scores))
     scores = _read_scores(args.scores) if args.scores else None
-    # Every header is checked, then only the window's payload is read.
-    mat, count = _read_tail(args.checkpoints, cfg.window + 1)
-    # The matrix is rnacc's own: its window becomes the differences, then is dropped.
-    theta_hat, _, coeffs = _accelerate(mat, cfg, scores, overwrite=True, total=count)
-    del mat
-    if cfg.window + 1 > count:
-        print(
-            f"warning: window {cfg.window} wants {cfg.window + 1} checkpoints, only "
-            f"{count} available; using all of them",
-            file=sys.stderr,
-        )
-    write_checkpoints(args.out, theta_hat[np.newaxis], "f64")
+    # Every header is checked, then only the window's payload is read, a block of
+    # columns at a time: once for the Gram matrix and, past one block, again for theta_hat,
+    # whose blocks go to the output file as they are formed.
+    with _read_tail(args.checkpoints, cfg.window + 1) as (read, dim, count):
+        coeffs, theta_hat = _accelerate(read, dim, count, cfg, scores)
+        if cfg.window + 1 > count:
+            print(
+                f"warning: window {cfg.window} wants {cfg.window + 1} checkpoints, only "
+                f"{count} available; using all of them",
+                file=sys.stderr,
+            )
+        _write_blocks(args.out, 1, dim, theta_hat)
     if coeffs is None:
         print("candidates ranked worse than the last checkpoint; returned it unchanged")
         print("lambda: none")

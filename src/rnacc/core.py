@@ -15,17 +15,23 @@ The window is held once, differenced: rows ``0 .. K-1`` hold
 ``D_k = theta_{k+1} - theta_k`` (the same bits as ``np.diff``) and row K
 keeps ``theta_K``. The Gram matrix is ``D @ D.T`` and the combination is
 anchored at the newest iterate, ``theta_hat = theta_K - P @ D``, where
-``P`` holds the prefix sums of c (shifted by one for ``LATEST``). Every entry
-point (:func:`rna`, :func:`adaptive_rna`, :func:`accelerate_checkpoints` and the
-training driver) runs the same three stages. ``_window`` keeps the last K+1 iterates,
-validates them (every iterate's shape, only the window's values) and differences them;
-the driver runs it once per epoch, and a shorter window is a suffix of its rows. One
-``_solve`` call then solves the window's ridges over its ``_gram`` as one stack: ``lam``,
-the ridges of ``lam_grid``, or, in the training driver, every ridge of the configs that
-share the window. Last, ``_extrapolate`` normalizes, ranks and combines each config's
-own entries. Public functions never write into a caller's array: they difference into a
-buffer of their own, or into the stack they made of a list; ``rnacc accelerate`` and the
-training driver difference the matrix they stacked in place.
+``P`` holds the prefix sums of c (shifted by one for ``LATEST``). Both are formed over
+blocks of ``_BLOCK`` = 2**15 columns, in column order: the Gram matrix sums the blocks'
+products, and each block of theta_hat comes from its own block. A window of at most
+``_BLOCK`` columns is one block, one product. Every entry point (:func:`rna`,
+:func:`adaptive_rna`, :func:`accelerate_checkpoints`, the training driver and
+``rnacc accelerate``) forms the same blocks, so all give the same bits. In memory,
+``_window`` keeps the last K+1 iterates, validates them (every iterate's shape, only
+the window's values) and differences them; the driver runs it once per epoch, and a
+shorter window is a suffix of its rows. One ``_solve`` call then solves the window's
+ridges over its ``_gram`` as one stack: ``lam``, the ridges of ``lam_grid``, or, in the
+training driver, every ridge of the configs that share the window. Last,
+``_extrapolate`` normalizes, ranks and combines each config's own entries, each
+candidate once. ``rnacc accelerate`` runs the same stages over a window read a block at
+a time (``_accelerate``): one pass for the values and the Gram matrix, and, past one
+block, a second that combines each block as it is read again, so that it holds a few
+blocks, whatever d. Public functions never write into a caller's array: they difference
+into a buffer of their own, or into the stack they made of a list.
 
 Coefficients may be negative; only their sum is constrained. All
 arithmetic is float64 regardless of how iterates were stored.
@@ -73,6 +79,9 @@ DEGENERATE_SUM_RTOL = 1e-12
 
 # A positive ridge is raised to at least this multiple of the Gram matrix's trace.
 _RIDGE_FLOOR = 10.0 * np.finfo(np.float64).eps
+
+# Columns per block of the Gram product and the combination (see _columns).
+_BLOCK = 2**15
 
 
 class WeightTarget(Enum):
@@ -167,12 +176,10 @@ def as_iterate_matrix(iterates) -> np.ndarray:
     return _stacked(iterates)
 
 
-def _stacked(iterates, keep: int | None = None, total: int | None = None) -> np.ndarray:
+def _stacked(iterates, keep: int | None = None) -> np.ndarray:
     """The last ``keep`` iterates (every one when None) as :func:`as_iterate_matrix`
     stacks them, checking every iterate's shape but only the kept ones' values: the one
-    value check of every path, checkpoint files included. ``total`` is the length of
-    the whole sequence when ``iterates`` holds only its last iterates, so that an error
-    counts iterates in the whole sequence."""
+    value check of every in-memory path. An error counts iterates in the whole sequence."""
     if isinstance(iterates, (np.ndarray, np.generic)):  # a numpy scalar too: it has no rows
         if iterates.ndim != 2:
             raise DimensionMismatch(f"an iterate array must be 2-D, got shape {iterates.shape}")
@@ -190,18 +197,31 @@ def _stacked(iterates, keep: int | None = None, total: int | None = None) -> np.
         raise WindowTooSmall("empty iterate sequence")
     if mat.shape[1] == 0:
         raise DimensionMismatch("iterates must be nonempty vectors")
-    skipped = (len(rows) if total is None else total) - len(mat)
+    bad = _first_bad(mat)
+    if bad < len(mat):
+        raise _nonfinite(first + bad, len(rows))
+    return mat
+
+
+def _first_bad(mat: np.ndarray) -> int:
+    """The first row of ``mat`` with a NaN or an infinite entry, ``len(mat)`` if none."""
     # A row with a NaN or an infinity has no finite sum; finite values can overflow
     # one, so only the rows whose sum is not finite are checked entry by entry.
     with np.errstate(over="ignore", invalid="ignore"):
         sums = mat.sum(axis=1)
     for bad in np.flatnonzero(~np.isfinite(sums)):
         if not np.isfinite(mat[bad]).all():
-            raise NumericalFailure(
-                f"iterate {skipped + bad} of {skipped + len(mat)} "
-                "contains NaN or infinite entries"
-            )
-    return mat
+            return int(bad)
+    return len(mat)
+
+
+def _nonfinite(index: int, count: int) -> NumericalFailure:
+    return NumericalFailure(f"iterate {index} of {count} contains NaN or infinite entries")
+
+
+def _need_two(count: int) -> None:
+    if count < 2:
+        raise WindowTooSmall(f"need at least 2 iterates to extrapolate, got {count}")
 
 
 def _differenced(window: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -220,43 +240,61 @@ def _differenced(window: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return out
 
 
-def _gram(rows: np.ndarray) -> np.ndarray:
-    """Return ``R^T R`` for the residual rows ``D = R^T``, formed as ``D @ D.T``: the one
+def _columns(d: int) -> list[slice]:
+    """The column blocks, in order, over which every Gram matrix and combination of
+    d-vectors is formed: ``_BLOCK`` columns each, the last one shorter (one empty block
+    when d == 0)."""
+    return [slice(lo, min(lo + _BLOCK, d)) for lo in range(0, max(d, 1), _BLOCK)]
+
+
+def _gram(rows: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
+    """Return ``R^T R`` for the residual rows ``D = R^T``: the products ``D_b @ D_b.T``
+    of the :func:`_columns` blocks ``D_b``, summed in column order onto ``gram`` (the
+    Gram matrix of the columns before, when a window is read a block at a time). The one
     Gram product, of a :func:`_differenced` window's first K rows or of ``R.T``."""
-    with np.errstate(over="ignore"):  # _solve reports a Gram matrix that overflowed
-        return rows @ rows.T
+    # _solve reports a Gram matrix that overflowed, or whose blocks' infinities cancel.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cols in _columns(rows.shape[1]):
+            block = rows[:, cols]
+            part = block @ block.T
+            gram = part if gram is None else np.add(gram, part, out=gram)
+    return gram
 
 
-def _window(
-    iterates, window: int | None, overwrite: bool = False, total: int | None = None
-) -> np.ndarray:
-    """The stage every entry point runs first: keep the last ``window + 1`` iterates
-    (every one when ``window`` is None), validate them (every iterate's shape, the kept
-    ones' values, at least two of them) and return their :func:`_differenced` rows.
-    ``overwrite`` differences the kept rows of ``iterates`` in place, for a caller that
-    owns it and no longer needs it; a stack that rnacc made (of a list, or converted to
-    float64) is differenced in place too. ``total`` is as in :func:`_stacked`."""
-    mat = _stacked(iterates, None if window is None else window + 1, total)
-    if mat.shape[0] < 2:
-        raise WindowTooSmall(f"need at least 2 iterates to extrapolate, got {mat.shape[0]}")
+def _window(iterates, window: int | None) -> np.ndarray:
+    """The stage every in-memory entry point runs first: keep the last ``window + 1``
+    iterates (every one when ``window`` is None), validate them (every iterate's shape,
+    the kept ones' values, at least two of them) and return their :func:`_differenced`
+    rows. A stack that rnacc made (of a list, or converted to float64) is differenced in
+    place."""
+    mat = _stacked(iterates, None if window is None else window + 1)
+    _need_two(mat.shape[0])
     made = not isinstance(iterates, np.ndarray) or not np.may_share_memory(mat, iterates)
-    return _differenced(mat, overwrite or made)
+    return _differenced(mat, made)
 
 
-def _combine(diffs: np.ndarray, weights: np.ndarray, target: WeightTarget) -> np.ndarray:
-    """``sum_k c_k theta_{sigma(k)}`` from a :func:`_differenced` window, as a new array.
+def _combine(
+    diffs: np.ndarray, weights: np.ndarray, target: WeightTarget, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``sum_k c_k theta_{sigma(k)}`` from a :func:`_differenced` window, into ``out`` or
+    a new array.
 
     Anchored at the newest iterate: ``theta_K - P @ D``, with ``P`` the prefix sums
-    of c (shifted by one for ``LATEST``). Weights that do not sum to one exactly
-    put ``1 - sum(c)`` on ``theta_K`` inside the same product.
+    of c (shifted by one for ``LATEST``), one product per :func:`_columns` block. Weights
+    that do not sum to one exactly put ``1 - sum(c)`` on ``theta_K`` inside the same
+    product.
     """
     prefix = np.empty(len(diffs))
     np.cumsum(weights, out=prefix[1:] if target is WeightTarget.LATEST else prefix[:-1])
     if target is WeightTarget.LATEST:
         prefix[0] = 0.0
     prefix[-1] = 1.0 - math.fsum(weights)
-    theta = prefix @ diffs
-    return np.subtract(diffs[-1], theta, out=theta)
+    theta = np.empty(diffs.shape[1]) if out is None else out
+    for cols in _columns(diffs.shape[1]):
+        block, part = diffs[:, cols], theta[cols]
+        np.matmul(prefix, block, out=part)
+        np.subtract(block[-1], part, out=part)
+    return theta
 
 
 def build_residuals(iterates) -> np.ndarray:
@@ -434,22 +472,24 @@ def _ridges(config: RnaConfig) -> tuple[float, ...]:
     return config.lam_grid or (config.lam,)
 
 
-def _extrapolate(diffs, config, entries, rank=None, fallback_score=None):
-    """Extrapolate a :func:`_differenced` window, plain or grid, from ``entries``: the
+def _choose(diffs, config, entries, rank=None, fallback_score=None, score=None):
+    """The coefficients that :func:`_extrapolate` combines, from ``entries``: the
     :func:`_solve` entries of ``config``'s :func:`_ridges`, in order, over its Gram matrix.
 
-    Returns (theta_hat, lam_star, coefficients, score). Without a grid: the one entry,
-    whose error raises, ``lam_star`` its ``lam_used`` and no score. With a grid: the
-    policy of :func:`adaptive_rna`, ``rank(coefficients)`` scoring each ridge and
-    ``fallback_score`` the last iterate.
+    Returns (lam_star, coefficients, score, point). Without a grid: the one entry, whose
+    error raises, ``lam_star`` its ``lam_used``, and no score or point. With a grid: the
+    policy of :func:`adaptive_rna`, ``fallback_score`` the last iterate's score and
+    ``None`` coefficients its marker. Each candidate is ranked by ``rank(coefficients)``
+    or, given ``score``, by ``score`` at its point combined from ``diffs``; the winner's
+    point is kept, so that no candidate is combined twice.
     """
     if config.lam_grid is None:
         (entry,) = entries
         if isinstance(entry, RnaError):
             raise entry
         coeffs = normalize(*entry)
-        return _combine(diffs, coeffs.weights, config.weight_target), coeffs.lam_used, coeffs, None
-    best_lam, best_coeffs, best_score = None, None, fallback_score
+        return coeffs.lam_used, coeffs, None, None
+    best = None, None, fallback_score, None
     for lam, entry in zip(config.lam_grid, entries):
         try:
             if isinstance(entry, RnaError):
@@ -457,13 +497,23 @@ def _extrapolate(diffs, config, entries, rank=None, fallback_score=None):
             coeffs = normalize(*entry)
         except (DegenerateSum, SingularSystem):
             continue
-        s = rank(coeffs)
-        if s < best_score:
-            best_lam, best_coeffs, best_score = lam, coeffs, s
-    if best_coeffs is None:
-        return diffs[-1].copy(), None, None, best_score
-    theta_hat = _combine(diffs, best_coeffs.weights, config.weight_target)
-    return theta_hat, best_lam, best_coeffs, best_score
+        point = None if score is None else _combine(diffs, coeffs.weights, config.weight_target)
+        s = rank(coeffs) if score is None else float(score(point))
+        if s < best[2]:
+            best = lam, coeffs, s, point
+    return best
+
+
+def _extrapolate(diffs, config, entries, rank=None, fallback_score=None, score=None):
+    """Extrapolate a :func:`_differenced` window, plain or grid, as :func:`_choose`
+    chooses from ``entries``. Returns (theta_hat, lam_star, coefficients, score); the
+    fallback's theta_hat is a copy of the last iterate."""
+    lam, coeffs, best, theta_hat = _choose(diffs, config, entries, rank, fallback_score, score)
+    if coeffs is None:
+        theta_hat = diffs[-1].copy()
+    elif theta_hat is None:
+        theta_hat = _combine(diffs, coeffs.weights, config.weight_target)
+    return theta_hat, lam, coeffs, best
 
 
 def adaptive_rna(
@@ -481,7 +531,8 @@ def adaptive_rna(
     returned score is never worse than ``score(last iterate)``. Grid
     cells that fail with a degenerate or singular solve are skipped; if
     every cell fails, the last iterate is returned with
-    ``lam_star = None``.
+    ``lam_star = None``. Each point is formed once: the winner is returned
+    as it was scored.
 
     Returns:
         (theta_hat, lam_star, coefficients); the latter two are ``None``
@@ -490,11 +541,8 @@ def adaptive_rna(
     if config.lam_grid is None:
         raise InvalidConfig("adaptive_rna requires a config with lam_grid set")
     diffs = _window(iterates, config.window)
-    return _extrapolate(
-        diffs, config, _solve(_gram(diffs[:-1]), config.lam_grid),
-        lambda c: float(score(_combine(diffs, c.weights, config.weight_target))),
-        float(score(diffs[-1].copy())),
-    )[:3]
+    entries = _solve(_gram(diffs[:-1]), config.lam_grid)
+    return _extrapolate(diffs, config, entries, None, float(score(diffs[-1].copy())), score)[:3]
 
 
 def _accelerate_settings(cfg: RnaConfig, has_scores: bool) -> RnaConfig:
@@ -506,26 +554,63 @@ def _accelerate_settings(cfg: RnaConfig, has_scores: bool) -> RnaConfig:
     return cfg
 
 
-def _accelerate(
-    iterates, cfg: RnaConfig, scores, overwrite: bool = False, total: int | None = None
-):
-    """:func:`accelerate_checkpoints` on checked settings and finite float64 scores.
+def _ranking(scores, count: int):
+    """The ``rank`` and ``fallback_score`` of :func:`_choose` for checkpoints ranked by
+    their finite float64 ``scores`` (None without a grid), once the scores are counted
+    against the ``count`` checkpoints: after the iterates' own checks."""
+    if scores is None:
+        return None, None
+    if scores.size != count:
+        raise InvalidConfig(f"{scores.size} scores for {count} checkpoints; counts must match")
+    # c weights the last len(c) iterates.
+    return lambda c: float(c.weights @ scores[-len(c):]), float(scores[-1])
 
-    With ``overwrite`` the window of ``iterates``, a float64 matrix the caller
-    owns and no longer needs, is differenced in place instead of into a copy.
-    ``total`` counts the checkpoints when ``iterates`` holds only the last of them,
-    at least the window's: the scores are counted against it.
+
+def _accelerate(read, dim: int, total: int, cfg: RnaConfig, scores):
+    """:func:`accelerate_checkpoints` on checked settings and finite float64 scores, over
+    the window of ``total`` stored iterates of ``dim`` entries, read a block of columns
+    at a time: ``read(cols, out)`` fills ``out``, one float64 row per window iterate,
+    with the :func:`_columns` block ``cols`` of each.
+
+    Pass 1 reads each block, checks its values, differences it in place and adds it to
+    the Gram matrix. Then the errors of :func:`accelerate_checkpoints` raise, in its
+    order, and its ridge is chosen. Returns the coefficients (None for the fallback) and
+    pass 2: a generator of theta_hat's blocks in column order, each block read and
+    differenced again (a window of one block is still held), combined and checked to be
+    finite. Memory is a few blocks of the window, whatever ``dim``.
     """
-    diffs = _window(iterates, cfg.window, overwrite, total)
-    if scores is not None:
-        count = len(iterates) if total is None else total
-        if scores.size != count:
-            raise InvalidConfig(f"{scores.size} scores for {count} checkpoints; counts must match")
-    return _extrapolate(
-        diffs, cfg, _solve(_gram(diffs[:-1]), _ridges(cfg)),
-        lambda c: float(c.weights @ scores[-len(c):]),  # c weights the last len(c) iterates
-        None if scores is None else float(scores[-1]),
-    )[:3]
+    rows, columns = min(total, cfg.window + 1), _columns(dim)
+    buf = np.empty((rows, min(dim, _BLOCK)))
+    gram, bad = None, rows
+    for cols in columns:
+        block = buf[:, : cols.stop - cols.start]
+        read(cols, block)
+        bad = _first_bad(block[:bad])  # only a lower iterate than one found can change it
+        if bad == rows:
+            gram = _gram(_differenced(block, True)[:-1], gram)
+    if bad < rows:
+        raise _nonfinite(total - rows + bad, total)
+    _need_two(rows)
+    _, coeffs, _, _ = _choose(None, cfg, _solve(gram, _ridges(cfg)), *_ranking(scores, total))
+
+    def theta_hat():
+        out = np.empty(buf.shape[1])
+        for cols in columns:
+            block = buf[:, : cols.stop - cols.start]
+            # Values are not checked again: a file changed since pass 1 can overflow here,
+            # and the check below reports it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                if len(columns) > 1:  # else the one block is still held, differenced
+                    read(cols, block)
+                    _differenced(block, True)
+                theta = block[-1] if coeffs is None else _combine(
+                    block, coeffs.weights, cfg.weight_target, out[: block.shape[1]]
+                )
+            if not np.isfinite(theta).all():
+                raise _nonfinite(0, 1)
+            yield theta
+
+    return coeffs, theta_hat()
 
 
 def accelerate_checkpoints(
@@ -546,10 +631,14 @@ def accelerate_checkpoints(
     :func:`rna`, ahead of a miscount. ``iterates`` is never written to.
     """
     cfg = _accelerate_settings(RnaConfig(window, lam, lam_grid), scores is not None)
+    count = None
     if scores is not None:
         scores = np.asarray(scores, dtype=np.float64).ravel()
         if not np.isfinite(scores).all():
             raise InvalidConfig("scores contain NaN or infinite values")
         if not hasattr(iterates, "__len__"):  # counted after the window stage reads it
             iterates = list(iterates)
-    return _accelerate(iterates, cfg, scores)
+        count = len(iterates)
+    diffs = _window(iterates, cfg.window)
+    entries = _solve(_gram(diffs[:-1]), _ridges(cfg))
+    return _extrapolate(diffs, cfg, entries, *_ranking(scores, count))[:3]

@@ -17,7 +17,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .core import RnaConfig, _combine, _extrapolate, _gram, _ridges, _solve, _window
+from .core import RnaConfig, _extrapolate, _gram, _ridges, _solve, _window
 from .errors import DegenerateSum, DimensionMismatch, InvalidConfig, NumericalFailure
 from .errors import RnaError, _read, _require_int
 from .problems import Problem
@@ -330,9 +330,7 @@ def _extrapolated(problem, record, cfg, diffs=None, entries=None) -> AccelRecord
     if diffs is not None:
         try:  # a grid is ranked by f: its score is the objective, the fallback's the record's
             theta_hat, _, coeffs, objective = _extrapolate(
-                diffs, cfg, entries,
-                lambda c: float(problem.f(_combine(diffs, c.weights, cfg.weight_target))),
-                record.objective,
+                diffs, cfg, entries, None, record.objective, problem.f
             )
         except DegenerateSum:
             pass

@@ -19,6 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from rnacc.errors import NumericalFailure
 from rnacc.linalg import _MAX_REFINE_STEPS, _REFINE_RTOL, exact_residual
+from rnacc.problems import Problem
 
 # Below this eigenvalue ratio the float64 eigendecomposition can no
 # longer place the small eigenvalues accurately enough, so the solve is
@@ -73,6 +74,25 @@ def gd_trajectory(problem, theta0, eta: float, steps: int) -> np.ndarray:
         theta = theta - eta * problem.grad(theta)
         out.append(theta.copy())
     return np.vstack(out)
+
+
+def converging_window(d: int, count: int, seed: int = 0) -> np.ndarray:
+    """``count`` iterates of d entries converging linearly, each entry at its own rate,
+    rounded to values that f32 holds exactly, so that f64 and f32 files hold the same."""
+    rng = np.random.default_rng(seed)
+    limit, error, rates = rng.standard_normal((3, d))
+    mat = limit + error * (0.5 + 0.499 * np.abs(np.tanh(rates))) ** np.arange(1, count + 1)[:, None]
+    return mat.astype(np.float32).astype(np.float64)
+
+
+def diagonal_quadratic(dim: int, condition: float, seed: int = 0):
+    """``0.5 * sum(h * theta**2)``, curvatures h drawn from [1, condition]: a quadratic
+    whose oracles cost O(d), for windows of many blocks of columns."""
+    h = np.random.default_rng(seed).uniform(1.0, condition, dim)
+    return Problem(
+        "diagonal quadratic", dim, lambda t: 0.5 * float(np.dot(h * t, t)), lambda t: h * t,
+        optimum=np.zeros(dim), smoothness=float(h.max()),
+    )
 
 
 def logistic_gd_reference(grad, dim, eta, tol=1e-12, max_iters=2_000_000):

@@ -41,10 +41,11 @@ from rnacc import (
 )
 from rnacc.checkpoint import _DTYPES, _HEADER, _WIDTHS, MAGIC, VERSION
 from rnacc.cli import build_parser, main
+from rnacc.core import _BLOCK
 from rnacc.optimizers import learning_rate
 
 from conftest import unit_sum_gap
-from oracles import eig_coefficients, eig_ridge_solve, gd_trajectory
+from oracles import converging_window, eig_coefficients, eig_ridge_solve, gd_trajectory
 
 
 def _report(cid: str, ok: bool, detail: str) -> None:
@@ -541,8 +542,22 @@ def _nan_at(row: int) -> np.ndarray:
     return mat
 
 
+def _at_block_edges(test):
+    """``test`` with examples at d = B - 1, B, B + 1 and 3B + 7, B the columns of the
+    core's blocks: every layout, f64 with a plain ridge and f32 with a scored grid, at
+    K = 4 of 6 iterates. In the split layouts the first file lies wholly before the window."""
+    for d in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+        mat, scores = converging_window(d, 6, seed=d), np.linspace(6.0, 1.0, 6)
+        for layout in ("file", "split", "manifest"):
+            cuts, order = ([], np.arange(1)) if layout == "file" else ([1, 4], np.array([2, 0, 1]))
+            test = example((mat, "f64", layout, cuts, order, 4, 1e-8, None, None))(test)
+            test = example((mat, "f32", layout, cuts, order, 4, 1e-8, _GRID[:3], scores))(test)
+    return test
+
+
 @settings(max_examples=200)
 @given(_stored_sequences())
+@_at_block_edges
 # A NaN outside the K = 3 window: in a file the tail read never opens, and in the part
 # of a file that it skips.
 @example((_nan_at(0), "f32", "split", [1, 3], np.arange(3), 3, 1e-8, None, None))

@@ -30,8 +30,9 @@ from rnacc import (
 )
 from rnacc.checkpoint import _HEADER, MAGIC, VERSION, _read_tail
 from rnacc.cli import _spec_from_args, build_parser, main
+from rnacc.core import _BLOCK
 
-from oracles import gd_trajectory
+from oracles import converging_window, gd_trajectory
 
 
 def _spec_text(problem, extra):
@@ -1027,6 +1028,138 @@ def test_memory_and_reads_are_bounded_by_the_window_not_the_count(tmp_path, caps
     rows = peak_of(lambda: rna(vectors, RnaConfig(window=k)))
     assert rows <= k + 3, f"rna: peak {rows:.1f} rows of d float64s"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("blocks", [4, 8])
+def test_accelerate_memory_is_bounded_by_the_block_not_d(tmp_path, capsys, blocks):
+    # Past one block of B columns, rnacc accelerate holds its window a block at a time:
+    # on 12 one-iterate f32 files ranked over 3 ridges, the peak stays within (K + 3)
+    # blocks of float64s plus one output block, at d = 4B as at 8B.
+    import tracemalloc
+
+    k, d = 10, blocks * _BLOCK
+    source = tmp_path / "ckpts"
+    source.mkdir()
+    for t, theta in enumerate(converging_window(d, 12)):
+        write_checkpoints(source / f"{t:02d}.rnac", [theta], "f32")
+    (tmp_path / "scores.txt").write_text("".join(f"{1.0 / t!r}\n" for t in range(1, 13)))
+    argv = [
+        "accelerate", str(source), "--lambda-grid", "1e-10,1e-8,1e-6",
+        "--scores", str(tmp_path / "scores.txt"), "--out", str(tmp_path / "o.rnac"),
+    ]
+    assert main(argv) == 0  # the first call pays for imports and caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= (k + 4) * _BLOCK * 8, f"peak {peak / (_BLOCK * 8):.1f} blocks of float64s"
+
+
+@pytest.mark.parametrize(
+    "d, passes", [(_BLOCK, 1), (_BLOCK + 1, 2)], ids=["one-block", "two-blocks"]
+)
+def test_accelerate_reads_the_window_once_in_one_block_and_twice_past_it(
+    tmp_path, capsys, monkeypatch, d, passes
+):
+    # 14 iterates at K = 10, as one f64 file and as 14 one-iterate f32 files: every
+    # header, then the window's payload once while it fits one block of columns, and
+    # twice past it (the Gram matrix's pass, then theta_hat's), counted through
+    # rnacc.checkpoint.open.
+    k, seq = 10, converging_window(d, 14)
+    parts = tmp_path / "parts"
+    parts.mkdir()
+    for i, theta in enumerate(seq):
+        write_checkpoints(parts / f"{i:02d}.rnac", [theta], "f32")
+    write_checkpoints(tmp_path / "seq.rnac", seq, "f64")
+    counts, real_open = [], open
+    monkeypatch.setattr(
+        rnacc.checkpoint, "open",
+        lambda *args, **kwargs: _CountedReads(real_open(*args, **kwargs), counts),
+        raising=False,
+    )
+    for source, headers, width in ((parts, 14, 4), (tmp_path / "seq.rnac", 1, 8)):
+        counts.clear()
+        argv = ["accelerate", str(source), "--k", str(k), "--out", str(tmp_path / "o.rnac")]
+        assert main(argv) == 0
+        assert sum(counts) == headers * _HEADER.size + passes * (k + 1) * d * width, source.name
+    capsys.readouterr()
+
+
+def test_accelerate_payload_cut_between_the_passes_exit_4(tmp_path, monkeypatch, capsys):
+    # d = B + 1: pass 1 reads the window, then the file is cut before pass 2 reads it
+    # again. FormatError and exit 4, with the message of a cut found in pass 1; the
+    # previous output is left as it was, and no temporary file beside it.
+    d = _BLOCK + 1
+    path, out = tmp_path / "seq.rnac", tmp_path / "o.rnac"
+    write_checkpoints(path, converging_window(d, 6), "f64")
+    out.write_bytes(b"previous")
+    solve = rnacc.core._solve
+
+    def cut_then_solve(gram, lams):
+        with open(path, "r+b") as fh:
+            fh.truncate(_HEADER.size + 8)
+        return solve(gram, lams)
+
+    monkeypatch.setattr(rnacc.core, "_solve", cut_then_solve)
+    assert main(["accelerate", str(path), "--k", "4", "--out", str(out)]) == 4
+    message = f"{path}: payload holds 8 bytes, header promises {6 * d * 8}"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert out.read_bytes() == b"previous"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.rnac", "seq.rnac"]
+
+
+@pytest.mark.parametrize("layout", ["file", "split"])
+def test_accelerate_names_the_lowest_bad_iterate_across_blocks(tmp_path, capsys, layout):
+    # 9 iterates at K = 8 and d = 3B + 7: a NaN in iterate 7's first block, read first,
+    # and one in iterate 3's last block, read last. Every block is checked before the
+    # lowest bad iterate is reported, as the in-memory path reports it; nothing is written.
+    d = 3 * _BLOCK + 7
+    mat = converging_window(d, 9)
+    mat[7, 5] = mat[3, d - 2] = np.nan
+    source, out = tmp_path / "seq", tmp_path / "o.rnac"
+    if layout == "file":
+        _write_stored(source, mat, "f64")
+    else:
+        source.mkdir()
+        for i, rows in enumerate(np.split(mat, [4, 6])):
+            _write_stored(source / f"{i}.rnac", rows, "f32")
+    code = main(["accelerate", str(source), "--k", "8", "--out", str(out)])
+    captured = capsys.readouterr()
+    with pytest.raises(rnacc.NumericalFailure) as in_memory:
+        rnacc.accelerate_checkpoints(mat, window=8, lam=1e-8)
+    assert code == 3
+    assert captured == ("", f"error: {in_memory.value}\n")
+    assert "iterate 3 of 9 " in captured.err
+    assert not out.exists()
+
+
+def test_accelerate_theta_hat_that_overflows_in_its_last_block_exit_3(
+    tmp_path, monkeypatch, capsys
+):
+    # Pass 2 does not check the iterates again. Two entries of the last block that change
+    # to -+1.8e308 between the passes make their difference overflow, and theta_hat with
+    # it, after its first block was written: exit 3, the previous output left as it was.
+    d = _BLOCK + 1
+    path, out = tmp_path / "seq.rnac", tmp_path / "o.rnac"
+    write_checkpoints(path, converging_window(d, 6), "f64")
+    out.write_bytes(b"previous")
+    solve = rnacc.core._solve
+
+    def change_then_solve(gram, lams):
+        with open(path, "r+b") as fh:  # in place: the reader holds the file open
+            for row, value in ((4, -np.finfo(np.float64).max), (5, np.finfo(np.float64).max)):
+                fh.seek(_HEADER.size + (row * d + d - 1) * 8)
+                fh.write(np.float64(value).tobytes())
+        return solve(gram, lams)
+
+    monkeypatch.setattr(rnacc.core, "_solve", change_then_solve)
+    assert main(["accelerate", str(path), "--k", "4", "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "error: iterate 0 of 1 contains NaN or infinite entries\n")
+    assert out.read_bytes() == b"previous"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.rnac", "seq.rnac"]
 
 
 def _write_stored(path, rows, precision) -> None:

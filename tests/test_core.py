@@ -29,14 +29,16 @@ from rnacc import (
     as_iterate_matrix,
     build_residuals,
     extrapolate,
+    make_logistic,
     make_quadratic,
     normalize,
     rna,
+    run_with_rna,
     solve_regularized,
 )
 
 from conftest import unit_sum_gap
-from oracles import eig_coefficients, eig_ridge_solve, gd_trajectory
+from oracles import diagonal_quadratic, eig_coefficients, eig_ridge_solve, gd_trajectory
 
 
 # ---------------------------------------------------------------- residuals
@@ -603,6 +605,26 @@ def test_rna_rejects_a_grid():
         rna(traj, RnaConfig(window=5, lam_grid=(1e-8,)))
 
 
+def test_each_grid_candidate_is_combined_once(monkeypatch):
+    # adaptive_rna and the training driver form each candidate's point once, to score
+    # it, and return the winner as it was scored: a 6-ridge grid combines 6 times a
+    # window, not 7.
+    import rnacc.core as core
+
+    calls, combine = [], core._combine
+    monkeypatch.setattr(core, "_combine", lambda *args: calls.append(1) or combine(*args))
+    grid = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+    problem, traj = _quadratic_trajectory()
+    theta_hat, lam_star, coeffs = adaptive_rna(traj, RnaConfig(window=5, lam_grid=grid), problem.f)
+    assert coeffs is not None and len(calls) == 6
+    calls.clear()
+    p = make_logistic(100, 10, 1e-3, seed=2)
+    cfg = OptimizerConfig(eta=2.0, momentum=0.0, weight_decay=0.0)
+    _, accel = run_with_rna(p, cfg, RnaConfig(window=5, lam_grid=grid), epochs=20)
+    assert any(a.lam_used is not None for a in accel)
+    assert len(calls) == 6 * 19  # every epoch from the second, every ridge
+
+
 def test_adaptive_every_grid_cell_failing_returns_last_iterate(monkeypatch):
     import rnacc.core as core
 
@@ -817,6 +839,16 @@ def test_step_api_gives_rnas_bits_on_gd_windows(lam):
         assert extrapolate(w, normalize(z)).tobytes() == theta_hat.tobytes(), (end, k)
         solved += 1
     assert solved >= 10 and (lam == 0.0 or solved == 38)
+    # At d = B + 1, B the columns of the core's blocks, every product is formed over two
+    # blocks, and the two paths still agree bit for bit.
+    import rnacc.core as core
+
+    wide = diagonal_quadratic(core._BLOCK + 1, 100.0, seed=5)
+    w = gd_trajectory(wide, np.ones(wide.dim), 1.0 / wide.smoothness, 5)
+    theta_hat, coeffs = rna(w, RnaConfig(window=5, lam=lam))
+    z = solve_regularized(build_residuals(w), lam)
+    assert z.tobytes() == coeffs.raw_solution.tobytes()
+    assert extrapolate(w, normalize(z)).tobytes() == theta_hat.tobytes()
 
 
 def test_accelerate_checkpoints_reads_an_iterator():

@@ -29,6 +29,8 @@ from rnacc import (
 from rnacc import core, optimizers
 from rnacc.optimizers import _stream
 
+from oracles import diagonal_quadratic
+
 
 def _scalar_bowl():
     return Problem(
@@ -288,6 +290,23 @@ def test_run_with_rna_grid_epochs_equal_adaptive_rna(target):
     assert None in ridges  # the last iterate won an epoch
     assert {1e-8, 1e-2} <= set(ridges)
     assert any(r is not None and r not in rna_cfg.lam_grid for r in ridges)  # a floored 1e-30
+    # At d = B + 1, B the columns of the core's blocks, each product is formed over two
+    # blocks: an epoch is still adaptive_rna on its window, and a winner is rna's point
+    # at its ridge.
+    wide = diagonal_quadratic(core._BLOCK + 1, 100.0, seed=5)
+    gd = OptimizerConfig(eta=1.0 / wide.smoothness, momentum=0.0, weight_decay=0.0)
+    wide_cfg = RnaConfig(window=4, lam_grid=(1e-8, 1e-4, 1e-2), weight_target=target)
+    vanilla, accel = run_with_rna(wide, gd, wide_cfg, 6, np.ones(wide.dim))
+    won = 0
+    for t in range(1, len(vanilla)):
+        window = [v.theta for v in vanilla[max(0, t - 4) : t + 1]]
+        theta_hat, lam_star, coeffs = core.adaptive_rna(window, wide_cfg, wide.f)
+        assert accel[t].theta.tobytes() == theta_hat.tobytes(), t
+        if coeffs is not None:
+            plain, _ = core.rna(window, RnaConfig(window=4, lam=lam_star, weight_target=target))
+            assert plain.tobytes() == theta_hat.tobytes(), t
+            won += 1
+    assert won
 
 
 def test_run_with_rna_singular_config_raises():
