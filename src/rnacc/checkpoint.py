@@ -317,13 +317,11 @@ def _read_tail(path, rows: int | None = None):
             if held[n] is None:
                 held[n] = open(f, "rb")
             fh, dest = held[n], out[at]
-            # f32 goes through a scratch row; f64 lands in place, its rows of every
-            # column in one span.
-            scratch = None if dtype == out.dtype else np.empty(out.shape[1], dtype)
-            whole = scratch is None and out.shape[1] == dim
-            for i, span in enumerate([dest] if whole else dest):
+            # Rows of every column are one span of the file; a block is read row by row.
+            # f64 lands in place, f32 through a temporary of the span's size.
+            for i, span in enumerate([dest] if out.shape[1] == dim else dest):
                 fh.seek(_HEADER.size + ((skip + i) * dim + cols.start) * dtype.itemsize)
-                buf = span if scratch is None else scratch
+                buf = span if dtype == out.dtype else np.empty(span.shape, dtype)
                 if fh.readinto(buf) != buf.nbytes:  # f changed since its header was checked
                     size = os.fstat(fh.fileno()).st_size - _HEADER.size
                     promised = count * dim * dtype.itemsize

@@ -1065,9 +1065,9 @@ def test_accelerate_reads_the_window_once_in_one_block_and_twice_past_it(
     tmp_path, capsys, monkeypatch, d, passes
 ):
     # 14 iterates at K = 10, as one f64 file and as 14 one-iterate f32 files: every
-    # header, then the window's payload once while it fits one block of columns, and
-    # twice past it (the Gram matrix's pass, then theta_hat's), counted through
-    # rnacc.checkpoint.open.
+    # header, then the window's payload once while it fits one block of columns, each
+    # file's part in one read, and twice past it (the Gram matrix's pass, then
+    # theta_hat's), a read per iterate and block, counted through rnacc.checkpoint.open.
     k, seq = 10, converging_window(d, 14)
     parts = tmp_path / "parts"
     parts.mkdir()
@@ -1080,11 +1080,13 @@ def test_accelerate_reads_the_window_once_in_one_block_and_twice_past_it(
         lambda *args, **kwargs: _CountedReads(real_open(*args, **kwargs), counts),
         raising=False,
     )
-    for source, headers, width in ((parts, 14, 4), (tmp_path / "seq.rnac", 1, 8)):
+    for source, headers, width, files in ((parts, 14, 4, k + 1), (tmp_path / "seq.rnac", 1, 8, 1)):
         counts.clear()
         argv = ["accelerate", str(source), "--k", str(k), "--out", str(tmp_path / "o.rnac")]
         assert main(argv) == 0
         assert sum(counts) == headers * _HEADER.size + passes * (k + 1) * d * width, source.name
+        reads = files if passes == 1 else passes * 2 * (k + 1)  # d = B + 1 is two blocks
+        assert len(counts) == headers + reads, source.name
     capsys.readouterr()
 
 
